@@ -79,7 +79,6 @@ def _options(args, relation=None):
         node_limit=getattr(args, "nodes", None),
         bounds=_parse_bounds(getattr(args, "bounds", None)),
         jobs=getattr(args, "jobs", 1) or 1,
-        seed=getattr(args, "seed", None),
     )
 
 
@@ -285,7 +284,6 @@ def build_parser():
     pc.add_argument("--bounds", metavar="LO:HI", help="objective interval for bounds/best")
     pc.add_argument("--nodes", type=int, help="search node budget per solver call")
     pc.add_argument("--jobs", type=int, default=1, help="parallel witness searches")
-    pc.add_argument("--seed", type=int, help="accepted for interface parity")
     pc.set_defaults(func=_cmd_check)
 
     pv = sub.add_parser("validate", help="validate a witness file")

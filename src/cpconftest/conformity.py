@@ -32,7 +32,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import UsageError
+from .errors import EvaluationError, UsageError
 from .grounding import (
     AndC,
     Const,
@@ -59,19 +59,22 @@ class CheckOptions:
     node_limit: int = None  # per solver call
     bounds: tuple = None  # (lo, hi) for the bounds/best relations
     use_skip: bool = True
-    var_order: str = "dom"
     jobs: int = 1
-    seed: int = None
 
 
 @dataclass
 class SubReport:
+    """Outcome and solver effort of one witness subproblem."""
+
     label: str
     origin: str  # "reference" | "program"
     status: str  # skipped | unsat | witness | resource_out | unsupported-negation | undecided
     nodes: int = 0
     elapsed: float = 0.0
     false_alarms: int = 0
+    failures: int = 0
+    solves: int = 0
+    witness: dict = None  # variable id -> value, when status is "witness"
 
     def to_dict(self):
         return {
@@ -120,31 +123,17 @@ class _Budget:
             return None
         return max(0.0, self.deadline - time.monotonic())
 
-    def expired(self):
-        r = self.remaining()
-        return r is not None and r <= 0.0
-
     def elapsed(self):
         return time.monotonic() - self.start
 
 
-class _Acc:
-    """Aggregate solver effort across all calls of one check."""
+@dataclass
+class _Effort:
+    """Solver calls, nodes and failures, summed."""
 
-    def __init__(self):
-        self.solves = 0
-        self.nodes = 0
-        self.failures = 0
-
-    def add(self, stats):
-        self.solves += 1
-        self.nodes += stats.nodes
-        self.failures += stats.failures
-
-    def merge(self, result):
-        self.solves += result.get("solves", 0)
-        self.nodes += result.get("nodes", 0)
-        self.failures += result.get("failures", 0)
+    solves: int = 0
+    nodes: int = 0
+    failures: int = 0
 
 
 def ground_pair(oracle_model, cput_model, data=None, overrides=None):
@@ -166,17 +155,16 @@ def ground_pair(oracle_model, cput_model, data=None, overrides=None):
     return oracle_gm, cput_gm
 
 
-def _timed_solve(acc, budget, domains, hard, extras=(), opts=None):
+def _timed_solve(effort, budget, domains, hard, extras, opts):
+    """solve() within what is left of the budget; the call's solver effort
+    is added to `effort` (an _Effort or a SubReport)."""
     rem = budget.remaining()
     if rem is not None and rem <= 0:
         return SolveOutcome("RESOURCE_OUT")
-    cfg = SearchConfig(
-        time_limit=rem,
-        node_limit=opts.node_limit if opts else None,
-        var_order=opts.var_order if opts else "dom",
-    )
-    out = solve(domains, hard, extras, cfg)
-    acc.add(out.stats)
+    out = solve(domains, hard, extras, SearchConfig(time_limit=rem, node_limit=opts.node_limit))
+    effort.solves += 1
+    effort.nodes += out.stats.nodes
+    effort.failures += out.stats.failures
     return out
 
 
@@ -283,7 +271,7 @@ def _plan_subproblems(oracle_gm, cput_gm, direction, extra_atoms, use_skip):
         for c in d_gm.constraints:
             try:
                 d_keys.add(canonical_key(c.tree))
-            except Exception:
+            except EvaluationError:
                 pass
     d_trees = [c.tree for c in d_gm.constraints] + list(extra_atoms)
 
@@ -292,7 +280,7 @@ def _plan_subproblems(oracle_gm, cput_gm, direction, extra_atoms, use_skip):
         if use_skip and d_keys:
             try:
                 skipped = canonical_key(tree) in d_keys
-            except Exception:
+            except EvaluationError:
                 skipped = False
         if direction == "extra":
             domains = dict(cput_gm.domains)
@@ -334,78 +322,66 @@ def _genuine_extra(oracle_gm, cput_gm, w):
     return not (oracle_gm.in_domains(wo) and oracle_gm.evaluate(wo))
 
 
-def _genuine_missing(oracle_gm, cput_gm, w, budget, acc, opts):
+def _program_accepts(cput_gm, full, open_vids, budget, effort, opts):
+    """Does the program accept this extended assignment?  True / False /
+    None (undecided within the budget).  Auxiliaries the channelings left
+    open are decided by search."""
+    if not open_vids:
+        return cput_gm.in_domains(full) and cput_gm.evaluate(full)
+    hard = [c.tree for c in cput_gm.constraints] + _fix_atoms(full, list(full))
+    out = _timed_solve(effort, budget, dict(cput_gm.domains), hard, (), opts)
+    return {"SAT": True, "UNSAT": False}.get(out.status)
+
+
+def _genuine_missing(oracle_gm, cput_gm, w, budget, effort, opts):
     """Does w prove a missing solution?  True / False / None (undecided)."""
     wo = {v: w[v] for v in oracle_gm.vids}
     if not (oracle_gm.in_domains(wo) and oracle_gm.evaluate(wo)):
         return False
     full, open_vids = cput_gm.extend_assignment(wo)
-    if not open_vids:
-        return not (cput_gm.in_domains(full) and cput_gm.evaluate(full))
-    # auxiliaries not pinned by channelings: decide by search
-    hard = [c.tree for c in cput_gm.constraints] + _fix_atoms(full, list(full))
-    out = _timed_solve(acc, budget, dict(cput_gm.domains), hard, (), opts)
-    if out.status == "SAT":
-        return False
-    if out.status == "UNSAT":
-        return True
-    return None
+    accepts = _program_accepts(cput_gm, full, open_vids, budget, effort, opts)
+    return None if accepts is None else not accepts
 
 
 def _run_subproblem(item, oracle_gm, cput_gm, direction, time_limit, opts):
-    """Solve D and not(C); returns a result dict with any genuine witness."""
-    res = {
-        "label": item["label"],
-        "origin": item["origin"],
-        "status": "unsat",
-        "witness": None,
-        "nodes": 0,
-        "failures": 0,
-        "solves": 0,
-        "elapsed": 0.0,
-        "false_alarms": 0,
-        "reason": None,
-    }
+    """Solve D and not(C), cutting false alarms, until a genuine witness,
+    a refutation or the end of the budget."""
+    rep = SubReport(item["label"], item["origin"], "unsat")
     t0 = time.monotonic()
     if item["skipped"]:
-        res["status"] = "skipped"
-        return res
+        rep.status = "skipped"
+        return rep
     neg = negate(item["tree"])
     if not neg.ok:
-        res["status"] = "unsupported-negation"
-        res["reason"] = neg.reason
-        return res
+        rep.status = "unsupported-negation"
+        return rep
     budget = _Budget(time_limit)
-    acc = _Acc()
     hard = list(item["hard"])
     base = list(oracle_gm.vids)
     while True:
-        out = _timed_solve(acc, budget, item["domains"], hard, [neg.tree], opts)
+        out = _timed_solve(rep, budget, item["domains"], hard, [neg.tree], opts)
         if out.status == "UNSAT":
             break
         if out.status == "RESOURCE_OUT":
-            res["status"] = "resource_out"
+            rep.status = "resource_out"
             break
         w = out.assignment
         if direction == "extra":
             genuine = _genuine_extra(oracle_gm, cput_gm, w)
         else:
-            genuine = _genuine_missing(oracle_gm, cput_gm, w, budget, acc, opts)
+            genuine = _genuine_missing(oracle_gm, cput_gm, w, budget, rep, opts)
         if genuine is None:
-            res["status"] = "undecided"
+            rep.status = "undecided"
             break
         if genuine:
-            res["status"] = "witness"
-            res["witness"] = w
+            rep.status = "witness"
+            rep.witness = w
             break
         # false alarm: exclude this projection and keep looking
-        res["false_alarms"] += 1
+        rep.false_alarms += 1
         hard = hard + [OrC(tuple(RelAtom("!=", Var(v), Const(w[v])) for v in base))]
-    res["nodes"] = acc.nodes
-    res["failures"] = acc.failures
-    res["solves"] = acc.solves
-    res["elapsed"] = time.monotonic() - t0
-    return res
+    rep.elapsed = time.monotonic() - t0
+    return rep
 
 
 _WORKER = None
@@ -423,14 +399,10 @@ def _worker_run(args):
     return _run_subproblem(plan[idx], oracle_gm, cput_gm, direction, time_limit, opts)
 
 
-def _one_negated(oracle_gm, cput_gm, direction, budget, acc, opts, extra_atoms=()):
-    """Run all witness subproblems for one direction.
-
-    Returns (witness_assignment_or_None, violated_label, subreports,
-    any_resource_out, any_unsupported).
-    """
+def _run_direction(oracle_gm, cput_gm, direction, budget, opts, extra_atoms):
+    """SubReports of one direction's subproblems, up to the first witness."""
     plan = _plan_subproblems(oracle_gm, cput_gm, direction, extra_atoms, opts.use_skip)
-    results = []
+    reports = []
     if opts.jobs > 1 and len(plan) > 1:
         with ProcessPoolExecutor(
             max_workers=opts.jobs,
@@ -439,59 +411,23 @@ def _one_negated(oracle_gm, cput_gm, direction, budget, acc, opts, extra_atoms=(
         ) as pool:
             rem = budget.remaining()
             futs = [pool.submit(_worker_run, (i, rem)) for i in range(len(plan))]
-            for i in range(len(plan)):
-                r = futs[i].result()
-                results.append(r)
-                if r["status"] == "witness":
+            for fut in futs:
+                reports.append(fut.result())
+                if reports[-1].status == "witness":
                     pool.shutdown(cancel_futures=True)
                     break
     else:
         for item in plan:
-            r = _run_subproblem(
-                item, oracle_gm, cput_gm, direction, budget.remaining(), opts
+            reports.append(
+                _run_subproblem(item, oracle_gm, cput_gm, direction, budget.remaining(), opts)
             )
-            results.append(r)
-            if r["status"] == "witness":
+            if reports[-1].status == "witness":
                 break
-    witness = None
-    violated = None
-    any_ro = False
-    any_unsup = False
-    reports = []
-    for r in results:
-        acc.merge(r)
-        reports.append(
-            SubReport(
-                r["label"],
-                r["origin"],
-                r["status"],
-                r["nodes"],
-                r["elapsed"],
-                r["false_alarms"],
-            )
-        )
-        if r["status"] == "witness" and witness is None:
-            witness = r["witness"]
-            violated = r["label"]
-        if r["status"] in ("resource_out", "undecided"):
-            any_ro = True
-        if r["status"] == "unsupported-negation":
-            any_unsup = True
-    return witness, violated, reports, any_ro, any_unsup
+    return reports
 
 
 def witness_names(space, assignment):
     return {space.pretty(v): assignment[v] for v in sorted(assignment)}
-
-
-def _final(budget, acc, verdict):
-    verdict.stats = {
-        "solves": acc.solves,
-        "nodes": acc.nodes,
-        "failures": acc.failures,
-        "elapsed": round(budget.elapsed(), 6),
-    }
-    return verdict
 
 
 def _bounds_atoms(gm, lo, hi, what):
@@ -503,240 +439,185 @@ def _bounds_atoms(gm, lo, hi, what):
     ]
 
 
-def check(oracle_model, cput_model, data=None, overrides=None, opts=None):
-    """Check one conformity relation; returns a Verdict with a full report."""
-    opts = opts or CheckOptions()
-    relation = opts.relation
-    if relation not in ("one", "all", "bounds", "best"):
-        raise UsageError(f"unknown relation {relation!r}")
-    oracle_gm, cput_gm = ground_pair(oracle_model, cput_model, data, overrides)
-    space = cput_gm.space
-    budget = _Budget(opts.time_limit)
-    acc = _Acc()
+class _Run:
+    """The state of one check that its phases share: the grounded pair, the
+    budget, the solver effort outside subproblems and the SubReports so far."""
 
-    def name_witness(w):
-        return witness_names(space, w) if w is not None else None
+    def __init__(self, oracle_gm, cput_gm, opts, budget):
+        self.oracle_gm = oracle_gm
+        self.cput_gm = cput_gm
+        self.opts = opts
+        self.budget = budget
+        self.effort = _Effort()
+        self.reports = []
+        # objective-interval atoms of each side (bounds and best only)
+        self.f_atoms = self.fp_atoms = []
+        if opts.relation in ("bounds", "best"):
+            if opts.bounds is None:
+                raise UsageError("this relation needs --bounds lo:hi")
+            lo, hi = opts.bounds
+            self.f_atoms = _bounds_atoms(oracle_gm, lo, hi, "reference")
+            self.fp_atoms = _bounds_atoms(cput_gm, lo, hi, "program")
 
-    if relation in ("bounds", "best"):
-        if opts.bounds is None:
-            raise UsageError("this relation needs --bounds lo:hi")
-        blo, bhi = opts.bounds
-        f_atoms = _bounds_atoms(oracle_gm, blo, bhi, "reference")
-        fp_atoms = _bounds_atoms(cput_gm, blo, bhi, "program")
-        cput_trees = [c.tree for c in cput_gm.constraints]
-        ne = _timed_solve(
-            acc, budget, dict(cput_gm.domains), cput_trees + fp_atoms, (), opts
-        )
-        if ne.status == "RESOURCE_OUT":
-            return _final(budget, acc, Verdict("Unknown", relation, reason="timeout"))
-        if ne.status == "UNSAT":
-            return _final(
-                budget,
-                acc,
-                Verdict(
-                    "NonConf",
-                    relation,
-                    reason="no-solution-within-bounds",
-                    notes=(
-                        "the program under test has no solution with its "
-                        f"objective in [{blo}, {bhi}]",
-                    ),
-                ),
-            )
-        witness, violated, reports, any_ro, any_unsup = _one_negated(
-            oracle_gm, cput_gm, "extra", budget, acc, opts,
-            extra_atoms=tuple(f_atoms + fp_atoms),
-        )
+    def solve(self, gm, extra_atoms):
+        """Solve one side's constraints plus the given atoms."""
+        hard = [c.tree for c in gm.constraints] + extra_atoms
+        return _timed_solve(self.effort, self.budget, dict(gm.domains), hard, (), self.opts)
+
+    def verdict(self, kind, reason=None, witness=None, **kw):
         if witness is not None:
-            return _final(
-                budget,
-                acc,
-                Verdict(
-                    "NonConf",
-                    relation,
-                    reason="extra-solution",
-                    witness=name_witness(witness),
-                    violated=violated,
-                    direction="extra-solution",
-                    subreports=tuple(reports),
-                ),
-            )
-        if any_ro:
-            return _final(
-                budget,
-                acc,
-                Verdict("Unknown", relation, reason="timeout", subreports=tuple(reports)),
-            )
-        if any_unsup:
-            return _final(
-                budget,
-                acc,
-                Verdict(
-                    "Unknown",
-                    relation,
-                    reason="unsupported-negation",
-                    subreports=tuple(reports),
-                ),
-            )
-        if relation == "bounds":
-            return _final(
-                budget, acc, Verdict("Conf", relation, subreports=tuple(reports))
-            )
-        # best: neither side may beat the lower bound
-        oracle_trees = [c.tree for c in oracle_gm.constraints]
-        odoms = {v: oracle_gm.domains[v] for v in oracle_gm.vids}
-        better = RelAtom("<", oracle_gm.objective, Const(blo))
-        ob = _timed_solve(acc, budget, odoms, oracle_trees + [better], (), opts)
-        if ob.status == "RESOURCE_OUT":
-            return _final(
-                budget,
-                acc,
-                Verdict("Unknown", relation, reason="timeout", subreports=tuple(reports)),
-            )
-        if ob.status == "SAT":
-            return _final(
-                budget,
-                acc,
-                Verdict(
-                    "NonConf",
-                    relation,
-                    reason="reference-beats-lower-bound",
-                    witness=name_witness(ob.assignment),
-                    notes=(
-                        f"the reference model reaches an objective below {blo}, "
-                        "so the given interval is not its optimum",
-                    ),
-                    subreports=tuple(reports),
-                ),
-            )
-        pbetter = RelAtom("<", cput_gm.objective, Const(blo))
-        pb = _timed_solve(
-            acc, budget, dict(cput_gm.domains), cput_trees + [pbetter], (), opts
-        )
-        if pb.status == "RESOURCE_OUT":
-            return _final(
-                budget,
-                acc,
-                Verdict("Unknown", relation, reason="timeout", subreports=tuple(reports)),
-            )
-        if pb.status == "SAT":
-            return _final(
-                budget,
-                acc,
-                Verdict(
-                    "NonConf",
-                    relation,
-                    reason="program-beats-lower-bound",
-                    witness=name_witness(pb.assignment),
-                    notes=(
-                        f"the program under test reaches an objective below {blo}",
-                    ),
-                    subreports=tuple(reports),
-                ),
-            )
-        return _final(budget, acc, Verdict("Conf", relation, subreports=tuple(reports)))
+            witness = witness_names(self.cput_gm.space, witness)
+        return Verdict(kind, self.opts.relation, reason=reason, witness=witness, **kw)
 
-    # one / all
-    odoms = {v: oracle_gm.domains[v] for v in oracle_gm.vids}
-    oracle_trees = [c.tree for c in oracle_gm.constraints]
-    pre = _timed_solve(acc, budget, odoms, oracle_trees, (), opts)
-    if pre.status == "UNSAT":
+    def stats(self):
+        parts = [self.effort, *self.reports]
+        return {
+            "solves": sum(p.solves for p in parts),
+            "nodes": sum(p.nodes for p in parts),
+            "failures": sum(p.failures for p in parts),
+            "elapsed": round(self.budget.elapsed(), 6),
+        }
+
+
+# Phases: each returns the deciding Verdict or None to go on.
+
+
+def _reference_sat(run):
+    out = run.solve(run.oracle_gm, [])
+    if out.status == "UNSAT":
         raise UsageError("the reference model is unsatisfiable on this instance")
-    if pre.status == "RESOURCE_OUT":
-        return _final(
-            budget,
-            acc,
-            Verdict(
-                "Unknown",
-                relation,
-                reason="timeout",
-                notes=("budget exhausted while checking the reference model",),
+    if out.status == "RESOURCE_OUT":
+        return run.verdict(
+            "Unknown", "timeout", notes=("budget exhausted while checking the reference model",)
+        )
+    return None
+
+
+def _program_sat(run):
+    out = run.solve(run.cput_gm, run.fp_atoms)
+    if out.status == "RESOURCE_OUT":
+        return run.verdict(
+            "Unknown",
+            "timeout",
+            notes=("budget exhausted while checking the program for solutions",),
+        )
+    if out.status == "SAT":
+        return None
+    if run.fp_atoms:
+        lo, hi = run.opts.bounds
+        return run.verdict(
+            "NonConf",
+            "no-solution-within-bounds",
+            notes=(
+                f"the program under test has no solution with its objective in [{lo}, {hi}]",
             ),
         )
-    cput_trees = [c.tree for c in cput_gm.constraints]
-    ne = _timed_solve(acc, budget, dict(cput_gm.domains), cput_trees, (), opts)
-    if ne.status == "RESOURCE_OUT":
-        return _final(
-            budget,
-            acc,
-            Verdict(
-                "Unknown",
-                relation,
-                reason="timeout",
-                notes=("budget exhausted while checking the program for solutions",),
-            ),
-        )
-    if ne.status == "UNSAT":
-        return _final(
-            budget,
-            acc,
-            Verdict(
-                "NonConf",
-                relation,
-                reason="unsatisfiable-program",
-                notes=(
-                    "the program under test has no solution on this instance, "
-                    "so its projected solution set cannot match the reference",
-                ),
-            ),
-        )
-    witness, violated, reports, any_ro, any_unsup = _one_negated(
-        oracle_gm, cput_gm, "extra", budget, acc, opts
+    return run.verdict(
+        "NonConf",
+        "unsatisfiable-program",
+        notes=(
+            "the program under test has no solution on this instance, "
+            "so its projected solution set cannot match the reference",
+        ),
     )
-    all_reports = list(reports)
-    if witness is not None:
-        return _final(
-            budget,
-            acc,
-            Verdict(
-                "NonConf",
-                relation,
-                reason="extra-solution",
-                witness=name_witness(witness),
-                violated=violated,
-                direction="extra-solution",
-                subreports=tuple(all_reports),
-            ),
+
+
+def _witness_search(run, direction, extra_atoms):
+    reports = _run_direction(
+        run.oracle_gm, run.cput_gm, direction, run.budget, run.opts, extra_atoms
+    )
+    run.reports.extend(reports)
+    if reports and reports[-1].status == "witness":
+        hit = reports[-1]
+        return run.verdict(
+            "NonConf",
+            f"{direction}-solution",
+            witness=hit.witness,
+            violated=hit.label,
+            direction=f"{direction}-solution",
         )
-    if relation == "all":
-        witness, violated, reports2, ro2, un2 = _one_negated(
-            oracle_gm, cput_gm, "missing", budget, acc, opts
-        )
-        all_reports.extend(reports2)
-        any_ro = any_ro or ro2
-        any_unsup = any_unsup or un2
-        if witness is not None:
-            return _final(
-                budget,
-                acc,
-                Verdict(
-                    "NonConf",
-                    relation,
-                    reason="missing-solution",
-                    witness=name_witness(witness),
-                    violated=violated,
-                    direction="missing-solution",
-                    subreports=tuple(all_reports),
-                ),
-            )
-    if any_ro:
-        return _final(
-            budget,
-            acc,
-            Verdict("Unknown", relation, reason="timeout", subreports=tuple(all_reports)),
-        )
-    if any_unsup:
-        return _final(
-            budget,
-            acc,
-            Verdict(
-                "Unknown",
-                relation,
-                reason="unsupported-negation",
-                subreports=tuple(all_reports),
-            ),
-        )
-    return _final(budget, acc, Verdict("Conf", relation, subreports=tuple(all_reports)))
+    return None
+
+
+def _extra(run):
+    return _witness_search(run, "extra", tuple(run.f_atoms + run.fp_atoms))
+
+
+def _missing(run):
+    return _witness_search(run, "missing", ())
+
+
+def _settle(run):
+    """Unknown when some subproblem was left open, else go on."""
+    statuses = {r.status for r in run.reports}
+    if statuses & {"resource_out", "undecided"}:
+        return run.verdict("Unknown", "timeout")
+    if "unsupported-negation" in statuses:
+        return run.verdict("Unknown", "unsupported-negation")
+    return None
+
+
+def _beats_lower_bound(run, gm, reason, note):
+    out = run.solve(gm, [RelAtom("<", gm.objective, Const(run.opts.bounds[0]))])
+    if out.status == "RESOURCE_OUT":
+        return run.verdict("Unknown", "timeout")
+    if out.status == "SAT":
+        return run.verdict("NonConf", reason, witness=out.assignment, notes=(note,))
+    return None
+
+
+def _reference_beats(run):
+    lo = run.opts.bounds[0]
+    return _beats_lower_bound(
+        run,
+        run.oracle_gm,
+        "reference-beats-lower-bound",
+        f"the reference model reaches an objective below {lo}, "
+        "so the given interval is not its optimum",
+    )
+
+
+def _program_beats(run):
+    lo = run.opts.bounds[0]
+    return _beats_lower_bound(
+        run,
+        run.cput_gm,
+        "program-beats-lower-bound",
+        f"the program under test reaches an objective below {lo}",
+    )
+
+
+_PHASES = {
+    "one": (_reference_sat, _program_sat, _extra, _settle),
+    "all": (_reference_sat, _program_sat, _extra, _missing, _settle),
+    "bounds": (_program_sat, _extra, _settle),
+    "best": (_program_sat, _extra, _settle, _reference_beats, _program_beats),
+}
+
+
+def check(oracle_model, cput_model, data=None, overrides=None, opts=None):
+    """Check one conformity relation; returns a Verdict with a full report.
+
+    The relation's phases run in order and the first verdict decides; when
+    every phase passes the verdict is Conf.  The time limit counts from
+    entry, grounding included.
+    """
+    opts = opts or CheckOptions()
+    phases = _PHASES.get(opts.relation)
+    if phases is None:
+        raise UsageError(f"unknown relation {opts.relation!r}")
+    budget = _Budget(opts.time_limit)
+    oracle_gm, cput_gm = ground_pair(oracle_model, cput_model, data, overrides)
+    run = _Run(oracle_gm, cput_gm, opts, budget)
+    for phase in phases:
+        verdict = phase(run)
+        if verdict is not None:
+            break
+    else:
+        verdict = run.verdict("Conf")
+    verdict.subreports = tuple(run.reports)
+    verdict.stats = run.stats()
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +693,6 @@ def validate_witness(oracle_gm, cput_gm, assignment, opts=None):
     """
     opts = opts or CheckOptions()
     budget = _Budget(opts.time_limit)
-    acc = _Acc()
     notes = []
     full, open_vids = cput_gm.extend_assignment(dict(assignment))
     missing = [v for v in oracle_gm.vids if v not in full]
@@ -822,22 +702,15 @@ def validate_witness(oracle_gm, cput_gm, assignment, opts=None):
     wo = {v: full[v] for v in oracle_gm.vids}
     oracle_ok = oracle_gm.in_domains(wo) and oracle_gm.evaluate(wo)
     oracle_viol = tuple(oracle_gm.evaluate_with_failures(wo)) if not oracle_ok else ()
-    if not open_vids:
-        cput_ok = cput_gm.in_domains(full) and cput_gm.evaluate(full)
-        cput_viol = tuple(cput_gm.evaluate_with_failures(full)) if not cput_ok else ()
-    else:
+    if open_vids:
         notes.append(
             "variables left open by the channelings, deciding by search: "
             + ", ".join(cput_gm.space.pretty(v) for v in open_vids[:5])
         )
-        hard = [c.tree for c in cput_gm.constraints] + _fix_atoms(full, list(full))
-        out = _timed_solve(acc, budget, dict(cput_gm.domains), hard, (), opts)
-        if out.status == "SAT":
-            cput_ok, cput_viol = True, ()
-        elif out.status == "UNSAT":
-            cput_ok, cput_viol = False, ()
-        else:
-            cput_ok, cput_viol = None, ()
+    cput_ok = _program_accepts(cput_gm, full, open_vids, budget, _Effort(), opts)
+    cput_viol = ()
+    if cput_ok is False and not open_vids:
+        cput_viol = tuple(cput_gm.evaluate_with_failures(full))
     if cput_ok and not oracle_ok:
         return ValidationReport(
             True, "extra-solution", True, False, (), oracle_viol, tuple(notes)

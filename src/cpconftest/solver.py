@@ -9,7 +9,7 @@ any variable enumeration.  A choice disjunction with many open disjuncts
 is left to its unit rule instead, since committing to one of hundreds of
 disjuncts near the root buries solutions that plain variable enumeration
 reaches quickly.  Everything else is decided by variable branching
-(smallest domain first by default, values ascending) plus exact checks once
+(smallest domain first, values ascending) plus exact checks once
 all variables are fixed, so quiescence with fixed variables is a solution.
 
 Two presolve passes run before search.  Linear equalities asserted at the
@@ -22,15 +22,16 @@ proves unsatisfiability with zero search.
 
 solve() finds one solution or proves there is none; solve_optimal() runs
 branch and bound on a minimization objective and reports whether optimality
-was proven within the budget.  Both respect wall-clock and node budgets and
-are fully deterministic; the seed knob exists for interface parity and has
-no effect.
+was proven within the budget.  Both respect wall-clock and node budgets,
+the wall-clock one counted from entry (presolve and posting included), and
+are fully deterministic.
 """
 
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from .errors import EvaluationError
 from .grounding import (
     AllDiffC,
     AllMinDistC,
@@ -694,7 +695,7 @@ def _linear_eq_defs(trees):
             if isinstance(leaf, RelAtom) and leaf.op == "==":
                 try:
                     p = _poly_sub_pair(leaf.left, leaf.right)
-                except Exception:
+                except EvaluationError:
                     continue
                 if p and _poly_is_linear(p):
                     defs.append((p, id(leaf)))
@@ -746,7 +747,7 @@ def _rewrite_tree(tree, defs, protected):
     if isinstance(tree, RelAtom) and id(tree) not in protected:
         try:
             p = _poly_sub_pair(tree.left, tree.right)
-        except Exception:
+        except EvaluationError:
             return tree
         if not _poly_is_linear(p):
             return tree
@@ -766,13 +767,13 @@ def _asserted_keys(trees):
                 continue
             try:
                 keys.add(canonical_key(leaf))
-            except Exception:
+            except EvaluationError:
                 continue
             if isinstance(leaf, AllDiffC):
                 for pair in _and_spine(expansion(leaf)):
                     try:
                         keys.add(canonical_key(pair))
-                    except Exception:
+                    except EvaluationError:
                         pass
     return keys
 
@@ -783,7 +784,7 @@ def _refutes(tree, keys):
         return False
     try:
         return canonical_key(r.tree) in keys
-    except Exception:
+    except EvaluationError:
         return False
 
 
@@ -818,7 +819,7 @@ def _simplify(tree, keys):
         return OrC(tuple(parts))
     try:
         k = canonical_key(tree)
-    except Exception:
+    except EvaluationError:
         return tree
     if k == TRUE_KEY:
         return TRUE_C
@@ -858,8 +859,6 @@ def presolve(hard, extras):
 class SearchConfig:
     time_limit: float = None  # seconds
     node_limit: int = None
-    var_order: str = "dom"  # "dom" (smallest first) or "decl"
-    seed: int = None  # accepted for interface parity; search is deterministic
 
 
 @dataclass
@@ -895,7 +894,7 @@ class OptOutcome:
 
 
 class Engine:
-    def __init__(self, domains, config):
+    def __init__(self, domains, config, start):
         self.doms = {vid: make_dom(lo, hi) for vid, (lo, hi) in domains.items()}
         self.order = sorted(self.doms)
         self.watchers = {vid: [] for vid in self.doms}
@@ -905,6 +904,7 @@ class Engine:
         self.queue = deque()
         self.inq = set()
         self.config = config
+        self.start = start  # time.monotonic() the time limit counts from
         self.stats = Stats()
         self.bound = None
         self.bound_prop = None
@@ -977,7 +977,7 @@ class Engine:
         if isinstance(tree, RelAtom):
             try:
                 poly = _poly_sub_pair(tree.left, tree.right)
-            except Exception:
+            except EvaluationError:
                 poly = None
             if poly is None:
                 # overflow while normalizing; fall back to exact-only checks
@@ -1049,7 +1049,7 @@ class Engine:
         if hit is None:
             try:
                 poly = _poly_sub_pair(atom.left, atom.right)
-            except Exception:
+            except EvaluationError:
                 poly = {}
             hit = (poly, ctr_vars(atom))
             self._status_cache[key] = hit
@@ -1143,20 +1143,13 @@ class Engine:
                     continue
                 if unknown and len(unknown) <= _OR_BRANCH_LIMIT:
                     return [("or", p, d) for d in unknown]
-        best = None
-        if self.config.var_order == "decl":
-            for vid in self.order:
-                if not self.doms[vid].fixed:
-                    best = vid
-                    break
-        else:
-            best_size = None
-            for vid in self.order:
-                d = self.doms[vid]
-                if d.fixed:
-                    continue
-                if best_size is None or d.size < best_size:
-                    best, best_size = vid, d.size
+        best = best_size = None
+        for vid in self.order:
+            d = self.doms[vid]
+            if d.fixed:
+                continue
+            if best_size is None or d.size < best_size:
+                best, best_size = vid, d.size
         if best is None:
             return None
         return [("assign", best, v) for v in self.doms[best].values()]
@@ -1172,11 +1165,11 @@ class Engine:
         self.set_done(prop)
         return self.post_tree(disjunct, prop.choice)
 
-    def _over_budget(self, t0):
+    def _over_budget(self):
         c = self.config
         if c.node_limit is not None and self.stats.nodes >= c.node_limit:
             return True
-        if c.time_limit is not None and time.monotonic() - t0 > c.time_limit:
+        if c.time_limit is not None and time.monotonic() - self.start > c.time_limit:
             return True
         return False
 
@@ -1186,13 +1179,12 @@ class Engine:
         Returns "SAT" when stopped by on_solution, "UNSAT" when exhausted,
         "RESOURCE_OUT" when a budget tripped.
         """
-        t0 = time.monotonic()
         if self.root_failed or not self.propagate():
             return "UNSAT"
         frames = []
         failed = False
         while True:
-            if self._over_budget(t0):
+            if self._over_budget():
                 return "RESOURCE_OUT"
             if failed:
                 while frames:
@@ -1218,8 +1210,8 @@ class Engine:
             failed = not (self._apply(alts[0]) and self.propagate())
 
 
-def _setup(domains, hard, extras, config):
-    eng = Engine(domains, config)
+def _setup(domains, hard, extras, config, start):
+    eng = Engine(domains, config, start)
     for t in hard:
         if not eng.post_tree(t, False):
             eng.root_failed = True
@@ -1238,7 +1230,7 @@ def solve(domains, hard, extras=(), config=None):
         out = SolveOutcome("UNSAT")
         out.stats.elapsed = time.monotonic() - t0
         return out
-    eng = _setup(domains, hard2, extras2, config)
+    eng = _setup(domains, hard2, extras2, config, t0)
     hit = {}
 
     def grab(a):
@@ -1261,7 +1253,7 @@ def solve_optimal(domains, hard, objective, config=None):
         out = OptOutcome("UNSAT")
         out.stats.elapsed = time.monotonic() - t0
         return out
-    eng = _setup(domains, hard2, (), config)
+    eng = _setup(domains, hard2, (), config, t0)
     obj_poly = poly_of(objective)
     eng.bound_prop = BoundProp(obj_poly)
     eng.register(eng.bound_prop)

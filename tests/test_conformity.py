@@ -1,5 +1,7 @@
 """End-to-end checks on tiny models where every verdict is hand-computable."""
 
+import time
+
 import pytest
 
 from cpconftest import (
@@ -9,8 +11,10 @@ from cpconftest import (
     expand_witness,
     ground_pair,
     parse_model,
+    parse_model_file,
     validate_witness,
 )
+from cpconftest.corpus import corpus_path
 
 ORACLE_LT = """
 dvar int x[1..2] in 0..3;
@@ -251,6 +255,24 @@ def test_exhausted_budget_reports_unknown():
     v = run(ORACLE_LT, CPUT_SUBSET, time_limit=0.0)
     assert v.kind == "Unknown"
     assert v.reason == "timeout"
+    v = run(O_MIN2, P_MIN2, relation="bounds", bounds=(2, 2), time_limit=0.0)
+    assert (v.kind, v.reason) == ("Unknown", "timeout")
+    assert v.notes == ("budget exhausted while checking the program for solutions",)
+
+
+def test_time_limit_counts_grounding():
+    # grounding Golomb at m=14 alone takes longer than the budget
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    program = parse_model_file(corpus_path("golomb", "p.cpm"))
+    t0 = time.monotonic()
+    ground_pair(oracle, program, overrides={"m": 14})
+    grounding = time.monotonic() - t0
+    t0 = time.monotonic()
+    v = check(oracle, program, overrides={"m": 14}, opts=CheckOptions(time_limit=0.5))
+    wall = time.monotonic() - t0
+    assert (v.kind, v.reason) == ("Unknown", "timeout")
+    assert wall < grounding + 0.5, (wall, grounding)
+    assert v.stats["elapsed"] <= wall
 
 
 def test_unknown_relation_rejected():
@@ -276,10 +298,17 @@ def test_verdict_report_shape():
 
 
 def test_parallel_jobs_agree_with_sequential():
-    lone = run(ORACLE_LT, CPUT_SUBSET, relation="all", jobs=1)
-    par = run(ORACLE_LT, CPUT_SUBSET, relation="all", jobs=2)
-    assert (lone.kind, lone.reason, lone.violated) == (par.kind, par.reason, par.violated)
-    assert lone.witness == par.witness
+    def effort(v):
+        subs = [(s.label, s.status, s.nodes, s.false_alarms) for s in v.subreports]
+        counters = {k: v.stats[k] for k in ("solves", "nodes", "failures")}
+        return subs, counters
+
+    for relation in ("one", "all"):
+        lone = run(ORACLE_LT, CPUT_SUBSET, relation=relation, jobs=1)
+        par = run(ORACLE_LT, CPUT_SUBSET, relation=relation, jobs=2)
+        assert (lone.kind, lone.reason, lone.violated) == (par.kind, par.reason, par.violated)
+        assert lone.witness == par.witness
+        assert effort(lone) == effort(par)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from cpconftest.corpus import corpus_path
 from cpconftest.grounding import (
     AllDiffC,
     AndC,
@@ -12,9 +15,12 @@ from cpconftest.grounding import (
     Sum,
     TableC,
     Var,
+    build_instance,
     evaluate_ground,
+    ground,
     mk_diff,
 )
+from cpconftest.parser import parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
 
 from conftest import brute_min, brute_solutions, rand_tree
@@ -92,11 +98,24 @@ def test_node_budget_reports_resource_out():
     assert out.status == "RESOURCE_OUT" and not out.proven
 
 
-def test_deterministic_and_seed_inert():
+def test_deterministic():
     trees = [AllDiffC((x, y, z)), RelAtom("<", x, z)]
-    runs = [solve(doms(3), trees, config=SearchConfig(seed=s)) for s in (None, 0, 99)]
+    runs = [solve(doms(3), trees) for _ in range(3)]
     assert all(r.assignment == runs[0].assignment for r in runs)
     assert all(r.stats.nodes == runs[0].stats.nodes for r in runs)
+
+
+def test_time_limit_counts_presolve():
+    # presolving Golomb p at m=10 takes most of its solve time, and the
+    # search after it needs a handful of nodes
+    model = parse_model_file(corpus_path("golomb", "p.cpm"))
+    gm = ground(model, build_instance(model, None, {"m": 10}))
+    hard = [c.tree for c in gm.constraints]
+    t0 = time.monotonic()
+    presolve(hard, ())
+    took = time.monotonic() - t0
+    out = solve(dict(gm.domains), hard, config=SearchConfig(time_limit=took / 4))
+    assert out.status == "RESOURCE_OUT"
 
 
 def test_extras_behave_like_hard_constraints():
