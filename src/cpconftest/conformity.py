@@ -22,7 +22,9 @@ over the reference variables and the search resumes.  Domain membership is
 itself checked as one synthetic constraint per direction, so a point outside
 the other side's declared bounds counts as a violation too.
 
-The first genuine witness decides NonConf.  If every subproblem is
+The first genuine witness decides NonConf.  A genuine extra witness is
+itself a program solution, so the program's nonemptiness is solved for only
+when the extra direction finds none.  If every subproblem is
 unsatisfiable the verdict is Conf, a per-instance certificate.  Otherwise
 the verdict is Unknown, with the reason (timeout or unsupported negation)
 in the report.
@@ -496,6 +498,8 @@ def _reference_sat(run):
 def _program_sat(run):
     out = run.solve(run.cput_gm, run.fp_atoms)
     if out.status == "RESOURCE_OUT":
+        if any(r.status == "resource_out" and r.solves for r in run.reports):
+            return run.verdict("Unknown", "timeout")  # an extra subproblem spent the budget
         return run.verdict(
             "Unknown",
             "timeout",
@@ -588,10 +592,10 @@ def _program_beats(run):
 
 
 _PHASES = {
-    "one": (_reference_sat, _program_sat, _extra, _settle),
-    "all": (_reference_sat, _program_sat, _extra, _missing, _settle),
-    "bounds": (_program_sat, _extra, _settle),
-    "best": (_program_sat, _extra, _settle, _reference_beats, _program_beats),
+    "one": (_reference_sat, _extra, _program_sat, _settle),
+    "all": (_reference_sat, _extra, _program_sat, _missing, _settle),
+    "bounds": (_extra, _program_sat, _settle),
+    "best": (_extra, _program_sat, _settle, _reference_beats, _program_beats),
 }
 
 

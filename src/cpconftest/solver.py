@@ -15,10 +15,12 @@ all variables are fixed, so quiescence with fixed variables is a solution.
 Two presolve passes run before search.  Linear equalities asserted at the
 top level are subtracted out of other linear atoms whenever that strictly
 shrinks them, which turns auxiliary-variable definitions back into relations
-over the variables they define.  Then disjuncts whose negation is asserted
-at the top level (directly or via an allDifferent pair) are deleted; an Or
-that loses all disjuncts, or an asserted atom contradicted the same way,
-proves unsatisfiability with zero search.
+over the variables they define; only definitions sharing over half their
+monomials with the atom are tried, since no other can shrink it.  Then
+disjuncts whose negation is asserted at the top level (directly or via an
+allDifferent pair) are deleted; an Or that loses all disjuncts, or an
+asserted atom contradicted the same way, proves unsatisfiability with zero
+search.
 
 solve() finds one solution or proves there is none; solve_optimal() runs
 branch and bound on a minimization objective and reports whether optimality
@@ -713,17 +715,22 @@ def _poly_sub_pair(left, right):
     return p
 
 
-def _try_reduce(p, defs, self_id):
-    """Subtract asserted-zero polynomials while the term count shrinks."""
+def _try_reduce(p, defs, index, self_id):
+    """Subtract asserted-zero polynomials while the term count shrinks;
+    `index` maps each monomial to the positions in defs that contain it."""
     changed = True
     while changed:
         changed = False
-        for d, src in defs:
+        shared = {}
+        for m in p:
+            for i in index.get(m, ()):
+                shared[i] = shared.get(i, 0) + 1
+        for i in sorted(i for i, k in shared.items() if 2 * k > len(defs[i][0])):
+            d, src = defs[i]
             if src == self_id:
                 continue
             for sign in (1, -1):
                 q = dict(p)
-                grew = False
                 for m, c in d.items():
                     nc = q.get(m, 0) - sign * c
                     if nc == 0:
@@ -739,11 +746,11 @@ def _try_reduce(p, defs, self_id):
     return p
 
 
-def _rewrite_tree(tree, defs, protected):
+def _rewrite_tree(tree, defs, index, protected):
     if isinstance(tree, AndC):
-        return AndC(tuple(_rewrite_tree(it, defs, protected) for it in tree.items))
+        return AndC(tuple(_rewrite_tree(it, defs, index, protected) for it in tree.items))
     if isinstance(tree, OrC):
-        return OrC(tuple(_rewrite_tree(it, defs, protected) for it in tree.items))
+        return OrC(tuple(_rewrite_tree(it, defs, index, protected) for it in tree.items))
     if isinstance(tree, RelAtom) and id(tree) not in protected:
         try:
             p = _poly_sub_pair(tree.left, tree.right)
@@ -751,7 +758,7 @@ def _rewrite_tree(tree, defs, protected):
             return tree
         if not _poly_is_linear(p):
             return tree
-        q = _try_reduce(p, defs, id(tree))
+        q = _try_reduce(p, defs, index, id(tree))
         if q is p or q == p:
             return tree
         return RelAtom(tree.op, poly_to_gexpr(q), Const(0))
@@ -842,8 +849,12 @@ def presolve(hard, extras):
     defs = _linear_eq_defs(hard)
     protected = {src for _, src in defs}
     if defs:
-        hard = [_rewrite_tree(t, defs, protected) for t in hard]
-        extras = [_rewrite_tree(t, defs, protected) for t in extras]
+        index = {}
+        for i, (d, _) in enumerate(defs):
+            for m in d:
+                index.setdefault(m, []).append(i)
+        hard = [_rewrite_tree(t, defs, index, protected) for t in hard]
+        extras = [_rewrite_tree(t, defs, index, protected) for t in extras]
     keys = _asserted_keys(hard)
     hard = [_simplify(t, keys) for t in hard]
     extras = [_simplify(t, keys) for t in extras]

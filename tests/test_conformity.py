@@ -10,6 +10,7 @@ from cpconftest import (
     check,
     expand_witness,
     ground_pair,
+    parse_data_file,
     parse_model,
     parse_model_file,
     validate_witness,
@@ -108,6 +109,53 @@ def test_unsatisfiable_program_is_nonconf():
     assert v.kind == "NonConf"
     assert v.reason == "unsatisfiable-program"
     assert v.notes
+
+
+def test_extra_witness_settles_nonemptiness():
+    # the program is solved once per subproblem and never on its own
+    v = run(ORACLE_LT, CPUT_TIES)
+    assert (v.kind, v.reason) == ("NonConf", "extra-solution")
+    assert v.stats["solves"] == 1 + sum(s.solves for s in v.subreports)
+
+
+# three variables over 0..1 cannot all differ, and presolve has no atom to
+# refute, so only search finds the program empty
+O_SUM3 = """
+dvar int x[1..3] in 0..1;
+minimize x[1] + x[2] + x[3];
+subject to { c1: x[1] <= x[2]; }
+"""
+
+P_PIGEON = """
+dvar int x[1..3] in 0..1;
+minimize x[1] + x[2] + x[3];
+subject to { k1: allDifferent(all (i in 1..3) x[i]); }
+"""
+
+
+def test_empty_program_is_found_after_the_extra_direction():
+    expect = {
+        "one": "unsatisfiable-program",
+        "all": "unsatisfiable-program",
+        "bounds": "no-solution-within-bounds",
+    }
+    for relation, reason in expect.items():
+        bounds = (0, 3) if relation == "bounds" else None
+        v = run(O_SUM3, P_PIGEON, relation=relation, bounds=bounds)
+        assert (v.kind, v.reason) == ("NonConf", reason), relation
+        assert v.subreports, relation
+        assert all(s.origin == "reference" for s in v.subreports), relation
+        assert all(s.status in ("unsat", "skipped") for s in v.subreports), relation
+
+
+def test_unsatisfiable_carseq_draft_within_budget():
+    data = parse_data_file(corpus_path("carseq", "slots10.data"))
+    oracle = parse_model_file(corpus_path("carseq", "oracle.cpm"))
+    program = parse_model_file(corpus_path("carseq", "cput4.cpm"))
+    for relation in ("one", "all"):
+        opts = CheckOptions(relation=relation, time_limit=60.0)
+        v = check(oracle, program, data=data, opts=opts)
+        assert (v.kind, v.reason) == ("NonConf", "unsatisfiable-program"), relation
 
 
 def test_unsatisfiable_reference_is_an_error():
@@ -258,6 +306,16 @@ def test_exhausted_budget_reports_unknown():
     v = run(O_MIN2, P_MIN2, relation="bounds", bounds=(2, 2), time_limit=0.0)
     assert (v.kind, v.reason) == ("Unknown", "timeout")
     assert v.notes == ("budget exhausted while checking the program for solutions",)
+
+
+def test_extra_direction_timeout_is_not_blamed_on_the_program():
+    # c2 needs far longer than the budget, so the program check after it
+    # starts with nothing left; the note belongs to a program check that ran
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    program = parse_model_file(corpus_path("golomb", "p_fixed.cpm"))
+    v = check(oracle, program, overrides={"m": 6}, opts=CheckOptions(time_limit=0.5))
+    assert (v.kind, v.reason, v.notes) == ("Unknown", "timeout", ())
+    assert any(s.status == "resource_out" for s in v.subreports)
 
 
 def test_time_limit_counts_grounding():

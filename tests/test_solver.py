@@ -1,7 +1,11 @@
+import itertools
+import random
 import time
 
 import pytest
 
+from cpconftest import solver
+from cpconftest.conformity import ground_pair
 from cpconftest.corpus import corpus_path
 from cpconftest.grounding import (
     AllDiffC,
@@ -22,6 +26,7 @@ from cpconftest.grounding import (
 )
 from cpconftest.parser import parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
+from cpconftest.transform import negate
 
 from conftest import brute_min, brute_solutions, rand_tree
 
@@ -106,15 +111,18 @@ def test_deterministic():
 
 
 def test_time_limit_counts_presolve():
-    # presolving Golomb p at m=10 takes most of its solve time, and the
-    # search after it needs a handful of nodes
-    model = parse_model_file(corpus_path("golomb", "p.cpm"))
-    gm = ground(model, build_instance(model, None, {"m": 10}))
-    hard = [c.tree for c in gm.constraints]
+    # presolve keys every disjunct of a wide disjunction and then drops it,
+    # since its last disjunct always holds; posting and search are trivial
+    vs = [Var(v) for v in range(8)]
+    wide = OrC(
+        tuple(RelAtom("==", Sum((a, b)), Sum((c, d))) for a, b, c, d in itertools.permutations(vs, 4))
+        + (RelAtom("<=", x, Sum((x, Const(1)))),)
+    )
+    hard = [RelAtom("<", x, y)]
     t0 = time.monotonic()
-    presolve(hard, ())
+    presolve(hard, [wide])
     took = time.monotonic() - t0
-    out = solve(dict(gm.domains), hard, config=SearchConfig(time_limit=took / 4))
+    out = solve(doms(8, 0, 9), hard, [wide], config=SearchConfig(time_limit=took / 4))
     assert out.status == "RESOURCE_OUT"
 
 
@@ -164,6 +172,78 @@ def test_presolve_keeps_satisfiable_problems():
     h2, e2, unsat = presolve(hard, [])
     assert not unsat
     assert solve(doms(2), h2).status == "SAT"
+
+
+def _full_scan_reduce(p, defs, index, self_id):
+    """The unindexed reduction: every definition tried, in order."""
+    changed = True
+    while changed:
+        changed = False
+        for d, src in defs:
+            if src == self_id:
+                continue
+            for sign in (1, -1):
+                q = dict(p)
+                for m, c in d.items():
+                    nc = q.get(m, 0) - sign * c
+                    if nc == 0:
+                        q.pop(m, None)
+                    else:
+                        q[m] = nc
+                if len(q) < len(p):
+                    p = q
+                    changed = True
+                    break
+            if changed:
+                break
+    return p
+
+
+def _linear_system(rng):
+    """Overlapping linear definitions and atoms built around them."""
+    vs = [Var(v) for v in range(rng.randint(4, 6))]
+
+    def terms(k):
+        return [Prod((Const(rng.choice((-2, -1, 1, 2))), v)) for v in rng.sample(vs, k)]
+
+    defs = [
+        RelAtom("==", Sum(tuple(terms(rng.randint(2, 4)))), Const(rng.randint(-2, 2)))
+        for _ in range(rng.randint(2, 5))
+    ]
+    if rng.random() < 0.5:
+        defs.append(RelAtom("==", Sum((x, Const(2))), x))  # constant only: 2 == 0
+    atoms = []
+    for _ in range(rng.randint(3, 8)):
+        base = rng.choice(defs).left
+        sign = rng.choice((1, -1))
+        items = [Prod((Const(sign), base))] + terms(rng.randint(0, 2))
+        op = rng.choice(("==", "!=", "<", "<="))
+        atoms.append(RelAtom(op, Sum(tuple(items)), Const(rng.randint(-3, 3))))
+    own = defs[0]  # a definition source that also sits inside a disjunction
+    hard = defs[:-1] + [AndC((defs[-1], atoms[0])), OrC(tuple(atoms[1:3]) + (own,))]
+    extras = [OrC(tuple(atoms[3:]) + (own,))] if atoms[3:] else []
+    return hard, extras
+
+
+def test_indexed_reduction_matches_full_scan(monkeypatch):
+    rng = random.Random(5150)
+    cases = [_linear_system(rng) for _ in range(200)]
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    program = parse_model_file(corpus_path("golomb", "p.cpm"))
+    oracle_gm, p_gm = ground_pair(oracle, program, overrides={"m": 8})
+    cases.append(([c.tree for c in p_gm.constraints], [negate(oracle_gm.constraint("c2").tree).tree]))
+    indexed = [presolve(hard, extras) for hard, extras in cases]
+    shrunk = []
+
+    def full_scan(p, defs, index, self_id):
+        q = _full_scan_reduce(p, defs, index, self_id)
+        shrunk.append(len(q) < len(p))
+        return q
+
+    monkeypatch.setattr(solver, "_try_reduce", full_scan)
+    full = [presolve(hard, extras) for hard, extras in cases]
+    assert indexed == full
+    assert sum(shrunk) > len(cases)  # reductions happen, so the test can see one go wrong
 
 
 # -- randomized cross-checks ---------------------------------------------------
