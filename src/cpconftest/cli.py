@@ -105,7 +105,7 @@ def _print_verdict(v):
     s = v.stats
     print(
         "stats: solves={solves} nodes={nodes} failures={failures} "
-        "elapsed={elapsed}s".format(**s)
+        "propagations={propagations} elapsed={elapsed}s".format(**s)
     )
 
 
@@ -192,6 +192,8 @@ def _cmd_bench(args):
                 "violated": verdict.violated,
                 "elapsed": verdict.stats["elapsed"],
                 "nodes": verdict.stats["nodes"],
+                "failures": verdict.stats["failures"],
+                "propagations": verdict.stats["propagations"],
             }
         )
         if not args.json:

@@ -75,6 +75,7 @@ class SubReport:
     elapsed: float = 0.0
     false_alarms: int = 0
     failures: int = 0
+    propagations: int = 0
     solves: int = 0
     witness: dict = None  # variable id -> value, when status is "witness"
 
@@ -131,11 +132,12 @@ class _Budget:
 
 @dataclass
 class _Effort:
-    """Solver calls, nodes and failures, summed."""
+    """Solver calls, nodes, failures and propagator runs, summed."""
 
     solves: int = 0
     nodes: int = 0
     failures: int = 0
+    propagations: int = 0
 
 
 def ground_pair(oracle_model, cput_model, data=None, overrides=None):
@@ -167,6 +169,7 @@ def _timed_solve(effort, budget, domains, hard, extras, opts):
     effort.solves += 1
     effort.nodes += out.stats.nodes
     effort.failures += out.stats.failures
+    effort.propagations += out.stats.propagations
     return out
 
 
@@ -477,6 +480,7 @@ class _Run:
             "solves": sum(p.solves for p in parts),
             "nodes": sum(p.nodes for p in parts),
             "failures": sum(p.failures for p in parts),
+            "propagations": sum(p.propagations for p in parts),
             "elapsed": round(self.budget.elapsed(), 6),
         }
 

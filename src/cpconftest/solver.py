@@ -12,6 +12,17 @@ reaches quickly.  Everything else is decided by variable branching
 (smallest domain first, values ascending) plus exact checks once
 all variables are fixed, so quiescence with fixed variables is a solution.
 
+Propagation wakes a propagator only on the kind of domain change it reads
+(after Schulte & Stuckey, "Efficient constraint propagation engines",
+TOPLAS 2008): FIX when a variable becomes fixed, BOUND when its min or max
+moves, DOMAIN when any value goes.  Each propagator's output depends only
+on the facts of its class, and all are monotone, so one left asleep is
+already at its fixpoint: every node reaches the same fixpoint as waking on
+every change would, with fewer propagator runs.  Disjunctions run last:
+they wait in a second queue until every other woken propagator is idle,
+since their unit rule re-evaluates each disjunct.  Domains compute their
+bounds once, when built, since they are read far more often than changed.
+
 Two presolve passes run before search.  Linear equalities asserted at the
 top level are subtracted out of other linear atoms whenever that strictly
 shrinks them, which turns auxiliary-variable definitions back into relations
@@ -65,21 +76,17 @@ _OR_BRANCH_LIMIT = 64  # choice disjunctions wider than this don't drive branchi
 
 
 class BitDom:
-    """Small domain as a bitmask over offset..offset+span-1."""
+    """Small domain as a bitmask over offset..offset+span-1.  The bounds are
+    computed once, on construction, since propagators read them far more
+    often than domains change."""
 
-    __slots__ = ("offset", "mask")
+    __slots__ = ("offset", "mask", "min", "max")
 
     def __init__(self, offset, mask):
         self.offset = offset
         self.mask = mask
-
-    @property
-    def min(self):
-        return self.offset + ((self.mask & -self.mask).bit_length() - 1)
-
-    @property
-    def max(self):
-        return self.offset + self.mask.bit_length() - 1
+        self.min = offset + (mask & -mask).bit_length() - 1
+        self.max = offset + mask.bit_length() - 1
 
     @property
     def size(self):
@@ -87,7 +94,7 @@ class BitDom:
 
     @property
     def fixed(self):
-        return self.mask != 0 and self.mask & (self.mask - 1) == 0
+        return self.min == self.max
 
     @property
     def value(self):
@@ -106,20 +113,17 @@ class BitDom:
     def with_min(self, lo):
         if lo <= self.min:
             return self
-        k = lo - self.offset
-        if k >= self.mask.bit_length():
+        if lo > self.max:
             return None
-        m = self.mask & ~((1 << k) - 1)
-        return BitDom(self.offset, m) if m else None
+        k = lo - self.offset
+        return BitDom(self.offset, self.mask >> k << k)
 
     def with_max(self, hi):
         if hi >= self.max:
             return self
-        k = hi - self.offset
-        if k < 0:
+        if hi < self.min:
             return None
-        m = self.mask & ((1 << (k + 1)) - 1)
-        return BitDom(self.offset, m) if m else None
+        return BitDom(self.offset, self.mask & ((1 << (hi - self.offset + 1)) - 1))
 
     def restrict(self, values):
         m = 0
@@ -142,11 +146,11 @@ class BitDom:
 class IntDom:
     """Wide domain as bounds plus a set of interior holes."""
 
-    __slots__ = ("lo", "hi", "holes")
+    __slots__ = ("min", "max", "holes")
 
     def __init__(self, lo, hi, holes=frozenset()):
-        self.lo = lo
-        self.hi = hi
+        self.min = lo
+        self.max = hi
         self.holes = holes
 
     @staticmethod
@@ -161,46 +165,38 @@ class IntDom:
         return IntDom(lo, hi, holes)
 
     @property
-    def min(self):
-        return self.lo
-
-    @property
-    def max(self):
-        return self.hi
-
-    @property
     def size(self):
-        return self.hi - self.lo + 1 - len(self.holes)
+        return self.max - self.min + 1 - len(self.holes)
 
     @property
     def fixed(self):
-        return self.lo == self.hi
+        return self.min == self.max
 
     @property
     def value(self):
-        return self.lo
+        return self.min
 
     def contains(self, v):
-        return self.lo <= v <= self.hi and v not in self.holes
+        return self.min <= v <= self.max and v not in self.holes
 
     def remove(self, v):
         if not self.contains(v):
             return self
-        return IntDom.make(self.lo, self.hi, self.holes | {v})
+        return IntDom.make(self.min, self.max, self.holes | {v})
 
     def with_min(self, lo):
-        if lo <= self.lo:
+        if lo <= self.min:
             return self
-        if lo > self.hi:
+        if lo > self.max:
             return None
-        return IntDom.make(lo, self.hi, self.holes)
+        return IntDom.make(lo, self.max, self.holes)
 
     def with_max(self, hi):
-        if hi >= self.hi:
+        if hi >= self.max:
             return self
-        if hi < self.lo:
+        if hi < self.min:
             return None
-        return IntDom.make(self.lo, hi, self.holes)
+        return IntDom.make(self.min, hi, self.holes)
 
     def restrict(self, values):
         # over-approximates on wide spans (bounds only); exact checks at
@@ -216,7 +212,7 @@ class IntDom:
         return IntDom.make(lo, hi, self.holes)
 
     def values(self):
-        for v in range(self.lo, self.hi + 1):
+        for v in range(self.min, self.max + 1):
             if v not in self.holes:
                 yield v
 
@@ -282,12 +278,25 @@ def poly_to_gexpr(poly):
 # Propagators
 
 
-class Prop:
-    __slots__ = ("watch", "done")
+# Event classes: the kind of domain change a propagator must be woken by.
+# A change that fixes a variable is also a bound change, and a bound change
+# also a domain change, so prune() wakes the lists from its event onwards.
+FIX, BOUND, DOMAIN = 0, 1, 2
 
-    def __init__(self, watch):
+
+class Prop:
+    """A propagator over the variables in `watch`.  Its output depends only
+    on the facts of its event class, so it need not run again until a
+    change of that class happens to one of them."""
+
+    __slots__ = ("watch", "event", "done", "queued")
+    late = False  # runs only once every propagator that is not late is idle
+
+    def __init__(self, watch, event):
         self.watch = tuple(watch)
+        self.event = event
         self.done = False
+        self.queued = False
 
     def propagate(self, eng):
         raise NotImplementedError
@@ -297,22 +306,19 @@ def _lin_le(eng, vids, coefs, const):
     """Propagate sum(c_i x_i) + const <= 0; False on failure."""
     doms = eng.doms
     fmin = const
-    mins = []
     for vid, c in zip(vids, coefs):
         d = doms[vid]
-        mv = c * d.min if c > 0 else c * d.max
-        mins.append(mv)
-        fmin += mv
+        fmin += c * d.min if c > 0 else c * d.max
     if fmin > 0:
         return False
     slack = -fmin
-    for i, (vid, c) in enumerate(zip(vids, coefs)):
+    for vid, c in zip(vids, coefs):
         d = doms[vid]
+        # a term whose whole span fits in the slack prunes nothing
         if c > 0:
-            nd = d.with_max(d.min + slack // c)
-        else:
-            nd = d.with_min(d.max - slack // (-c))
-        if not eng.prune(vid, nd):
+            if c * (d.max - d.min) > slack and not eng.prune(vid, d.with_max(d.min + slack // c)):
+                return False
+        elif c * (d.min - d.max) > slack and not eng.prune(vid, d.with_min(d.max - slack // -c)):
             return False
     return True
 
@@ -320,14 +326,15 @@ def _lin_le(eng, vids, coefs, const):
 class LinProp(Prop):
     """Linear atom sum(c_i x_i) + const op 0 with op in {<=, ==, !=}."""
 
-    __slots__ = ("vids", "coefs", "const", "op")
+    __slots__ = ("vids", "coefs", "const", "op", "neg")
 
     def __init__(self, vids, coefs, const, op):
-        super().__init__(vids)
+        super().__init__(vids, FIX if op == "!=" else BOUND)
         self.vids = vids
         self.coefs = coefs
         self.const = const
         self.op = op
+        self.neg = tuple(-c for c in coefs)  # the >= half of ==
 
     def propagate(self, eng):
         if self.op == "!=":
@@ -352,8 +359,7 @@ class LinProp(Prop):
         if not _lin_le(eng, self.vids, self.coefs, self.const):
             return False
         if self.op == "==":
-            neg = tuple(-c for c in self.coefs)
-            return _lin_le(eng, self.vids, neg, -self.const)
+            return _lin_le(eng, self.vids, self.neg, -self.const)
         return True
 
 
@@ -363,7 +369,7 @@ class ExprProp(Prop):
     __slots__ = ("poly", "op")
 
     def __init__(self, poly, op, watch):
-        super().__init__(watch)
+        super().__init__(watch, BOUND)
         self.poly = poly
         self.op = op
 
@@ -382,7 +388,7 @@ class ExactProp(Prop):
     __slots__ = ("tree",)
 
     def __init__(self, tree):
-        super().__init__(ctr_vars(tree))
+        super().__init__(ctr_vars(tree), FIX)
         self.tree = tree
 
     def propagate(self, eng):
@@ -397,7 +403,7 @@ class AllDiffProp(Prop):
     __slots__ = ("vids",)
 
     def __init__(self, vids):
-        super().__init__(vids)
+        super().__init__(vids, FIX)
         self.vids = vids
 
     def propagate(self, eng):
@@ -427,8 +433,7 @@ class CountProp(Prop):
     __slots__ = ("tree", "item_polys", "value_const", "rhs_poly", "bare")
 
     def __init__(self, tree):
-        watch = ctr_vars(tree)
-        super().__init__(watch)
+        super().__init__(ctr_vars(tree), DOMAIN)
         self.tree = tree
         self.item_polys = [poly_of(it) for it in tree.items]
         self.value_const = tree.value.value if isinstance(tree.value, Const) else None
@@ -510,7 +515,7 @@ class TableProp(Prop):
     __slots__ = ("kind", "items", "rows", "item_polys", "bare")
 
     def __init__(self, tree):
-        super().__init__(ctr_vars(tree))
+        super().__init__(ctr_vars(tree), DOMAIN)
         self.kind = tree.kind
         self.items = tree.items
         self.rows = tree.rows
@@ -582,7 +587,7 @@ class PackBinProp(Prop):
     __slots__ = ("bin_key", "load_vid", "assigns", "sizes", "op")
 
     def __init__(self, tree):
-        super().__init__((tree.load_vid,) + tree.assigns)
+        super().__init__((tree.load_vid,) + tree.assigns, DOMAIN)
         self.bin_key = tree.bin_key
         self.load_vid = tree.load_vid
         self.assigns = tree.assigns
@@ -621,12 +626,13 @@ class OrProp(Prop):
     """
 
     __slots__ = ("items", "choice")
+    late = True
 
     def __init__(self, items, choice):
         watch = set()
         for it in items:
             ctr_vars(it, watch)
-        super().__init__(watch)
+        super().__init__(watch, DOMAIN)
         self.items = items
         self.choice = choice
 
@@ -658,8 +664,7 @@ class BoundProp(Prop):
     __slots__ = ("vids", "coefs", "const", "poly", "linear")
 
     def __init__(self, poly):
-        watch = {v for m in poly for v in m}
-        super().__init__(watch)
+        super().__init__({v for m in poly for v in m}, BOUND)
         self.poly = poly
         self.linear = _poly_is_linear(poly)
         if self.linear:
@@ -715,7 +720,7 @@ def _poly_sub_pair(left, right):
     return p
 
 
-def _try_reduce(p, defs, index, self_id):
+def _try_reduce(p, defs, index):
     """Subtract asserted-zero polynomials while the term count shrinks;
     `index` maps each monomial to the positions in defs that contain it."""
     changed = True
@@ -726,9 +731,7 @@ def _try_reduce(p, defs, index, self_id):
             for i in index.get(m, ()):
                 shared[i] = shared.get(i, 0) + 1
         for i in sorted(i for i, k in shared.items() if 2 * k > len(defs[i][0])):
-            d, src = defs[i]
-            if src == self_id:
-                continue
+            d = defs[i][0]
             for sign in (1, -1):
                 q = dict(p)
                 for m, c in d.items():
@@ -758,7 +761,7 @@ def _rewrite_tree(tree, defs, index, protected):
             return tree
         if not _poly_is_linear(p):
             return tree
-        q = _try_reduce(p, defs, index, id(tree))
+        q = _try_reduce(p, defs, index)
         if q is p or q == p:
             return tree
         return RelAtom(tree.op, poly_to_gexpr(q), Const(0))
@@ -908,12 +911,15 @@ class Engine:
     def __init__(self, domains, config, start):
         self.doms = {vid: make_dom(lo, hi) for vid, (lo, hi) in domains.items()}
         self.order = sorted(self.doms)
-        self.watchers = {vid: [] for vid in self.doms}
-        self.props = []
+        # per variable, one propagator list per event class (FIX, BOUND, DOMAIN)
+        self.watchers = {vid: ([], [], []) for vid in self.doms}
+        self.choices = []  # choice OrProps, in posting order
         self.dtrail = []
-        self.strail = []
-        self.queue = deque()
-        self.inq = set()
+        self.strail = []  # watcher lists to pop, and props to mark not done
+        # woken propagators; late ones (disjunctions) wait in the second queue
+        # until the first is empty, since their unit rule re-evaluates every
+        # disjunct and runs far fewer times once the rest is at its fixpoint
+        self.queues = (deque(), deque())
         self.config = config
         self.start = start  # time.monotonic() the time limit counts from
         self.stats = Stats()
@@ -925,11 +931,19 @@ class Engine:
     # -- bookkeeping ---------------------------------------------------------
 
     def enqueue(self, p):
-        if id(p) not in self.inq:
-            self.inq.add(id(p))
-            self.queue.append(p)
+        if not p.queued:
+            p.queued = True
+            self.queues[p.late].append(p)
+
+    def clear_queue(self):
+        for queue in self.queues:
+            for p in queue:
+                p.queued = False
+            queue.clear()
 
     def prune(self, vid, nd):
+        """Narrow vid's domain to nd and wake the propagators whose event
+        class the change belongs to; False when nd is empty."""
         old = self.doms[vid]
         if nd is old:
             return True
@@ -937,39 +951,48 @@ class Engine:
             return False
         self.dtrail.append((vid, old))
         self.doms[vid] = nd
-        for p in self.watchers[vid]:
-            self.enqueue(p)
+        if nd.min == nd.max:
+            event = FIX
+        elif nd.min != old.min or nd.max != old.max:
+            event = BOUND
+        else:
+            event = DOMAIN
+        queues = self.queues
+        for props in self.watchers[vid][event:]:
+            for p in props:
+                if not p.queued:
+                    p.queued = True
+                    queues[p.late].append(p)
         return True
 
     def set_done(self, prop):
         if not prop.done:
             prop.done = True
-            self.strail.append(("d", prop))
+            self.strail.append(prop)
 
     def register(self, prop):
-        self.props.append(prop)
         for vid in prop.watch:
-            self.watchers[vid].append(prop)
-            self.strail.append(("w", vid))
+            props = self.watchers[vid][prop.event]
+            props.append(prop)
+            self.strail.append(props)
         self.enqueue(prop)
 
     def marks(self):
-        return (len(self.dtrail), len(self.strail), len(self.props))
+        return (len(self.dtrail), len(self.strail), len(self.choices))
 
     def restore(self, marks):
-        dmark, smark, pmark = marks
+        dmark, smark, cmark = marks
         while len(self.dtrail) > dmark:
             vid, old = self.dtrail.pop()
             self.doms[vid] = old
         while len(self.strail) > smark:
-            kind, x = self.strail.pop()
-            if kind == "w":
-                self.watchers[x].pop()
-            else:
+            x = self.strail.pop()
+            if isinstance(x, Prop):
                 x.done = False
-        del self.props[pmark:]
-        self.queue.clear()
-        self.inq.clear()
+            else:
+                x.pop()
+        del self.choices[cmark:]
+        self.clear_queue()
 
     # -- posting -------------------------------------------------------------
 
@@ -983,7 +1006,10 @@ class Engine:
         if isinstance(tree, OrC):
             if not tree.items:
                 return False
-            self.register(OrProp(tree.items, choice))
+            prop = OrProp(tree.items, choice)
+            self.register(prop)
+            if choice:
+                self.choices.append(prop)
             return True
         if isinstance(tree, RelAtom):
             try:
@@ -1125,22 +1151,22 @@ class Engine:
     def propagate(self):
         if self.bound_prop is not None and self.bound is not None:
             self.enqueue(self.bound_prop)
-        while self.queue:
-            p = self.queue.popleft()
-            self.inq.discard(id(p))
+        first, last = self.queues
+        while first or last:
+            p = first.popleft() if first else last.popleft()
+            p.queued = False
             if p.done:
                 continue
             self.stats.propagations += 1
             if not p.propagate(self):
-                self.queue.clear()
-                self.inq.clear()
+                self.clear_queue()
                 self.stats.failures += 1
                 return False
         return True
 
     def _pick(self):
-        for p in self.props:
-            if isinstance(p, OrProp) and p.choice and not p.done:
+        for p in self.choices:
+            if not p.done:
                 entailed = False
                 unknown = []
                 for it in p.items:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -42,7 +43,7 @@ def test_check_conf_exits_zero(files, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "verdict: Conf" in out
-    assert "stats:" in out
+    assert re.search(r"^stats: solves=\d+ nodes=\d+ failures=\d+ propagations=\d+ ", out, re.M)
 
 
 def test_check_is_the_default_subcommand(files, capsys):
@@ -284,6 +285,7 @@ def test_bench_json_shapes(bench_dir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["command"] == "bench"
     assert payload["runs"][0]["verdict"] == "Conf"
+    assert {"nodes", "failures", "propagations"} <= payload["runs"][0].keys()
     # minimizing the last mark of a strictly increasing chain from 0..9
     assert [s["optimum"] for s in payload["scaling"]] == [1, 2]
     assert all(s["solve_proven"] for s in payload["scaling"])

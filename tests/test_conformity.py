@@ -357,8 +357,8 @@ def test_verdict_report_shape():
 
 def test_parallel_jobs_agree_with_sequential():
     def effort(v):
-        subs = [(s.label, s.status, s.nodes, s.false_alarms) for s in v.subreports]
-        counters = {k: v.stats[k] for k in ("solves", "nodes", "failures")}
+        subs = [(s.label, s.status, s.nodes, s.propagations, s.false_alarms) for s in v.subreports]
+        counters = {k: v.stats[k] for k in ("solves", "nodes", "failures", "propagations")}
         return subs, counters
 
     for relation in ("one", "all"):

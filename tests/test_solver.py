@@ -5,8 +5,8 @@ import time
 import pytest
 
 from cpconftest import solver
-from cpconftest.conformity import ground_pair
-from cpconftest.corpus import corpus_path
+from cpconftest.conformity import CheckOptions, check, ground_pair
+from cpconftest.corpus import corpus_path, load_manifest
 from cpconftest.grounding import (
     AllDiffC,
     AndC,
@@ -24,7 +24,7 @@ from cpconftest.grounding import (
     ground,
     mk_diff,
 )
-from cpconftest.parser import parse_model_file
+from cpconftest.parser import parse_data_file, parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
 from cpconftest.transform import negate
 
@@ -174,14 +174,12 @@ def test_presolve_keeps_satisfiable_problems():
     assert solve(doms(2), h2).status == "SAT"
 
 
-def _full_scan_reduce(p, defs, index, self_id):
+def _full_scan_reduce(p, defs):
     """The unindexed reduction: every definition tried, in order."""
     changed = True
     while changed:
         changed = False
-        for d, src in defs:
-            if src == self_id:
-                continue
+        for d, _ in defs:
             for sign in (1, -1):
                 q = dict(p)
                 for m, c in d.items():
@@ -235,8 +233,8 @@ def test_indexed_reduction_matches_full_scan(monkeypatch):
     indexed = [presolve(hard, extras) for hard, extras in cases]
     shrunk = []
 
-    def full_scan(p, defs, index, self_id):
-        q = _full_scan_reduce(p, defs, index, self_id)
+    def full_scan(p, defs, index):
+        q = _full_scan_reduce(p, defs)
         shrunk.append(len(q) < len(p))
         return q
 
@@ -277,3 +275,131 @@ def test_random_optimization_agrees_with_brute_force(rng):
         else:
             assert out.status == "SAT" and out.proven
             assert out.value == expect
+
+
+# -- domains and the propagation loop ------------------------------------------
+
+
+def _assert_bounds_cached(d, expect=None):
+    """Cached bounds equal the ones recomputed from the domain's contents,
+    and the contents are `expect` when given."""
+    vals = list(d.values())
+    if expect is not None:
+        assert vals == sorted(expect)
+    assert (d.min, d.max, d.size) == (min(vals), max(vals), len(vals))
+    assert d.fixed == (len(vals) == 1)
+    assert d.value == d.min
+
+
+def test_cached_domain_bounds(rng):
+    for _ in range(300):
+        offset = rng.randint(-40, 40)
+        span = rng.randint(1, 70)
+        mask = rng.getrandbits(span) | 1 << rng.randrange(span)
+        d = solver.BitDom(offset, mask)
+        ref = {offset + k for k in range(span) if mask >> k & 1}
+        _assert_bounds_cached(d, ref)
+        v = rng.randint(offset - 2, offset + span + 1)
+        some = rng.sample(range(offset - 2, offset + span + 2), rng.randint(1, 5))
+        for nd, want in (
+            (d.remove(v), ref - {v}),
+            (d.with_min(v), {w for w in ref if w >= v}),
+            (d.with_max(v), {w for w in ref if w <= v}),
+            (d.restrict(some), ref & set(some)),
+        ):
+            if want:
+                _assert_bounds_cached(nd, want)
+            else:
+                assert nd is None
+    for _ in range(100):
+        lo = rng.randint(-3000, 3000)
+        hi = lo + solver._BITDOM_SPAN + rng.randint(1, 400)
+        holes = {rng.randint(lo, lo + 5) for _ in range(3)} | {rng.randint(hi - 5, hi) for _ in range(3)}
+        holes |= {rng.randint(lo, hi) for _ in range(5)}
+        d = solver.IntDom.make(lo, hi, holes)
+        ref = set(range(lo, hi + 1)) - holes
+        _assert_bounds_cached(d, ref)
+        v = rng.choice((rng.randint(lo - 1, lo + 6), rng.randint(hi - 6, hi + 1), rng.randint(lo, hi)))
+        for nd, want in (
+            (d.remove(v), ref - {v}),
+            (d.remove(d.min), ref - {min(ref)}),
+            (d.remove(d.max), ref - {max(ref)}),
+            (d.with_min(v), {w for w in ref if w >= v}),
+            (d.with_max(v), {w for w in ref if w <= v}),
+        ):
+            if want:
+                _assert_bounds_cached(nd, want)
+            else:
+                assert nd is None
+        # restrict keeps only the bounds of a wide result, so check consistency
+        _assert_bounds_cached(d.restrict(rng.sample(range(lo, hi + 1), 20) + [d.min, d.max]))
+        _assert_bounds_cached(d.restrict(rng.sample(range(lo, lo + 50), 10) + [d.min]))
+
+
+def _effort(out):
+    return out.status, out.assignment, out.stats.nodes, out.stats.failures
+
+
+def test_event_wakeups_match_waking_on_every_change(rng, monkeypatch):
+    # Problems drawn from the families the other solver tests use: seeded
+    # random systems, the Golomb reference's optimum and conformity subproblems.
+    runs = []
+    for _ in range(150):
+        n = rng.randint(2, 3)
+        domains = {v: (0, rng.randint(1, 3)) for v in range(n)}
+        trees = [rand_tree(rng, list(range(n))) for _ in range(rng.randint(1, 3))]
+        runs.append(lambda d=domains, t=trees: solve(d, t, config=SearchConfig(node_limit=20000)))
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    gm = ground(oracle, build_instance(oracle, None, {"m": 6}))
+    runs.append(lambda: solve_optimal(dict(gm.domains), [c.tree for c in gm.constraints], gm.objective))
+    # the refuted c2 subproblem of golomb-p-fixed-one at m=5, and the c2
+    # subproblem of carseq-cput1-one, which finds its witness
+    for family, program, data, params in (
+        ("golomb", "p_fixed.cpm", None, {"m": 5}),
+        ("carseq", "cput1.cpm", parse_data_file(corpus_path("carseq", "slots10.data")), None),
+    ):
+        ref_gm, cput_gm = ground_pair(
+            parse_model_file(corpus_path(family, "oracle.cpm")),
+            parse_model_file(corpus_path(family, program)), data, params,
+        )
+        hard = [c.tree for c in cput_gm.constraints]
+        extra = negate(ref_gm.constraint("c2").tree).tree
+        runs.append(lambda d=dict(cput_gm.domains), h=hard, e=extra: solve(d, h, [e]))
+
+    woken = [run() for run in runs]
+    register = solver.Engine.register
+
+    def wake_on_every_change(eng, prop):
+        prop.event = solver.DOMAIN
+        register(eng, prop)
+
+    monkeypatch.setattr(solver.Engine, "register", wake_on_every_change)
+    monkeypatch.setattr(solver.OrProp, "late", False)  # one queue, in wake order
+    every = [run() for run in runs]
+    assert [_effort(a) for a in woken] == [_effort(b) for b in every]
+    # the propagator runs saved; their count also depends on queue order
+    assert sum(a.stats.propagations for a in woken) < sum(b.stats.propagations for b in every)
+
+
+def test_search_effort_pinned():
+    # Node and failure counts of the propagation loop at the time it was
+    # reworked; a change that moves them must say why.
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    gm = ground(oracle, build_instance(oracle, None, {"m": 7}))
+    out = solve_optimal(dict(gm.domains), [c.tree for c in gm.constraints], gm.objective)
+    assert (out.status, out.value, out.stats.nodes, out.stats.failures) == ("SAT", 25, 8886, 6698)
+    pinned = {"golomb-p-fixed-best-m5": (5, 221, 164), "carseq-cput1-one": (2, 1715, 852)}
+    for run in load_manifest()["runs"]:
+        if run["name"] not in pinned:
+            continue
+        v = check(
+            parse_model_file(corpus_path(*run["oracle"].split("/"))),
+            parse_model_file(corpus_path(*run["program"].split("/"))),
+            data=parse_data_file(corpus_path(*run["data"].split("/"))) if run.get("data") else None,
+            overrides=run.get("params"),
+            opts=CheckOptions(relation=run["relation"],
+                              bounds=tuple(run["bounds"]) if run.get("bounds") else None),
+        )
+        got = (v.stats["solves"], v.stats["nodes"], v.stats["failures"])
+        assert got == pinned.pop(run["name"]), run["name"]
+    assert not pinned
