@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes for check: 0 Conf, 1 NonConf, 2 Unknown, 3 usage or input error.
 For validate: 0 genuine, 1 not genuine, 3 error.  For bench: 0 when every
-run completed, 3 on manifest or input errors.
+run gave the verdict, reason and violated label its manifest row expects
+(rows without "expect" always pass), 1 when some run did not, each such row
+named on stderr, 3 on manifest or input errors.
 """
 
 import argparse
@@ -170,6 +172,7 @@ def _manifest_and_root(args):
 def _cmd_bench(args):
     manifest, rpath = _manifest_and_root(args)
     rows = []
+    unexpected = []
     for run in manifest.get("runs", ()):
         oracle = parse_model_file(rpath(run["oracle"]))
         program = parse_model_file(rpath(run["program"]))
@@ -183,6 +186,9 @@ def _cmd_bench(args):
             jobs=args.jobs or 1,
         )
         verdict = check(oracle, program, data=data, overrides=overrides, opts=opts)
+        got = {"verdict": verdict.kind, "reason": verdict.reason, "violated": verdict.violated}
+        if "expect" in run and run["expect"] != got:
+            unexpected.append(f"{run['name']}: expected {run['expect']}, got {got}")
         rows.append(
             {
                 "name": run["name"],
@@ -252,7 +258,9 @@ def _cmd_bench(args):
                 "scaling": srows,
             }
         )
-    return 0
+    for line in unexpected:
+        print(f"unexpected verdict: {line}", file=sys.stderr)
+    return 1 if unexpected else 0
 
 
 def build_parser():

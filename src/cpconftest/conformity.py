@@ -84,7 +84,10 @@ class SubReport:
             "label": self.label,
             "origin": self.origin,
             "status": self.status,
+            "solves": self.solves,
             "nodes": self.nodes,
+            "failures": self.failures,
+            "propagations": self.propagations,
             "elapsed": round(self.elapsed, 6),
             "false_alarms": self.false_alarms,
         }

@@ -23,15 +23,17 @@ they wait in a second queue until every other woken propagator is idle,
 since their unit rule re-evaluates each disjunct.  Domains compute their
 bounds once, when built, since they are read far more often than changed.
 
-Two presolve passes run before search.  Linear equalities asserted at the
-top level are subtracted out of other linear atoms whenever that strictly
-shrinks them, which turns auxiliary-variable definitions back into relations
-over the variables they define; only definitions sharing over half their
-monomials with the atom are tried, since no other can shrink it.  Then
-disjuncts whose negation is asserted at the top level (directly or via an
-allDifferent pair) are deleted; an Or that loses all disjuncts, or an
-asserted atom contradicted the same way, proves unsatisfiability with zero
-search.
+Presolve deletes disjuncts whose negation is asserted at the top level,
+directly or as an allDifferent pair, comparing atoms modulo the linear
+equalities asserted there (substituting variables out with equality rows,
+as in Andersen & Andersen, "Presolving in linear programming", 1995).  The
+equalities are put in reduced row-echelon form once, pivoting on the highest
+unit-coefficient variable so that channeled auxiliaries go, and each linear
+atom is keyed with every pivot substituted out: with d[i,j] == x[j] - x[i]
+asserted, the disjunct x[3] - x[2] == x[2] - x[1] meets d[1,2] != d[2,3].
+An Or with a disjunct the equalities imply is dropped.  An Or that loses
+all disjuncts, or an asserted atom contradicted the same way, proves
+unsatisfiability with zero search.  Atoms are posted as written.
 
 solve() finds one solution or proves there is none; solve_optimal() runs
 branch and bound on a minimization objective and reports whether optimality
@@ -56,9 +58,7 @@ from .grounding import (
     OrC,
     PackBinC,
     PackC,
-    Prod,
     RelAtom,
-    Sum,
     TableC,
     TRUE_C,
     Var,
@@ -66,9 +66,8 @@ from .grounding import (
     eval_gexpr,
     evaluate_ground,
     expansion,
-    mk_prod,
-    mk_sum,
 )
+from .ops import add64, mul64
 from .transform import FALSE_KEY, TRUE_KEY, canonical_key, negate, poly_of
 
 _BITDOM_SPAN = 1024
@@ -261,17 +260,6 @@ def poly_interval(poly, doms):
 
 def _poly_is_linear(poly):
     return all(len(m) <= 1 for m in poly)
-
-
-def poly_to_gexpr(poly):
-    items = []
-    for mono in sorted(poly.keys(), key=lambda m: (len(m), m)):
-        c = poly[mono]
-        if mono == ():
-            items.append(Const(c))
-        else:
-            items.append(mk_prod((Const(c),) + tuple(Var(v) for v in mono)))
-    return mk_sum(items)
 
 
 # ---------------------------------------------------------------------------
@@ -694,21 +682,6 @@ def _and_spine(tree):
         yield tree
 
 
-def _linear_eq_defs(trees):
-    """Polynomials asserted equal to zero at the top level, with sources."""
-    defs = []
-    for tree in trees:
-        for leaf in _and_spine(tree):
-            if isinstance(leaf, RelAtom) and leaf.op == "==":
-                try:
-                    p = _poly_sub_pair(leaf.left, leaf.right)
-                except EvaluationError:
-                    continue
-                if p and _poly_is_linear(p):
-                    defs.append((p, id(leaf)))
-    return defs
-
-
 def _poly_sub_pair(left, right):
     p = dict(poly_of(left))
     for m, c in poly_of(right).items():
@@ -720,55 +693,74 @@ def _poly_sub_pair(left, right):
     return p
 
 
-def _try_reduce(p, defs, index):
-    """Subtract asserted-zero polynomials while the term count shrinks;
-    `index` maps each monomial to the positions in defs that contain it."""
-    changed = True
-    while changed:
-        changed = False
-        shared = {}
-        for m in p:
-            for i in index.get(m, ()):
-                shared[i] = shared.get(i, 0) + 1
-        for i in sorted(i for i, k in shared.items() if 2 * k > len(defs[i][0])):
-            d = defs[i][0]
-            for sign in (1, -1):
-                q = dict(p)
-                for m, c in d.items():
-                    nc = q.get(m, 0) - sign * c
-                    if nc == 0:
-                        q.pop(m, None)
-                    else:
-                        q[m] = nc
-                if len(q) < len(p):
-                    p = q
-                    changed = True
-                    break
-            if changed:
-                break
+def _axpy(p, a, q):
+    """p + a*q in checked 64-bit arithmetic, zero terms dropped."""
+    out = dict(p)
+    for m, c in q.items():
+        nc = add64(out.get(m, 0), mul64(a, c))
+        if nc == 0:
+            out.pop(m, None)
+        else:
+            out[m] = nc
+    return out
+
+
+def _reduce(p, rows):
+    """p with every row pivot substituted out.  A row holds no other row's
+    pivot, so each substitution adds only non-pivot monomials."""
+    for m in [m for m in p if m in rows]:
+        p = _axpy(p, -p[m], rows[m])
     return p
 
 
-def _rewrite_tree(tree, defs, index, protected):
-    if isinstance(tree, AndC):
-        return AndC(tuple(_rewrite_tree(it, defs, index, protected) for it in tree.items))
-    if isinstance(tree, OrC):
-        return OrC(tuple(_rewrite_tree(it, defs, index, protected) for it in tree.items))
-    if isinstance(tree, RelAtom) and id(tree) not in protected:
-        try:
-            p = _poly_sub_pair(tree.left, tree.right)
-        except EvaluationError:
-            return tree
+def _echelon(trees):
+    """Reduced row-echelon form of the linear equalities asserted at the top
+    level of `trees`: pivot monomial -> polynomial equal to zero, with
+    coefficient 1 on its pivot and no other row's pivot in it.  The pivot is
+    the highest unit-coefficient variable, so auxiliaries (declared after the
+    variables they are defined from) are eliminated.  Rows that reduce to
+    zero or keep no unit coefficient are skipped, as is a row whose
+    arithmetic overflows 64 bits."""
+    rows = {}
+    for tree in trees:
+        for leaf in _and_spine(tree):
+            if not (isinstance(leaf, RelAtom) and leaf.op == "=="):
+                continue
+            try:
+                p = _poly_sub_pair(leaf.left, leaf.right)
+                if not _poly_is_linear(p):
+                    continue
+                p = _reduce(p, rows)
+                pivot = max((m for m, c in p.items() if m and abs(c) == 1), default=None)
+                if pivot is None:
+                    continue
+                if p[pivot] == -1:
+                    p = {m: -c for m, c in p.items()}
+                rows = {
+                    k: _axpy(r, -r[pivot], p) if pivot in r else r for k, r in rows.items()
+                }
+            except EvaluationError:
+                continue
+            rows[pivot] = p
+    return rows
+
+
+def _normal_form(rows):
+    """The `reduce` hook of canonical_key: linear polynomials modulo the
+    rows; others, and any whose reduction overflows, as they are."""
+
+    def reduce(p):
         if not _poly_is_linear(p):
-            return tree
-        q = _try_reduce(p, defs, index)
-        if q is p or q == p:
-            return tree
-        return RelAtom(tree.op, poly_to_gexpr(q), Const(0))
-    return tree
+            return p
+        try:
+            return _reduce(p, rows)
+        except EvaluationError:
+            return p
+
+    return reduce if rows else None
 
 
-def _asserted_keys(trees):
+def _asserted_keys(trees, reduce):
     """Canonical keys of everything asserted at the top level."""
     keys = set()
     for tree in trees:
@@ -776,33 +768,36 @@ def _asserted_keys(trees):
             if isinstance(leaf, (AndC, OrC)):
                 continue
             try:
-                keys.add(canonical_key(leaf))
+                keys.add(canonical_key(leaf, reduce))
             except EvaluationError:
                 continue
             if isinstance(leaf, AllDiffC):
                 for pair in _and_spine(expansion(leaf)):
                     try:
-                        keys.add(canonical_key(pair))
+                        keys.add(canonical_key(pair, reduce))
                     except EvaluationError:
                         pass
     return keys
 
 
-def _refutes(tree, keys):
+def _refutes(tree, keys, reduce):
     r = negate(tree)
     if not r.ok:
         return False
     try:
-        return canonical_key(r.tree) in keys
+        return canonical_key(r.tree, reduce) in keys
     except EvaluationError:
         return False
 
 
-def _simplify(tree, keys):
+def _simplify(tree, keys, reduce, asserted):
+    """`asserted`: the tree is asserted at the top level of hard.  Such an
+    atom is a tautology by its own key only: modulo the rows, the
+    equalities that justify every deletion would read as true."""
     if isinstance(tree, AndC):
         parts = []
         for it in tree.items:
-            s = _simplify(it, keys)
+            s = _simplify(it, keys, reduce, asserted)
             if s is FALSE_C:
                 return FALSE_C
             if s is TRUE_C:
@@ -816,7 +811,7 @@ def _simplify(tree, keys):
     if isinstance(tree, OrC):
         parts = []
         for it in tree.items:
-            s = _simplify(it, keys)
+            s = _simplify(it, keys, reduce, False)
             if s is TRUE_C:
                 return TRUE_C
             if s is FALSE_C:
@@ -828,39 +823,32 @@ def _simplify(tree, keys):
             return parts[0]
         return OrC(tuple(parts))
     try:
-        k = canonical_key(tree)
+        k = canonical_key(tree, None if asserted else reduce)
     except EvaluationError:
         return tree
     if k == TRUE_KEY:
         return TRUE_C
     if k == FALSE_KEY:
         return FALSE_C
-    if _refutes(tree, keys):
+    if _refutes(tree, keys, reduce):
         return FALSE_C
     return tree
 
 
 def presolve(hard, extras):
-    """Rewrite and filter constraint trees before search.
+    """Filter constraint trees before search.
 
-    Returns (hard2, extras2, proven_unsat).  Sound over the hard-constrained
-    space: equalities asserted in `hard` justify both the substitutions and
-    the disjunct deletions.
+    Returns (hard2, extras2, proven_unsat).  Atoms are compared modulo the
+    linear equalities asserted in `hard`, so a disjunct is deleted when its
+    negation, in that normal form, is asserted there, and an Or goes when
+    those equalities imply one of its disjuncts.  Sound over the
+    hard-constrained space: the asserted atoms stay in hard2.
     """
     hard = list(hard)
-    extras = list(extras)
-    defs = _linear_eq_defs(hard)
-    protected = {src for _, src in defs}
-    if defs:
-        index = {}
-        for i, (d, _) in enumerate(defs):
-            for m in d:
-                index.setdefault(m, []).append(i)
-        hard = [_rewrite_tree(t, defs, index, protected) for t in hard]
-        extras = [_rewrite_tree(t, defs, index, protected) for t in extras]
-    keys = _asserted_keys(hard)
-    hard = [_simplify(t, keys) for t in hard]
-    extras = [_simplify(t, keys) for t in extras]
+    reduce = _normal_form(_echelon(hard))
+    keys = _asserted_keys(hard, reduce)
+    hard = [_simplify(t, keys, reduce, True) for t in hard]
+    extras = [_simplify(t, keys, reduce, False) for t in extras]
     unsat = any(t is FALSE_C for t in hard) or any(t is FALSE_C for t in extras)
     return hard, extras, unsat
 

@@ -204,8 +204,10 @@ def _sorted_keys(keys):
     return tuple(sorted(keys, key=repr))
 
 
-def _rel_key(op, left, right):
+def _rel_key(op, left, right, reduce):
     p = _poly_sub(poly_of(left), poly_of(right))  # left - right, compared to 0
+    if reduce is not None:
+        p = reduce(p)
     if op == ">":
         op, p = "<", _poly_neg(p)
     elif op == ">=":
@@ -287,14 +289,18 @@ def _mk_or(keys):
     return ("or", items)
 
 
-def canonical_key(tree):
-    """Hashable canonical key; equal keys imply logically equal constraints."""
+def canonical_key(tree, reduce=None):
+    """Hashable canonical key; equal keys imply logically equal constraints.
+
+    `reduce`, when given, maps the polynomial left - right of each relation
+    to one with the same value wherever the caller's side conditions hold;
+    equal keys then imply constraints equal under those conditions."""
     if isinstance(tree, RelAtom):
-        return _rel_key(tree.op, tree.left, tree.right)
+        return _rel_key(tree.op, tree.left, tree.right, reduce)
     if isinstance(tree, AndC):
-        return _mk_and([canonical_key(it) for it in tree.items])
+        return _mk_and([canonical_key(it, reduce) for it in tree.items])
     if isinstance(tree, OrC):
-        return _mk_or([canonical_key(it) for it in tree.items])
+        return _mk_or([canonical_key(it, reduce) for it in tree.items])
     if isinstance(tree, AllDiffC):
         if len(tree.items) < 2:
             return TRUE_KEY

@@ -260,3 +260,24 @@ def test_overflow_in_normalization_keeps_verdict(relation):
         assert (v.kind, v.reason) == want
         if v.witness is not None:
             check_witness(oracle_gm, cput_gm, v, bounds)
+
+
+def test_witness_found_after_a_false_alarm():
+    # The program rejects only x = 1: k1 rules out z == x and z + 1 == x, and
+    # the auxiliary z, which no channeling defines, can dodge both at every
+    # other x.  not(k1) is first met at x = 0, z = 0, which the program
+    # accepts with z = 1: a false alarm.  Only the search resumed past its
+    # cut reaches x = 1, and no reference point leaves the program's domains.
+    oracle = "dvar int x in 0..3;\nsubject to {\n  c1: x >= 0;\n}\n"
+    program = (
+        "dvar int x in 0..3;\ndvar int z in 0..1;\n"
+        "subject to {\n  k1: (z - x) * (z + 1 - x) != 0;\n}\n"
+    )
+    oracle_gm, cput_gm = ground_pair(parse_model(oracle), parse_model(program))
+    assert expected(oracle_gm, cput_gm, "all", None) == ("NonConf", "missing-solution")
+    v = check(parse_model(oracle), parse_model(program), opts=CheckOptions(relation="all"))
+    assert (v.kind, v.reason, v.violated) == ("NonConf", "missing-solution", "k1")
+    assert v.witness["x"] == 1
+    (deciding,) = [s for s in v.subreports if s.status == "witness"]
+    assert deciding.false_alarms >= 1
+    check_witness(oracle_gm, cput_gm, v, None)

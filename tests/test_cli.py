@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,18 @@ def test_check_conf_exits_zero(files, capsys):
     out = capsys.readouterr().out
     assert "verdict: Conf" in out
     assert re.search(r"^stats: solves=\d+ nodes=\d+ failures=\d+ propagations=\d+ ", out, re.M)
+    # --json carries every counter per subproblem; stats add the checks outside them
+    rc = main(["check", "--oracle", files["oracle"], "--cput", files["subset"], "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    counters = ("solves", "nodes", "failures", "propagations", "false_alarms")
+    solved = [s for s in payload["subproblems"] if s["status"] == "unsat"]
+    assert solved
+    for sub in payload["subproblems"]:
+        assert all(isinstance(sub[k], int) for k in counters), sub
+    assert all(s["solves"] >= 1 and s["propagations"] >= 1 for s in solved)
+    for k in counters[:4]:
+        assert sum(s[k] for s in payload["subproblems"]) <= payload["stats"][k]
 
 
 def test_check_is_the_default_subcommand(files, capsys):
@@ -255,6 +268,7 @@ def bench_dir(tmp_path):
                 "relation": "one",
                 "params": {"n": 3},
                 "timeout": 30,
+                "expect": {"verdict": "Conf", "reason": None, "violated": None},
             }
         ],
         "scaling": {
@@ -279,6 +293,24 @@ def test_bench_runs_a_manifest(bench_dir, capsys):
     assert "scaling n=2" in out
 
 
+def test_bench_exits_one_on_an_unexpected_verdict(bench_dir, capsys):
+    path = Path(bench_dir)
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    wrong = dict(manifest["runs"][0], name="tiny-wrong")
+    wrong["expect"] = {"verdict": "NonConf", "reason": "extra-solution", "violated": "c1"}
+    unchecked = dict(manifest["runs"][0], name="tiny-unchecked")
+    del unchecked["expect"]
+    manifest["runs"] += [wrong, unchecked]
+    del manifest["scaling"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    rc = main(["bench", "--manifest", bench_dir, "--json"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert [r["verdict"] for r in json.loads(captured.out)["runs"]] == ["Conf"] * 3
+    flagged = captured.err.strip().splitlines()
+    assert len(flagged) == 1 and "tiny-wrong" in flagged[0], captured.err
+
+
 def test_bench_json_shapes(bench_dir, capsys):
     rc = main(["bench", "--manifest", bench_dir, "--json"])
     assert rc == 0
@@ -297,6 +329,7 @@ def test_bundled_manifest_is_well_formed():
     names = [r["name"] for r in manifest["runs"]]
     assert len(names) == len(set(names))
     for run in manifest["runs"]:
+        assert run["expect"].keys() == {"verdict", "reason", "violated"}, run["name"]
         assert corpus_path(*run["oracle"].split("/")).is_file()
         assert corpus_path(*run["program"].split("/")).is_file()
         if run.get("data"):

@@ -309,11 +309,12 @@ def test_exhausted_budget_reports_unknown():
 
 
 def test_extra_direction_timeout_is_not_blamed_on_the_program():
-    # c2 needs far longer than the budget, so the program check after it
-    # starts with nothing left; the note belongs to a program check that ran
+    # c2 needs far longer than the budget (its witness takes some 33,000
+    # nodes), so the program check after it starts with nothing left; the
+    # note belongs to a program check that ran
     oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
-    program = parse_model_file(corpus_path("golomb", "p_fixed.cpm"))
-    v = check(oracle, program, overrides={"m": 6}, opts=CheckOptions(time_limit=0.5))
+    program = parse_model_file(corpus_path("golomb", "cput4.cpm"))
+    v = check(oracle, program, overrides={"m": 8}, opts=CheckOptions(time_limit=0.5))
     assert (v.kind, v.reason, v.notes) == ("Unknown", "timeout", ())
     assert any(s.status == "resource_out" for s in v.subreports)
 

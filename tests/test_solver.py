@@ -1,5 +1,4 @@
 import itertools
-import random
 import time
 
 import pytest
@@ -9,7 +8,6 @@ from cpconftest.conformity import CheckOptions, check, ground_pair
 from cpconftest.corpus import corpus_path, load_manifest
 from cpconftest.grounding import (
     AllDiffC,
-    AndC,
     Const,
     CountC,
     OrC,
@@ -17,16 +15,18 @@ from cpconftest.grounding import (
     Prod,
     RelAtom,
     Sum,
+    TRUE_C,
     TableC,
     Var,
     build_instance,
+    eval_gexpr,
     evaluate_ground,
     ground,
     mk_diff,
 )
 from cpconftest.parser import parse_data_file, parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
-from cpconftest.transform import negate
+from cpconftest.transform import canonical_key, negate
 
 from conftest import brute_min, brute_solutions, rand_tree
 
@@ -137,11 +137,12 @@ def test_extras_behave_like_hard_constraints():
 
 
 def test_presolve_substitutes_definitions():
-    # difference variables d01=v4, d23=v5 defined from x0..x3; asking for
-    # equal differences contradicts the alldiff with no search at all
+    # difference variables d01=v4, d23=v5 defined from x0..x3, the second
+    # written the other way round; asking for equal differences contradicts
+    # the alldiff with no search at all
     defs = [
         RelAtom("==", Var(4), mk_diff(Var(1), Var(0))),
-        RelAtom("==", Var(5), mk_diff(Var(3), Var(2))),
+        RelAtom("==", mk_diff(Var(3), Var(2)), Var(5)),
     ]
     hard = defs + [AllDiffC((Var(4), Var(5)))]
     extras = [OrC((RelAtom("==", mk_diff(Var(1), Var(0)), mk_diff(Var(3), Var(2))),))]
@@ -174,74 +175,111 @@ def test_presolve_keeps_satisfiable_problems():
     assert solve(doms(2), h2).status == "SAT"
 
 
-def _full_scan_reduce(p, defs):
-    """The unindexed reduction: every definition tried, in order."""
-    changed = True
-    while changed:
-        changed = False
-        for d, _ in defs:
-            for sign in (1, -1):
-                q = dict(p)
-                for m, c in d.items():
-                    nc = q.get(m, 0) - sign * c
-                    if nc == 0:
-                        q.pop(m, None)
-                    else:
-                        q[m] = nc
-                if len(q) < len(p):
-                    p = q
-                    changed = True
-                    break
-            if changed:
-                break
-    return p
+def _lin(rng, vs, coefs=(-2, -1, 1, 2)):
+    """Terms of a random linear expression over two or three of the variables."""
+    k = rng.randint(2, min(3, len(vs)))
+    return [Prod((Const(rng.choice(coefs)), v)) for v in rng.sample(vs, k)]
 
 
-def _linear_system(rng):
-    """Overlapping linear definitions and atoms built around them."""
-    vs = [Var(v) for v in range(rng.randint(4, 6))]
+def _equality_system(rng):
+    """(hard, extras) around linear equalities that hold at a hidden point.
 
-    def terms(k):
-        return [Prod((Const(rng.choice((-2, -1, 1, 2))), v)) for v in rng.sample(vs, k)]
+    hard asserts independent, dependent (a sum of two earlier ones) and
+    non-unit (even coefficients only) equalities, atoms that mostly hold at
+    the point too, sometimes an allDifferent, and a disjunction.  Each
+    extra is a disjunction of random atoms and of negated asserted atoms
+    with a multiple of an equality added, which presolve can delete only
+    modulo the equalities."""
+    vs = [Var(v) for v in range(rng.randint(3, 4))]
+    point = {v.vid: rng.randint(0, 3) for v in vs}
 
-    defs = [
-        RelAtom("==", Sum(tuple(terms(rng.randint(2, 4)))), Const(rng.randint(-2, 2)))
-        for _ in range(rng.randint(2, 5))
-    ]
+    def holding(terms):
+        return RelAtom("==", Sum(tuple(terms)), Const(eval_gexpr(Sum(tuple(terms)), point)))
+
+    eqs = [holding(_lin(rng, vs)) for _ in range(rng.randint(1, 3))]
+    if len(eqs) > 1 and rng.random() < 0.5:
+        a, b = rng.sample(eqs, 2)
+        eqs.append(RelAtom("==", Sum((a.left, b.left)), Sum((a.right, b.right))))
     if rng.random() < 0.5:
-        defs.append(RelAtom("==", Sum((x, Const(2))), x))  # constant only: 2 == 0
+        eqs.append(holding(_lin(rng, vs, (-2, 2))))
     atoms = []
-    for _ in range(rng.randint(3, 8)):
-        base = rng.choice(defs).left
-        sign = rng.choice((1, -1))
-        items = [Prod((Const(sign), base))] + terms(rng.randint(0, 2))
-        op = rng.choice(("==", "!=", "<", "<="))
-        atoms.append(RelAtom(op, Sum(tuple(items)), Const(rng.randint(-3, 3))))
-    own = defs[0]  # a definition source that also sits inside a disjunction
-    hard = defs[:-1] + [AndC((defs[-1], atoms[0])), OrC(tuple(atoms[1:3]) + (own,))]
-    extras = [OrC(tuple(atoms[3:]) + (own,))] if atoms[3:] else []
-    return hard, extras
+    for _ in range(rng.randint(1, 3)):
+        left = Sum(tuple(_lin(rng, vs)))
+        op = rng.choice(("!=", "<", "<=", "=="))
+        # mostly true at the point, so that hard has solutions to test on
+        shift = {"!=": rng.choice((-1, 1)), "<": 1, "<=": 0, "==": 0}[op]
+        if rng.random() < 0.2:
+            shift = rng.randint(-2, 2)
+        atoms.append(RelAtom(op, left, Const(eval_gexpr(left, point) + shift)))
+    hard = eqs + atoms
+    if rng.random() < 0.3:
+        hard.append(AllDiffC(tuple(rng.sample(vs, 2))))
+
+    def disguised(atom):
+        """not(atom), with k * (an equality's left - right) added to its left."""
+        eq = rng.choice(eqs)
+        k = Const(rng.choice((-1, 1, 2)))
+        left = Sum((atom.left, Prod((k, eq.left)), Prod((Const(-1), k, eq.right))))
+        return negate(RelAtom(atom.op, left, atom.right)).tree
+
+    def disjunction(others):
+        items = [disguised(rng.choice(atoms)) for _ in range(rng.randint(1, 3))]
+        items += [
+            RelAtom(rng.choice(("==", "!=", "<")), Sum(tuple(_lin(rng, vs))), Const(rng.randint(0, 4)))
+            for _ in range(others)
+        ]
+        rng.shuffle(items)
+        return OrC(tuple(items))
+
+    hard.append(disjunction(2))
+    return vs, hard, [disjunction(rng.randint(0, 2)) for _ in range(rng.randint(1, 2))]
 
 
-def test_indexed_reduction_matches_full_scan(monkeypatch):
-    rng = random.Random(5150)
-    cases = [_linear_system(rng) for _ in range(200)]
+def _kept(tree):
+    if isinstance(tree, OrC):
+        return {id(t) for t in tree.items}
+    return {id(tree)}
+
+
+def test_echelon_presolve_is_sound(rng):
+    # brute force over 0..3 decides every claim presolve makes
+    modulo = 0  # deletions the atoms' own keys could not justify
+    for _ in range(200):
+        vs, hard, extras = _equality_system(rng)
+        domains = {v.vid: (0, 3) for v in vs}
+        h2, e2, unsat = presolve(hard, extras)
+        sols = brute_solutions(domains, hard)
+        both = brute_solutions(domains, hard + extras)
+        if unsat:
+            assert not both
+            continue
+        assert brute_solutions(domains, h2) == sols
+        assert brute_solutions(domains, h2 + e2) == both
+        plain = {canonical_key(t) for t in hard if not isinstance(t, OrC)}
+        plain |= {canonical_key(RelAtom("!=", *t.items)) for t in hard if isinstance(t, AllDiffC)}
+        for before, after in zip(hard + extras, h2 + e2):
+            if after is TRUE_C:  # dropped as implied
+                assert all(evaluate_ground(before, a) for a in sols)
+                continue
+            if not isinstance(before, OrC):
+                continue
+            for d in before.items:
+                if id(d) in _kept(after):
+                    continue
+                assert not any(evaluate_ground(d, a) for a in sols)
+                modulo += canonical_key(negate(d).tree) not in plain
+    assert modulo > 50
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_presolve_refutes_p_fixed_c2(m):
+    # every disjunct of not(c2) equates two differences that allDifferent(d)
+    # keeps apart, once d is substituted by x through the channeling
     oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
-    program = parse_model_file(corpus_path("golomb", "p.cpm"))
-    oracle_gm, p_gm = ground_pair(oracle, program, overrides={"m": 8})
-    cases.append(([c.tree for c in p_gm.constraints], [negate(oracle_gm.constraint("c2").tree).tree]))
-    indexed = [presolve(hard, extras) for hard, extras in cases]
-    shrunk = []
-
-    def full_scan(p, defs, index):
-        q = _full_scan_reduce(p, defs)
-        shrunk.append(len(q) < len(p))
-        return q
-
-    monkeypatch.setattr(solver, "_try_reduce", full_scan)
-    full = [presolve(hard, extras) for hard, extras in cases]
-    assert indexed == full
-    assert sum(shrunk) > len(cases)  # reductions happen, so the test can see one go wrong
+    program = parse_model_file(corpus_path("golomb", "p_fixed.cpm"))
+    oracle_gm, p_gm = ground_pair(oracle, program, overrides={"m": m})
+    c2 = negate(oracle_gm.constraint("c2").tree).tree
+    assert presolve([c.tree for c in p_gm.constraints], [c2])[2]
 
 
 # -- randomized cross-checks ---------------------------------------------------
@@ -388,7 +426,10 @@ def test_search_effort_pinned():
     gm = ground(oracle, build_instance(oracle, None, {"m": 7}))
     out = solve_optimal(dict(gm.domains), [c.tree for c in gm.constraints], gm.objective)
     assert (out.status, out.value, out.stats.nodes, out.stats.failures) == ("SAT", 25, 8886, 6698)
-    pinned = {"golomb-p-fixed-best-m5": (5, 221, 164), "carseq-cput1-one": (2, 1715, 852)}
+    # golomb-p-fixed-best-m5 was (5, 221, 164) until presolve compared atoms
+    # modulo the asserted equalities: its c2 subproblem (100 nodes, 76
+    # failures) is now refuted before search
+    pinned = {"golomb-p-fixed-best-m5": (5, 121, 88), "carseq-cput1-one": (2, 1715, 852)}
     for run in load_manifest()["runs"]:
         if run["name"] not in pinned:
             continue
