@@ -80,7 +80,6 @@ def _options(args, relation=None):
         time_limit=getattr(args, "timeout", None),
         node_limit=getattr(args, "nodes", None),
         bounds=_parse_bounds(getattr(args, "bounds", None)),
-        jobs=getattr(args, "jobs", 1) or 1,
     )
 
 
@@ -183,7 +182,6 @@ def _cmd_bench(args):
             relation=run.get("relation", "one"),
             time_limit=args.timeout or run.get("timeout"),
             bounds=bounds,
-            jobs=args.jobs or 1,
         )
         verdict = check(oracle, program, data=data, overrides=overrides, opts=opts)
         got = {"verdict": verdict.kind, "reason": verdict.reason, "violated": verdict.violated}
@@ -293,7 +291,6 @@ def build_parser():
     )
     pc.add_argument("--bounds", metavar="LO:HI", help="objective interval for bounds/best")
     pc.add_argument("--nodes", type=int, help="search node budget per solver call")
-    pc.add_argument("--jobs", type=int, default=1, help="parallel witness searches")
     pc.set_defaults(func=_cmd_check)
 
     pv = sub.add_parser("validate", help="validate a witness file")
@@ -304,7 +301,6 @@ def build_parser():
     pb = sub.add_parser("bench", help="run a benchmark manifest")
     pb.add_argument("--manifest", help="manifest file (default: bundled corpus)")
     pb.add_argument("--timeout", type=float, help="override per-run budgets")
-    pb.add_argument("--jobs", type=int, default=1, help="parallel witness searches")
     pb.add_argument("--json", action="store_true", help="machine readable output")
     pb.set_defaults(func=_cmd_bench)
     return parser

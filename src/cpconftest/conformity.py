@@ -31,7 +31,6 @@ in the report.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import EvaluationError, UsageError
@@ -61,7 +60,11 @@ class CheckOptions:
     node_limit: int = None  # per solver call
     bounds: tuple = None  # (lo, hi) for the bounds/best relations
     use_skip: bool = True
-    jobs: int = 1
+    jobs: int = 1  # only 1: subproblems run one after another
+
+    def __post_init__(self):
+        if self.jobs != 1:
+            raise UsageError(f"jobs must be 1, got {self.jobs!r}")
 
 
 @dataclass
@@ -392,45 +395,16 @@ def _run_subproblem(item, oracle_gm, cput_gm, direction, time_limit, opts):
     return rep
 
 
-_WORKER = None
-
-
-def _init_worker(oracle_gm, cput_gm, direction, extra_atoms, opts):
-    global _WORKER
-    plan = _plan_subproblems(oracle_gm, cput_gm, direction, extra_atoms, opts.use_skip)
-    _WORKER = (plan, oracle_gm, cput_gm, direction, opts)
-
-
-def _worker_run(args):
-    idx, time_limit = args
-    plan, oracle_gm, cput_gm, direction, opts = _WORKER
-    return _run_subproblem(plan[idx], oracle_gm, cput_gm, direction, time_limit, opts)
-
-
 def _run_direction(oracle_gm, cput_gm, direction, budget, opts, extra_atoms):
     """SubReports of one direction's subproblems, up to the first witness."""
     plan = _plan_subproblems(oracle_gm, cput_gm, direction, extra_atoms, opts.use_skip)
     reports = []
-    if opts.jobs > 1 and len(plan) > 1:
-        with ProcessPoolExecutor(
-            max_workers=opts.jobs,
-            initializer=_init_worker,
-            initargs=(oracle_gm, cput_gm, direction, extra_atoms, opts),
-        ) as pool:
-            rem = budget.remaining()
-            futs = [pool.submit(_worker_run, (i, rem)) for i in range(len(plan))]
-            for fut in futs:
-                reports.append(fut.result())
-                if reports[-1].status == "witness":
-                    pool.shutdown(cancel_futures=True)
-                    break
-    else:
-        for item in plan:
-            reports.append(
-                _run_subproblem(item, oracle_gm, cput_gm, direction, budget.remaining(), opts)
-            )
-            if reports[-1].status == "witness":
-                break
+    for item in plan:
+        reports.append(
+            _run_subproblem(item, oracle_gm, cput_gm, direction, budget.remaining(), opts)
+        )
+        if reports[-1].status == "witness":
+            break
     return reports
 
 

@@ -20,10 +20,6 @@ def mul64(a, b):
     return check64(a * b)
 
 
-def neg64(a):
-    return check64(-a)
-
-
 def div64(a, b):
     """Integer division truncating toward zero, like most modeling languages."""
     if b == 0:

@@ -11,6 +11,9 @@ disjuncts near the root buries solutions that plain variable enumeration
 reaches quickly.  Everything else is decided by variable branching
 (smallest domain first, values ascending) plus exact checks once
 all variables are fixed, so quiescence with fixed variables is a solution.
+A relational atom is posted in its normal form from transform.rel_form;
+one whose normal form overflows 64 bits is posted as, and judged by, exact
+evaluation once its variables are fixed, like a global atom.
 
 Propagation wakes a propagator only on the kind of domain change it reads
 (after Schulte & Stuckey, "Efficient constraint propagation engines",
@@ -67,8 +70,8 @@ from .grounding import (
     evaluate_ground,
     expansion,
 )
-from .ops import add64, mul64
-from .transform import FALSE_KEY, TRUE_KEY, canonical_key, negate, poly_of
+from .ops import add64, mul64, rel_holds
+from .transform import FALSE_KEY, TRUE_KEY, canonical_key, is_constant, negate, poly_of, rel_form
 
 _BITDOM_SPAN = 1024
 _OR_BRANCH_LIMIT = 64  # choice disjunctions wider than this don't drive branching
@@ -682,17 +685,6 @@ def _and_spine(tree):
         yield tree
 
 
-def _poly_sub_pair(left, right):
-    p = dict(poly_of(left))
-    for m, c in poly_of(right).items():
-        nc = p.get(m, 0) - c
-        if nc == 0:
-            p.pop(m, None)
-        else:
-            p[m] = nc
-    return p
-
-
 def _axpy(p, a, q):
     """p + a*q in checked 64-bit arithmetic, zero terms dropped."""
     out = dict(p)
@@ -727,7 +719,7 @@ def _echelon(trees):
             if not (isinstance(leaf, RelAtom) and leaf.op == "=="):
                 continue
             try:
-                p = _poly_sub_pair(leaf.left, leaf.right)
+                _, p = rel_form(leaf)
                 if not _poly_is_linear(p):
                     continue
                 p = _reduce(p, rows)
@@ -914,7 +906,7 @@ class Engine:
         self.bound = None
         self.bound_prop = None
         self.root_failed = False
-        self._status_cache = {}
+        self._forms = {}  # id(tree) -> _form(tree)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -1001,29 +993,15 @@ class Engine:
             return True
         if isinstance(tree, RelAtom):
             try:
-                poly = _poly_sub_pair(tree.left, tree.right)
+                op, poly = rel_form(tree)
             except EvaluationError:
-                poly = None
-            if poly is None:
-                # overflow while normalizing; fall back to exact-only checks
+                # no normal form: judge the atom exactly once it is fixed
                 self.register(ExactProp(tree))
                 return True
-            op = tree.op
-            if op == "<":
-                op = "<="
-                poly[()] = poly.get((), 0) + 1
-            elif op == ">":
-                poly = {m: -c for m, c in poly.items()}
-                op = "<="
-                poly[()] = poly.get((), 0) + 1
-            elif op == ">=":
-                poly = {m: -c for m, c in poly.items()}
-                op = "<="
-            poly = {m: c for m, c in poly.items() if c != 0 or m == ()}
-            if not any(m != () for m in poly):
-                c = poly.get((), 0)
-                ok = c <= 0 if op == "<=" else (c == 0 if op == "==" else c != 0)
-                return ok
+            if is_constant(poly):
+                return rel_holds(op, poly.get((), 0), 0)
+            if op == "<":  # over the integers, p < 0 is p + 1 <= 0
+                op, poly = "<=", {**poly, (): poly.get((), 0) + 1}
             if _poly_is_linear(poly):
                 vids = tuple(m[0] for m in poly if m != ())
                 coefs = tuple(poly[(v,)] for v in vids)
@@ -1068,47 +1046,34 @@ class Engine:
 
     # -- status of a tree under current domains -------------------------------
 
-    def _atom_poly(self, atom):
-        key = id(atom)
-        hit = self._status_cache.get(key)
-        if hit is None:
+    def _form(self, tree):
+        """Cache entry of a tree, filled once per engine: its normal form,
+        its variables and the tree itself, which stays alive so that its id
+        is not reused by a tree that post_tree expands later.  The form is
+        None for all but relational atoms, and for one whose normal form
+        overflows."""
+        form = None
+        if isinstance(tree, RelAtom):
             try:
-                poly = _poly_sub_pair(atom.left, atom.right)
+                form = rel_form(tree)
             except EvaluationError:
-                poly = {}
-            hit = (poly, ctr_vars(atom))
-            self._status_cache[key] = hit
+                pass
+        hit = self._forms[id(tree)] = (form, ctr_vars(tree), tree)
         return hit
-
-    def _vars_cache(self, tree):
-        key = id(tree)
-        hit = self._status_cache.get(key)
-        if hit is None:
-            hit = (None, ctr_vars(tree))
-            self._status_cache[key] = hit
-        return hit[1]
 
     def tree_status(self, tree):
         """True = entailed, False = violated, None = unknown."""
-        if isinstance(tree, RelAtom):
-            poly, _ = self._atom_poly(tree)
+        form, vs, _ = self._forms.get(id(tree)) or self._form(tree)
+        if form is not None:
+            op, poly = form
             lo, hi = poly_interval(poly, self.doms)
-            op = tree.op
-            if op == "==":
-                if lo == hi == 0:
-                    return True
-                return None if lo <= 0 <= hi else False
-            if op == "!=":
-                if lo == hi == 0:
-                    return False
-                return True if (lo > 0 or hi < 0) else None
-            if op == "<":
-                return True if hi < 0 else (False if lo >= 0 else None)
             if op == "<=":
                 return True if hi <= 0 else (False if lo > 0 else None)
-            if op == ">":
-                return True if lo > 0 else (False if hi <= 0 else None)
-            return True if lo >= 0 else (False if hi < 0 else None)  # >=
+            if op == "<":
+                return True if hi < 0 else (False if lo >= 0 else None)
+            if op == "==":
+                return True if lo == hi == 0 else (None if lo <= 0 <= hi else False)
+            return False if lo == hi == 0 else (None if lo <= 0 <= hi else True)  # !=
         if isinstance(tree, AndC):
             out = True
             for it in tree.items:
@@ -1127,8 +1092,8 @@ class Engine:
                 if s is None:
                     out = None
             return out
-        # global atoms: exact once their variables are fixed
-        vs = self._vars_cache(tree)
+        # other atoms, and relational atoms without a normal form: exact
+        # once their variables are fixed
         if all(self.doms[v].fixed for v in vs):
             a = {v: self.doms[v].value for v in vs}
             return evaluate_ground(tree, a)

@@ -204,15 +204,28 @@ def _sorted_keys(keys):
     return tuple(sorted(keys, key=repr))
 
 
-def _rel_key(op, left, right, reduce):
-    p = _poly_sub(poly_of(left), poly_of(right))  # left - right, compared to 0
+def rel_form(atom):
+    """Normal form of a relational atom: (op, poly) for poly op 0, where
+    poly is left - right, negated for > and >=, so that op is one of <, <=,
+    == and !=.  Raises EvaluationError when the expansion overflows 64 bits;
+    such an atom has no normal form and is judged by exact evaluation."""
+    p = _poly_sub(poly_of(atom.left), poly_of(atom.right))
+    if atom.op == ">":
+        return "<", _poly_neg(p)
+    if atom.op == ">=":
+        return "<=", _poly_neg(p)
+    return atom.op, p
+
+
+def is_constant(p):
+    return all(m == () for m in p)
+
+
+def _rel_key(atom, reduce):
+    op, p = rel_form(atom)
     if reduce is not None:
         p = reduce(p)
-    if op == ">":
-        op, p = "<", _poly_neg(p)
-    elif op == ">=":
-        op, p = "<=", _poly_neg(p)
-    if not p or set(p.keys()) == {()}:
+    if is_constant(p):
         return TRUE_KEY if rel_holds(op, p.get((), 0), 0) else FALSE_KEY
     if op in ("==", "!=") and _leading_coef(p) < 0:
         p = _poly_neg(p)
@@ -296,7 +309,7 @@ def canonical_key(tree, reduce=None):
     to one with the same value wherever the caller's side conditions hold;
     equal keys then imply constraints equal under those conditions."""
     if isinstance(tree, RelAtom):
-        return _rel_key(tree.op, tree.left, tree.right, reduce)
+        return _rel_key(tree, reduce)
     if isinstance(tree, AndC):
         return _mk_and([canonical_key(it, reduce) for it in tree.items])
     if isinstance(tree, OrC):

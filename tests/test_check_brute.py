@@ -21,6 +21,7 @@ from cpconftest import (
     validate_witness,
 )
 from cpconftest.grounding import eval_gexpr, evaluate_ground
+from cpconftest.solver import solve
 
 from conftest import brute_solutions
 
@@ -251,15 +252,39 @@ def test_overflow_in_normalization_keeps_verdict(relation):
     """
     # without k2 the program admits x = 1, which c1 rejects
     leaky = program.replace("k2: x * 4611686018427387904 == x * -4611686018427387904", "k2: x >= 0")
-    for prog in (program, leaky):
-        oracle_gm, cput_gm = ground_pair(parse_model(oracle), parse_model(prog))
+    # k1's left side is K or 0 at every point, but its expansion holds the
+    # term -2K*x*y, which overflows: the program has no solution, and an atom
+    # without a normal form must not read as 0 != 0
+    y_ref = """
+    dvar int x in 0..1;
+    dvar int y in 0..1;
+    minimize x + y;
+    subject to {
+      r1: x >= 0;
+    }
+    """
+    y_prog = """
+    dvar int x in 0..1;
+    dvar int y in 0..1;
+    minimize x + y;
+    subject to {
+      k1: (x - y) * (x - y) * 6917529027641081856 != 0 => x == 5;
+      k2: x != y;
+    }
+    """
+    for ref, prog in ((oracle, program), (oracle, leaky), (y_ref, y_prog)):
+        oracle_gm, cput_gm = ground_pair(parse_model(ref), parse_model(prog))
         bounds = (1, 2)
         want = expected(oracle_gm, cput_gm, relation, bounds)
         opts = CheckOptions(relation=relation, bounds=bounds)
-        v = check(parse_model(oracle), parse_model(prog), opts=opts)
+        v = check(parse_model(ref), parse_model(prog), opts=opts)
         assert (v.kind, v.reason) == want
         if v.witness is not None:
             check_witness(oracle_gm, cput_gm, v, bounds)
+    # the last pair's program has no solution, and the solver must agree
+    assert want[0] == "NonConf"
+    hard = [c.tree for c in cput_gm.constraints]
+    assert solve(dict(cput_gm.domains), hard).status == "UNSAT"
 
 
 def test_witness_found_after_a_false_alarm():

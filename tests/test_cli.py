@@ -140,6 +140,12 @@ def test_bad_bounds_exits_three(files, capsys):
     assert "lo:hi" in capsys.readouterr().err
 
 
+def test_jobs_flag_exits_three(files, capsys):
+    rc = main(["check", "--oracle", files["oracle"], "--cput", files["subset"], "--jobs", "2"])
+    assert rc == 3
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_unknown_relation_exits_three(files, capsys):
     rc = main(
         [

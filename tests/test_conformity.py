@@ -356,18 +356,11 @@ def test_verdict_report_shape():
     assert d["subproblems"] and all("elapsed" in s for s in d["subproblems"])
 
 
-def test_parallel_jobs_agree_with_sequential():
-    def effort(v):
-        subs = [(s.label, s.status, s.nodes, s.propagations, s.false_alarms) for s in v.subreports]
-        counters = {k: v.stats[k] for k in ("solves", "nodes", "failures", "propagations")}
-        return subs, counters
-
-    for relation in ("one", "all"):
-        lone = run(ORACLE_LT, CPUT_SUBSET, relation=relation, jobs=1)
-        par = run(ORACLE_LT, CPUT_SUBSET, relation=relation, jobs=2)
-        assert (lone.kind, lone.reason, lone.violated) == (par.kind, par.reason, par.violated)
-        assert lone.witness == par.witness
-        assert effort(lone) == effort(par)
+def test_jobs_other_than_one_is_a_usage_error():
+    # subproblems run one after another; the field takes no other value
+    assert CheckOptions(jobs=1).jobs == 1
+    with pytest.raises(UsageError):
+        CheckOptions(jobs=2)
 
 
 # ---------------------------------------------------------------------------

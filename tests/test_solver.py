@@ -126,6 +126,18 @@ def test_time_limit_counts_presolve():
     assert out.status == "RESOURCE_OUT"
 
 
+def test_atom_without_normal_form_is_judged_exactly():
+    # x*2^62 - x*-2^62 has coefficient 2^63: no normal form in 64 bits
+    left, right = Prod((Const(2**62), x)), Prod((Const(-(2**62)), x))
+    eq = RelAtom("==", left, right)
+    eng = solver.Engine(doms(1, 0, 1), SearchConfig(), time.monotonic())
+    assert eng.post_tree(eq, False)
+    assert [type(p) for p in eng.queues[0]] == [solver.ExactProp]
+    assert eng.tree_status(eq) is None
+    assert solve(doms(1, 0, 1), [eq]).assignment == {0: 0}
+    assert solve(doms(1, 0, 1), [RelAtom("!=", left, right)]).assignment == {0: 1}
+
+
 def test_extras_behave_like_hard_constraints():
     out = solve(doms(2), [RelAtom("<", x, y)], extras=[RelAtom("==", x, Const(4))])
     assert out.status == "UNSAT"
@@ -429,7 +441,13 @@ def test_search_effort_pinned():
     # golomb-p-fixed-best-m5 was (5, 221, 164) until presolve compared atoms
     # modulo the asserted equalities: its c2 subproblem (100 nodes, 76
     # failures) is now refuted before search
-    pinned = {"golomb-p-fixed-best-m5": (5, 121, 88), "carseq-cput1-one": (2, 1715, 852)}
+    pinned = {
+        "golomb-p-fixed-best-m5": (5, 121, 88),
+        "carseq-cput1-one": (2, 1715, 852),
+        # detection: a fault found, and an unsatisfiable program proven
+        "golomb-p-one-m8": (2, 15, 0),
+        "carseq-cput4-one": (3, 1153, 577),
+    }
     for run in load_manifest()["runs"]:
         if run["name"] not in pinned:
             continue

@@ -1,5 +1,6 @@
 import pytest
 
+from cpconftest.errors import EvaluationError
 from cpconftest.grounding import (
     AllDiffC,
     AndC,
@@ -24,6 +25,7 @@ from cpconftest.transform import (
     canonical_key,
     gexpr_key,
     negate,
+    rel_form,
 )
 
 from conftest import all_assignments, rand_tree
@@ -65,6 +67,15 @@ def test_distribution():
 def test_mirrored_inequalities():
     assert k("<", x, y) == k(">", y, x)
     assert k("<=", x, y) == k(">=", y, x)
+
+
+def test_rel_form_orients_and_checks_overflow():
+    assert rel_form(RelAtom(">", x, y)) == ("<", {(0,): -1, (1,): 1})
+    assert rel_form(RelAtom(">=", x, Const(2))) == ("<=", {(0,): -1, (): 2})
+    assert rel_form(RelAtom("!=", x, x)) == ("!=", {})
+    # each side fits in 64 bits, their difference's coefficient 2^63 does not
+    with pytest.raises(EvaluationError):
+        rel_form(RelAtom("==", Prod((Const(2**62), x)), Prod((Const(-(2**62)), x))))
 
 
 def test_subtracting_zero():
