@@ -22,16 +22,17 @@ over the reference variables and the search resumes.  Domain membership is
 itself checked as one synthetic constraint per direction, so a point outside
 the other side's declared bounds counts as a violation too.
 
-The first genuine witness decides NonConf.  A genuine extra witness is
-itself a program solution, so the program's nonemptiness is solved for only
-when the extra direction finds none.  If every subproblem is
-unsatisfiable the verdict is Conf, a per-instance certificate.  Otherwise
-the verdict is Unknown, with the reason (timeout or unsupported negation)
-in the report.
+Under one and all, the reference is first probed by root propagation, not
+solved: only a refutation there stops the check, as a usage error.  The
+first genuine witness decides NonConf.  A genuine extra witness is itself a
+program solution, so the program's nonemptiness is solved for only when the
+extra direction finds none.  If every subproblem is unsatisfiable the
+verdict is Conf, a per-instance certificate.  Otherwise the verdict is
+Unknown, with the reason (timeout or unsupported negation) in the report.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import EvaluationError, UsageError
 from .grounding import (
@@ -397,6 +398,8 @@ def _run_subproblem(item, oracle_gm, cput_gm, direction, time_limit, opts):
 
 def _run_direction(oracle_gm, cput_gm, direction, budget, opts, extra_atoms):
     """SubReports of one direction's subproblems, up to the first witness."""
+    if budget.remaining() == 0:
+        return []  # spent: planning alone would take time
     plan = _plan_subproblems(oracle_gm, cput_gm, direction, extra_atoms, opts.use_skip)
     reports = []
     for item in plan:
@@ -441,10 +444,10 @@ class _Run:
             self.f_atoms = _bounds_atoms(oracle_gm, lo, hi, "reference")
             self.fp_atoms = _bounds_atoms(cput_gm, lo, hi, "program")
 
-    def solve(self, gm, extra_atoms):
+    def solve(self, gm, extra_atoms, opts=None):
         """Solve one side's constraints plus the given atoms."""
         hard = [c.tree for c in gm.constraints] + extra_atoms
-        return _timed_solve(self.effort, self.budget, dict(gm.domains), hard, (), self.opts)
+        return _timed_solve(self.effort, self.budget, dict(gm.domains), hard, (), opts or self.opts)
 
     def verdict(self, kind, reason=None, witness=None, **kw):
         if witness is not None:
@@ -465,14 +468,12 @@ class _Run:
 # Phases: each returns the deciding Verdict or None to go on.
 
 
-def _reference_sat(run):
-    out = run.solve(run.oracle_gm, [])
-    if out.status == "UNSAT":
+def _reference_probe(run):
+    """Root propagation on the reference, no search: no verdict needs a
+    reference solution, since an extra witness is genuine on its own and
+    Conf puts a program solution inside it, so only a refutation decides."""
+    if run.solve(run.oracle_gm, [], replace(run.opts, node_limit=0)).status == "UNSAT":
         raise UsageError("the reference model is unsatisfiable on this instance")
-    if out.status == "RESOURCE_OUT":
-        return run.verdict(
-            "Unknown", "timeout", notes=("budget exhausted while checking the reference model",)
-        )
     return None
 
 
@@ -573,8 +574,8 @@ def _program_beats(run):
 
 
 _PHASES = {
-    "one": (_reference_sat, _extra, _program_sat, _settle),
-    "all": (_reference_sat, _extra, _program_sat, _missing, _settle),
+    "one": (_reference_probe, _extra, _program_sat, _settle),
+    "all": (_reference_probe, _extra, _program_sat, _missing, _settle),
     "bounds": (_extra, _program_sat, _settle),
     "best": (_extra, _program_sat, _settle, _reference_beats, _program_beats),
 }

@@ -41,10 +41,11 @@ unsatisfiability with zero search.  Atoms are posted as written.
 solve() finds one solution or proves there is none; solve_optimal() runs
 branch and bound on a minimization objective and reports whether optimality
 was proven within the budget.  Both respect wall-clock and node budgets,
-the wall-clock one counted from entry (presolve and posting included), and
-are fully deterministic.
+the wall-clock one counted from entry and read in presolve and at every
+node, though not while posting, and are fully deterministic.
 """
 
+import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -75,6 +76,7 @@ from .transform import FALSE_KEY, TRUE_KEY, canonical_key, is_constant, negate, 
 
 _BITDOM_SPAN = 1024
 _OR_BRANCH_LIMIT = 64  # choice disjunctions wider than this don't drive branching
+_POLL_EVERY = 256  # atoms presolve handles between two looks at its deadline
 
 
 class BitDom:
@@ -705,7 +707,19 @@ def _reduce(p, rows):
     return p
 
 
-def _echelon(trees):
+def _clock(deadline):
+    """Presolve's call once per atom: every _POLL_EVERY calls, from the
+    first, it raises TimeoutError once time.monotonic() is past `deadline`."""
+    calls = itertools.count()
+
+    def tick():
+        if deadline is not None and next(calls) % _POLL_EVERY == 0 and time.monotonic() > deadline:
+            raise TimeoutError
+
+    return tick
+
+
+def _echelon(trees, tick):
     """Reduced row-echelon form of the linear equalities asserted at the top
     level of `trees`: pivot monomial -> polynomial equal to zero, with
     coefficient 1 on its pivot and no other row's pivot in it.  The pivot is
@@ -716,6 +730,7 @@ def _echelon(trees):
     rows = {}
     for tree in trees:
         for leaf in _and_spine(tree):
+            tick()
             if not (isinstance(leaf, RelAtom) and leaf.op == "=="):
                 continue
             try:
@@ -752,11 +767,12 @@ def _normal_form(rows):
     return reduce if rows else None
 
 
-def _asserted_keys(trees, reduce):
+def _asserted_keys(trees, reduce, tick):
     """Canonical keys of everything asserted at the top level."""
     keys = set()
     for tree in trees:
         for leaf in _and_spine(tree):
+            tick()
             if isinstance(leaf, (AndC, OrC)):
                 continue
             try:
@@ -782,38 +798,24 @@ def _refutes(tree, keys, reduce):
         return False
 
 
-def _simplify(tree, keys, reduce, asserted):
+def _simplify(tree, keys, reduce, asserted, tick):
     """`asserted`: the tree is asserted at the top level of hard.  Such an
     atom is a tautology by its own key only: modulo the rows, the
     equalities that justify every deletion would read as true."""
-    if isinstance(tree, AndC):
+    if isinstance(tree, (AndC, OrC)):
+        conj = isinstance(tree, AndC)
+        unit, zero = (TRUE_C, FALSE_C) if conj else (FALSE_C, TRUE_C)
         parts = []
         for it in tree.items:
-            s = _simplify(it, keys, reduce, asserted)
-            if s is FALSE_C:
-                return FALSE_C
-            if s is TRUE_C:
-                continue
-            parts.append(s)
-        if not parts:
-            return TRUE_C
+            s = _simplify(it, keys, reduce, asserted and conj, tick)
+            if s is zero:
+                return zero
+            if s is not unit:
+                parts.append(s)
         if len(parts) == 1:
             return parts[0]
-        return AndC(tuple(parts))
-    if isinstance(tree, OrC):
-        parts = []
-        for it in tree.items:
-            s = _simplify(it, keys, reduce, False)
-            if s is TRUE_C:
-                return TRUE_C
-            if s is FALSE_C:
-                continue
-            parts.append(s)
-        if not parts:
-            return FALSE_C
-        if len(parts) == 1:
-            return parts[0]
-        return OrC(tuple(parts))
+        return type(tree)(tuple(parts)) if parts else unit
+    tick()
     try:
         k = canonical_key(tree, None if asserted else reduce)
     except EvaluationError:
@@ -827,22 +829,26 @@ def _simplify(tree, keys, reduce, asserted):
     return tree
 
 
-def presolve(hard, extras):
+def presolve(hard, extras, deadline=None):
     """Filter constraint trees before search.
 
-    Returns (hard2, extras2, proven_unsat).  Atoms are compared modulo the
-    linear equalities asserted in `hard`, so a disjunct is deleted when its
-    negation, in that normal form, is asserted there, and an Or goes when
-    those equalities imply one of its disjuncts.  Sound over the
-    hard-constrained space: the asserted atoms stay in hard2.
+    Returns (hard2, extras2, status), status UNSAT when no solution is left,
+    RESOURCE_OUT when time.monotonic() passed `deadline` first, else None.
+    Atoms are compared modulo the linear equalities asserted in `hard`, so a
+    disjunct is deleted when its negation, in that normal form, is asserted
+    there, and an Or goes when those equalities imply one of its disjuncts.
+    Sound over the hard-constrained space: the asserted atoms stay in hard2.
     """
-    hard = list(hard)
-    reduce = _normal_form(_echelon(hard))
-    keys = _asserted_keys(hard, reduce)
-    hard = [_simplify(t, keys, reduce, True) for t in hard]
-    extras = [_simplify(t, keys, reduce, False) for t in extras]
+    hard, tick = list(hard), _clock(deadline)
+    try:
+        reduce = _normal_form(_echelon(hard, tick))
+        keys = _asserted_keys(hard, reduce, tick)
+        hard = [_simplify(t, keys, reduce, True, tick) for t in hard]
+        extras = [_simplify(t, keys, reduce, False, tick) for t in extras]
+    except TimeoutError:
+        return hard, extras, "RESOURCE_OUT"
     unsat = any(t is FALSE_C for t in hard) or any(t is FALSE_C for t in extras)
-    return hard, extras, unsat
+    return hard, extras, "UNSAT" if unsat else None
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +859,9 @@ def presolve(hard, extras):
 class SearchConfig:
     time_limit: float = None  # seconds
     node_limit: int = None
+
+    def deadline(self, start):
+        return None if self.time_limit is None else start + self.time_limit
 
 
 @dataclass
@@ -1129,6 +1138,8 @@ class Engine:
                         break
                     if s is None:
                         unknown.append(it)
+                        if len(unknown) > _OR_BRANCH_LIMIT:
+                            break  # skipped, entailed or not: no need to look further
                 if entailed:
                     continue
                 if unknown and len(unknown) <= _OR_BRANCH_LIMIT:
@@ -1215,9 +1226,9 @@ def solve(domains, hard, extras=(), config=None):
     """Find one assignment satisfying hard plus every extra tree."""
     config = config or SearchConfig()
     t0 = time.monotonic()
-    hard2, extras2, unsat = presolve(hard, extras)
-    if unsat:
-        out = SolveOutcome("UNSAT")
+    hard2, extras2, status = presolve(hard, extras, config.deadline(t0))
+    if status:
+        out = SolveOutcome(status)
         out.stats.elapsed = time.monotonic() - t0
         return out
     eng = _setup(domains, hard2, extras2, config, t0)
@@ -1238,9 +1249,9 @@ def solve_optimal(domains, hard, objective, config=None):
     """Branch and bound minimization of a ground objective expression."""
     config = config or SearchConfig()
     t0 = time.monotonic()
-    hard2, _, unsat = presolve(hard, ())
-    if unsat:
-        out = OptOutcome("UNSAT")
+    hard2, _, status = presolve(hard, (), config.deadline(t0))
+    if status:
+        out = OptOutcome(status)
         out.stats.elapsed = time.monotonic() - t0
         return out
     eng = _setup(domains, hard2, (), config, t0)

@@ -40,7 +40,7 @@ from .grounding import (
     expansion,
     mk_diff,
 )
-from .ops import FLIP, add64, mul64, rel_holds
+from .ops import FLIP, MIRROR, add64, mul64, rel_holds
 
 # ---------------------------------------------------------------------------
 # Negation
@@ -208,13 +208,15 @@ def rel_form(atom):
     """Normal form of a relational atom: (op, poly) for poly op 0, where
     poly is left - right, negated for > and >=, so that op is one of <, <=,
     == and !=.  Raises EvaluationError when the expansion overflows 64 bits;
-    such an atom has no normal form and is judged by exact evaluation."""
-    p = _poly_sub(poly_of(atom.left), poly_of(atom.right))
-    if atom.op == ">":
-        return "<", _poly_neg(p)
-    if atom.op == ">=":
-        return "<=", _poly_neg(p)
-    return atom.op, p
+    such an atom has no normal form and is judged by exact evaluation.  The
+    form is computed once per atom and kept on it; callers share it and must
+    not change it."""
+    form = atom._form
+    if form is None:
+        p = _poly_sub(poly_of(atom.left), poly_of(atom.right))
+        form = (MIRROR[atom.op], _poly_neg(p)) if atom.op in (">", ">=") else (atom.op, p)
+        object.__setattr__(atom, "_form", form)  # the dataclass is frozen
+    return form
 
 
 def is_constant(p):

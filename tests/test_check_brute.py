@@ -14,6 +14,7 @@ import pytest
 
 from cpconftest import (
     CheckOptions,
+    UsageError,
     check,
     expand_witness,
     ground_pair,
@@ -167,18 +168,25 @@ SEEDS = range(150)
 RELATIONS = ("one", "all", "bounds", "best")
 
 
-def _pairs():
-    """Pairs with a satisfiable reference (else one/all raise a usage error).
-
-    Odd seeds put the objective interval at the reference optimum, where
-    best is decided by the program; even seeds draw it at random."""
-    for seed in SEEDS:
+def _grounded(seeds):
+    """(seed, ref, prog, oracle_gm, cput_gm, reference solutions) per seed."""
+    for seed in seeds:
         ref, prog = random_pair(seed)
         oracle_gm, cput_gm = ground_pair(parse_model(render(ref)), parse_model(render(prog)))
         ref_sols = brute_solutions(
             {v: oracle_gm.domains[v] for v in oracle_gm.vids},
             [c.tree for c in oracle_gm.constraints],
         )
+        yield seed, ref, prog, oracle_gm, cput_gm, ref_sols
+
+
+def _pairs():
+    """Pairs with a nonempty reference; test_empty_reference_under_one_and_all
+    covers the others.
+
+    Odd seeds put the objective interval at the reference optimum, where
+    best is decided by the program; even seeds draw it at random."""
+    for seed, ref, prog, oracle_gm, cput_gm, ref_sols in _grounded(SEEDS):
         if not ref_sols:
             continue
         if seed % 2:
@@ -226,6 +234,29 @@ def test_verdict_invariant_under_constraint_order_and_skip():
                 v = check(parse_model(o), parse_model(p), opts=opts)
                 kinds.add(v.kind)
             assert len(kinds) == 1, (seed, relation, kinds)
+
+
+def test_empty_reference_under_one_and_all():
+    # one and all probe the reference by root propagation only, without
+    # search: an empty reference is a usage error when propagation refutes
+    # it, and otherwise gets the verdict the solution sets give, never Conf
+    verdicts = 0
+    for seed, ref, prog, oracle_gm, cput_gm, ref_sols in _grounded(range(400)):
+        if ref_sols:
+            continue
+        for relation in ("one", "all"):
+            opts = CheckOptions(relation=relation)
+            try:
+                v = check(parse_model(render(ref)), parse_model(render(prog)), opts=opts)
+            except UsageError:
+                continue
+            want = expected(oracle_gm, cput_gm, relation, None)
+            assert want[0] != "Conf"
+            assert (v.kind, v.reason) == want, (seed, relation, render(ref), render(prog))
+            if v.witness is not None:
+                check_witness(oracle_gm, cput_gm, v, None)
+            verdicts += 1
+    assert verdicts > 0
 
 
 @pytest.mark.parametrize("relation", RELATIONS)

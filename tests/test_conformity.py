@@ -300,12 +300,15 @@ def test_best_detects_program_below_interval():
 
 
 def test_exhausted_budget_reports_unknown():
+    # a spent budget plans no subproblems: planning alone takes time
     v = run(ORACLE_LT, CPUT_SUBSET, time_limit=0.0)
     assert v.kind == "Unknown"
     assert v.reason == "timeout"
+    assert v.subreports == ()
     v = run(O_MIN2, P_MIN2, relation="bounds", bounds=(2, 2), time_limit=0.0)
     assert (v.kind, v.reason) == ("Unknown", "timeout")
     assert v.notes == ("budget exhausted while checking the program for solutions",)
+    assert v.subreports == ()
 
 
 def test_extra_direction_timeout_is_not_blamed_on_the_program():

@@ -110,20 +110,47 @@ def test_deterministic():
     assert all(r.stats.nodes == runs[0].stats.nodes for r in runs)
 
 
-def test_time_limit_counts_presolve():
-    # presolve keys every disjunct of a wide disjunction and then drops it,
-    # since its last disjunct always holds; posting and search are trivial
+def wide_disjunction():
+    """1,681 atoms, built afresh: each atom object keeps its normal form once
+    computed, so a second presolve over the same objects does less work."""
     vs = [Var(v) for v in range(8)]
-    wide = OrC(
+    return OrC(
         tuple(RelAtom("==", Sum((a, b)), Sum((c, d))) for a, b, c, d in itertools.permutations(vs, 4))
         + (RelAtom("<=", x, Sum((x, Const(1)))),)
     )
+
+
+def test_time_limit_counts_presolve():
+    # presolve keys every disjunct of a wide disjunction and then drops it,
+    # since its last disjunct always holds; posting and search are trivial
     hard = [RelAtom("<", x, y)]
     t0 = time.monotonic()
-    presolve(hard, [wide])
+    presolve(hard, [wide_disjunction()])
     took = time.monotonic() - t0
-    out = solve(doms(8, 0, 9), hard, [wide], config=SearchConfig(time_limit=took / 4))
+    out = solve(doms(8, 0, 9), hard, [wide_disjunction()], config=SearchConfig(time_limit=took / 4))
     assert out.status == "RESOURCE_OUT"
+
+
+@pytest.mark.parametrize("hard", [[RelAtom("<", x, y)], []])
+def test_presolve_polls_its_deadline(monkeypatch, hard):
+    # with no time left, presolve stops within one polling interval of
+    # atoms, whether the deadline is first looked at while it reads the
+    # asserted constraints or while it simplifies the disjunction
+    keyed = []
+
+    def counting_key(tree, reduce=None):
+        keyed.append(tree)
+        return canonical_key(tree, reduce)
+
+    monkeypatch.setattr(solver, "canonical_key", counting_key)
+    none_left = SearchConfig(time_limit=0.0)
+    for run in (
+        lambda: solve(doms(8, 0, 9), hard, [wide_disjunction()], none_left),
+        lambda: solve_optimal(doms(8, 0, 9), hard + [wide_disjunction()], x, none_left),
+    ):
+        keyed.clear()
+        assert run().status == "RESOURCE_OUT"
+        assert len(keyed) <= solver._POLL_EVERY
 
 
 def test_atom_without_normal_form_is_judged_exactly():
@@ -443,10 +470,13 @@ def test_search_effort_pinned():
     # failures) is now refuted before search
     pinned = {
         "golomb-p-fixed-best-m5": (5, 121, 88),
-        "carseq-cput1-one": (2, 1715, 852),
+        # the rows under `one` were (2, 1715, 852), (2, 15, 0) and
+        # (3, 1153, 577) until the reference was probed, not searched: its
+        # nonemptiness check now stops after root propagation
+        "carseq-cput1-one": (2, 562, 277),
         # detection: a fault found, and an unsatisfiable program proven
-        "golomb-p-one-m8": (2, 15, 0),
-        "carseq-cput4-one": (3, 1153, 577),
+        "golomb-p-one-m8": (2, 7, 0),
+        "carseq-cput4-one": (3, 0, 2),
     }
     for run in load_manifest()["runs"]:
         if run["name"] not in pinned:
@@ -461,4 +491,7 @@ def test_search_effort_pinned():
         )
         got = (v.stats["solves"], v.stats["nodes"], v.stats["failures"])
         assert got == pinned.pop(run["name"]), run["name"]
+        if run["name"] == "carseq-cput1-one":
+            # no search outside the subproblems
+            assert v.stats["nodes"] == sum(s.nodes for s in v.subreports)
     assert not pinned

@@ -78,6 +78,15 @@ def test_rel_form_orients_and_checks_overflow():
         rel_form(RelAtom("==", Prod((Const(2**62), x)), Prod((Const(-(2**62)), x))))
 
 
+def test_rel_form_is_computed_once_per_atom():
+    a, b = RelAtom(">", x, Const(1)), RelAtom(">", x, Const(1))
+    assert rel_form(a) is rel_form(a)
+    # kept on the atom object, not in a cache shared by equal atoms, and
+    # invisible to equality, hashing and repr
+    assert b._form is None
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 def test_subtracting_zero():
     assert k("==", Sum((x, Prod((Const(-1), Const(0))))), y) == k("==", x, y)
 
