@@ -398,8 +398,6 @@ def _run_subproblem(item, oracle_gm, cput_gm, direction, time_limit, opts):
 
 def _run_direction(oracle_gm, cput_gm, direction, budget, opts, extra_atoms):
     """SubReports of one direction's subproblems, up to the first witness."""
-    if budget.remaining() == 0:
-        return []  # spent: planning alone would take time
     plan = _plan_subproblems(oracle_gm, cput_gm, direction, extra_atoms, opts.use_skip)
     reports = []
     for item in plan:
@@ -470,10 +468,13 @@ class _Run:
 
 def _reference_probe(run):
     """Root propagation on the reference, no search: no verdict needs a
-    reference solution, since an extra witness is genuine on its own and
-    Conf puts a program solution inside it, so only a refutation decides."""
+    reference solution (an extra witness is genuine on its own; Conf puts a
+    program solution inside it), so only a refutation decides.  A budget
+    already spent ends the check before any subproblem is planned."""
     if run.solve(run.oracle_gm, [], replace(run.opts, node_limit=0)).status == "UNSAT":
         raise UsageError("the reference model is unsatisfiable on this instance")
+    if run.budget.remaining() == 0:
+        return run.verdict("Unknown", "timeout")
     return None
 
 

@@ -166,7 +166,6 @@ class RelAtom:
     op: str  # == != < <= > >=
     left: object
     right: object
-    _form = None  # not a field: transform.rel_form's (op, poly), once computed
 
 
 @dataclass(frozen=True)

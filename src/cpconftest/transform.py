@@ -211,11 +211,11 @@ def rel_form(atom):
     such an atom has no normal form and is judged by exact evaluation.  The
     form is computed once per atom and kept on it; callers share it and must
     not change it."""
-    form = atom._form
+    form = getattr(atom, "_form", None)
     if form is None:
         p = _poly_sub(poly_of(atom.left), poly_of(atom.right))
         form = (MIRROR[atom.op], _poly_neg(p)) if atom.op in (">", ">=") else (atom.op, p)
-        object.__setattr__(atom, "_form", form)  # the dataclass is frozen
+        object.__setattr__(atom, "_form", form)  # not a field; the dataclass is frozen
     return form
 
 

@@ -15,6 +15,7 @@ from cpconftest import (
     parse_model_file,
     validate_witness,
 )
+from cpconftest import conformity
 from cpconftest.corpus import corpus_path
 
 ORACLE_LT = """
@@ -300,15 +301,36 @@ def test_best_detects_program_below_interval():
 
 
 def test_exhausted_budget_reports_unknown():
-    # a spent budget plans no subproblems: planning alone takes time
+    # under one the reference probe finds the budget spent and ends the
+    # check before any subproblem is planned; nothing is blamed on the program
     v = run(ORACLE_LT, CPUT_SUBSET, time_limit=0.0)
     assert v.kind == "Unknown"
     assert v.reason == "timeout"
+    assert v.notes == ()
     assert v.subreports == ()
     v = run(O_MIN2, P_MIN2, relation="bounds", bounds=(2, 2), time_limit=0.0)
     assert (v.kind, v.reason) == ("Unknown", "timeout")
     assert v.notes == ("budget exhausted while checking the program for solutions",)
-    assert v.subreports == ()
+    assert v.subreports
+    assert {s.status for s in v.subreports} <= {"resource_out", "skipped"}
+
+
+def test_budget_spent_before_the_missing_direction_is_unknown(monkeypatch):
+    # the budget runs out right after the program check: the missing
+    # direction's subproblems are left open, which is no refutation
+    def program_sat_then_spend(r):
+        out = conformity._program_sat(r)
+        r.budget.deadline = time.monotonic()
+        return out
+
+    phases = tuple(
+        program_sat_then_spend if p is conformity._program_sat else p
+        for p in conformity._PHASES["all"]
+    )
+    monkeypatch.setitem(conformity._PHASES, "all", phases)
+    v = run(ORACLE_LT, CPUT_MIRROR, relation="all", use_skip=False, time_limit=60.0)
+    assert (v.kind, v.reason) == ("Unknown", "timeout")
+    assert any(s.origin == "program" and s.status == "resource_out" for s in v.subreports)
 
 
 def test_extra_direction_timeout_is_not_blamed_on_the_program():

@@ -83,7 +83,7 @@ def test_rel_form_is_computed_once_per_atom():
     assert rel_form(a) is rel_form(a)
     # kept on the atom object, not in a cache shared by equal atoms, and
     # invisible to equality, hashing and repr
-    assert b._form is None
+    assert getattr(b, "_form", None) is None
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
