@@ -19,7 +19,6 @@ from .errors import (
     CpconfError,
     EvaluationError,
     GroundingError,
-    IndeterminateAuxiliary,
     ParseError,
     UsageError,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "CpconfError",
     "EvaluationError",
     "GroundingError",
-    "IndeterminateAuxiliary",
     "ParseError",
     "SearchConfig",
     "UsageError",

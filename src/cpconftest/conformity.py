@@ -355,9 +355,9 @@ def _genuine_missing(oracle_gm, cput_gm, w, budget, effort, opts):
     return None if accepts is None else not accepts
 
 
-def _run_subproblem(item, oracle_gm, cput_gm, direction, time_limit, opts):
+def _run_subproblem(item, oracle_gm, cput_gm, direction, budget, opts):
     """Solve D and not(C), cutting false alarms, until a genuine witness,
-    a refutation or the end of the budget."""
+    a refutation or the end of the check's budget."""
     rep = SubReport(item["label"], item["origin"], "unsat")
     t0 = time.monotonic()
     if item["skipped"]:
@@ -367,7 +367,6 @@ def _run_subproblem(item, oracle_gm, cput_gm, direction, time_limit, opts):
     if not neg.ok:
         rep.status = "unsupported-negation"
         return rep
-    budget = _Budget(time_limit)
     hard = list(item["hard"])
     base = list(oracle_gm.vids)
     while True:
@@ -401,9 +400,7 @@ def _run_direction(oracle_gm, cput_gm, direction, budget, opts, extra_atoms):
     plan = _plan_subproblems(oracle_gm, cput_gm, direction, extra_atoms, opts.use_skip)
     reports = []
     for item in plan:
-        reports.append(
-            _run_subproblem(item, oracle_gm, cput_gm, direction, budget.remaining(), opts)
-        )
+        reports.append(_run_subproblem(item, oracle_gm, cput_gm, direction, budget, opts))
         if reports[-1].status == "witness":
             break
     return reports

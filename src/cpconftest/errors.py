@@ -36,15 +36,5 @@ class EvaluationError(CpconfError):
     """Raised when a ground expression cannot be evaluated."""
 
 
-class IndeterminateAuxiliary(CpconfError):
-    """Completion could not determine some auxiliary variables."""
-
-    def __init__(self, names):
-        self.names = tuple(names)
-        super().__init__(
-            "channelings leave auxiliaries undetermined: " + ", ".join(self.names)
-        )
-
-
 class UsageError(CpconfError):
     """A check was invoked on inputs that violate its preconditions."""

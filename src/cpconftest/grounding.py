@@ -12,15 +12,15 @@ And / Or trees and a handful of global atoms (allDifferent, allMinDistance,
 inverse, table, count, pack) that keep enough structure for negation and
 propagation.  An empty And is TRUE, an empty Or is FALSE.
 
-Channeling definitions drive complete_assignment: given values for the base
+Channeling definitions drive extend_assignment: given values for the base
 variables, auxiliary variables are filled in by running the definitions to a
-fixpoint in declaration order (first writer wins).  Anything still undefined
-raises IndeterminateAuxiliary so callers can fall back to search.
+fixpoint in declaration order (first writer wins).  It also returns the
+variables still undefined, so callers can fall back to search for them.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import EvaluationError, GroundingError, IndeterminateAuxiliary, UsageError
+from .errors import EvaluationError, GroundingError, UsageError
 from .ops import add64, check64, div64, mul64, rel_holds
 from .syntax import (
     AllDifferentCtr,
@@ -28,7 +28,6 @@ from .syntax import (
     BinOp,
     BoolNot,
     BoolOp,
-    Collection,
     CountCtr,
     FieldRef,
     Forall,
@@ -44,7 +43,6 @@ from .syntax import (
     RangeDom,
     Rel,
     RelChain,
-    SetDom,
     TableCtr,
     TupleExpr,
 )
@@ -762,13 +760,6 @@ class GroundModel:
                 changed = True
         missing = [v for v in self.vids if v not in a]
         return a, missing
-
-    def complete_assignment(self, base_assignment):
-        """extend_assignment, raising IndeterminateAuxiliary on leftovers."""
-        a, missing = self.extend_assignment(base_assignment)
-        if missing:
-            raise IndeterminateAuxiliary([self.space.pretty(v) for v in missing])
-        return a
 
 
 class _Ctx:

@@ -50,9 +50,6 @@ MIRROR = {
     ">=": "<=",
 }
 
-REL_OPS = tuple(FLIP)
-
-
 def rel_holds(op, a, b):
     if op == "==":
         return a == b

@@ -713,7 +713,7 @@ class _Validator:
                 raise ParseError(f"{d.name!r} is a reserved word", d.span)
             self.dvars[d.name] = d
             if isinstance(d.index, SetDom):
-                self._check_setdom(d.index, want_tuple=None)
+                self._check_setdom(d.index)
             elif isinstance(d.index, RangeDom):
                 self._check_expr(d.index.lo, {}, allow_dvar=False)
                 self._check_expr(d.index.hi, {}, allow_dvar=False)
@@ -749,14 +749,14 @@ class _Validator:
                 self._check_expr(g.domain.hi, scope, allow_dvar=False)
                 kind = "int"
             else:
-                kind = self._check_setdom(g.domain, want_tuple=None)
+                kind = self._check_setdom(g.domain)
             for nm in g.names:
                 if nm in RESERVED:
                     raise ParseError(f"{nm!r} is a reserved word", g.span)
                 scope[nm] = kind
         return scope
 
-    def _check_setdom(self, dom, want_tuple):
+    def _check_setdom(self, dom):
         p = self._lookup_param(dom.name, dom.span)
         if p.kind == "int":
             raise ParseError(f"{dom.name!r} is an int, not a set", dom.span)
@@ -811,12 +811,7 @@ class _Validator:
                 raise ParseError(f"unknown tuple binder {e.base!r}", e.span)
             if kind == "int":
                 raise ParseError(f"binder {e.base!r} is not a tuple", e.span)
-            tt = self.tuple_types.get(kind)
-            fields = None
-            for t in self.model.tuple_types:
-                if t.name == kind:
-                    fields = t.fields
-            if fields is not None and e.fieldname not in fields:
+            if e.fieldname not in self.tuple_types[kind].fields:
                 raise ParseError(
                     f"tuple type {kind!r} has no field {e.fieldname!r}", e.span
                 )
@@ -923,10 +918,6 @@ def _fmt_bool(b, parent="or"):
             s = _fmt_bool(it, parent=b.op)
             if isinstance(it, BoolOp) and it.op != b.op:
                 s = f"({s})"
-            elif isinstance(it, RelChain) and len(it.rel_ops) == 1 and b.op == "and":
-                # Parenthesise single comparisons inside && only when they
-                # would otherwise read as a chain; cheap and safe either way.
-                pass
             parts.append(s)
         s = joiner.join(parts)
         if b.op == "or" and parent == "and":
@@ -1016,11 +1007,6 @@ def pretty_print(model: ModelAst) -> str:
         out.append(f"  {lc.label}: {_fmt_ctr(lc.ctr)};{ann}")
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-# Order of declarations differs between source and pretty output only in that
-# tuple types print after parameters; parsing does not care, but keep authored
-# corpus files in pretty-compatible order anyway.
 
 
 # ---------------------------------------------------------------------------

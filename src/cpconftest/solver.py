@@ -11,9 +11,14 @@ disjuncts near the root buries solutions that plain variable enumeration
 reaches quickly.  Everything else is decided by variable branching
 (smallest domain first, values ascending) plus exact checks once
 all variables are fixed, so quiescence with fixed variables is a solution.
-A relational atom is posted in its normal form from transform.rel_form;
-one whose normal form overflows 64 bits is posted as, and judged by, exact
-evaluation once its variables are fixed, like a global atom.
+A relational atom is posted in its normal form from transform.rel_form.
+Engine.tree_status is the one judgement of a tree under the current
+domains: interval evaluation of a normal form, exact evaluation of any
+other atom once its variables are fixed.  Disjunctions use it for their
+unit rule and for branching, through one scan of their disjuncts, and an
+atom the engine can judge but not prune (a nonlinear relation, one whose
+normal form overflows 64 bits, a count of a non-constant value) is posted
+as a CheckProp that fails once tree_status finds it violated.
 
 Propagation wakes a propagator only on the kind of domain change it reads
 (after Schulte & Stuckey, "Efficient constraint propagation engines",
@@ -356,40 +361,18 @@ class LinProp(Prop):
         return True
 
 
-class ExprProp(Prop):
-    """Nonlinear relational atom checked by interval evaluation."""
-
-    __slots__ = ("poly", "op")
-
-    def __init__(self, poly, op, watch):
-        super().__init__(watch, BOUND)
-        self.poly = poly
-        self.op = op
-
-    def propagate(self, eng):
-        lo, hi = poly_interval(self.poly, eng.doms)
-        if self.op == "<=":
-            return lo <= 0
-        if self.op == "==":
-            return lo <= 0 <= hi
-        return not (lo == 0 and hi == 0)  # !=
-
-
-class ExactProp(Prop):
-    """Fallback that evaluates a tree once all its variables are fixed."""
+class CheckProp(Prop):
+    """A tree the engine judges but does not prune: it fails once
+    tree_status finds the tree violated."""
 
     __slots__ = ("tree",)
 
-    def __init__(self, tree):
-        super().__init__(ctr_vars(tree), FIX)
+    def __init__(self, tree, watch, event):
+        super().__init__(watch, event)
         self.tree = tree
 
     def propagate(self, eng):
-        doms = eng.doms
-        if all(doms[v].fixed for v in self.watch):
-            a = {v: doms[v].value for v in self.watch}
-            return evaluate_ground(self.tree, a)
-        return True
+        return eng.tree_status(self.tree) is not False
 
 
 class AllDiffProp(Prop):
@@ -423,23 +406,20 @@ class AllDiffProp(Prop):
 
 
 class CountProp(Prop):
+    """Count atom whose value is a constant."""
+
     __slots__ = ("tree", "item_polys", "value_const", "rhs_poly", "bare")
 
     def __init__(self, tree):
         super().__init__(ctr_vars(tree), DOMAIN)
         self.tree = tree
         self.item_polys = [poly_of(it) for it in tree.items]
-        self.value_const = tree.value.value if isinstance(tree.value, Const) else None
+        self.value_const = tree.value.value
         self.rhs_poly = poly_of(tree.rhs)
         self.bare = [it.vid if isinstance(it, Var) else None for it in tree.items]
 
     def propagate(self, eng):
         doms = eng.doms
-        if self.value_const is None:
-            if all(doms[v].fixed for v in self.watch):
-                a = {v: doms[v].value for v in self.watch}
-                return evaluate_ground(self.tree, a)
-            return True
         v = self.value_const
         cnt_min = cnt_max = 0
         for i, p in enumerate(self.item_polys):
@@ -629,26 +609,30 @@ class OrProp(Prop):
         self.items = items
         self.choice = choice
 
-    def propagate(self, eng):
-        if self.done:
-            return True
-        unknown = None
-        count = 0
+    def open_disjuncts(self, eng, limit):
+        """None when a disjunct is entailed, else the disjuncts not yet
+        decided, in order, up to limit + 1 of them."""
+        out = []
         for it in self.items:
             s = eng.tree_status(it)
             if s is True:
-                eng.set_done(self)
-                return True
+                return None
             if s is None:
-                count += 1
-                if count > 1:
-                    return True
-                unknown = it
-        if count == 0:
-            return False
+                out.append(it)
+                if len(out) > limit:
+                    break
+        return out
+
+    def propagate(self, eng):
+        live = self.open_disjuncts(eng, 1)
+        if live is None:
+            eng.set_done(self)
+            return True
+        if len(live) != 1:
+            return len(live) > 1  # none left fails, two or more wait
         # exactly one live disjunct: it must hold
         eng.set_done(self)
-        return eng.post_tree(unknown, self.choice)
+        return eng.post_tree(live[0], self.choice)
 
 
 class BoundProp(Prop):
@@ -1005,7 +989,7 @@ class Engine:
                 op, poly = rel_form(tree)
             except EvaluationError:
                 # no normal form: judge the atom exactly once it is fixed
-                self.register(ExactProp(tree))
+                self.register(CheckProp(tree, ctr_vars(tree), FIX))
                 return True
             if is_constant(poly):
                 return rel_holds(op, poly.get((), 0), 0)
@@ -1016,8 +1000,7 @@ class Engine:
                 coefs = tuple(poly[(v,)] for v in vids)
                 self.register(LinProp(vids, coefs, poly.get((), 0), op))
             else:
-                watch = {v for m in poly for v in m}
-                self.register(ExprProp(poly, op, watch))
+                self.register(CheckProp(tree, {v for m in poly for v in m}, BOUND))
             return True
         if isinstance(tree, AllDiffC):
             if len(tree.items) < 2:
@@ -1032,7 +1015,10 @@ class Engine:
             self.register(TableProp(tree))
             return True
         if isinstance(tree, CountC):
-            self.register(CountProp(tree))
+            if isinstance(tree.value, Const):
+                self.register(CountProp(tree))
+            else:
+                self.register(CheckProp(tree, ctr_vars(tree), FIX))
             return True
         if isinstance(tree, PackC):
             if not self.post_tree(expansion(tree), choice):
@@ -1129,21 +1115,9 @@ class Engine:
     def _pick(self):
         for p in self.choices:
             if not p.done:
-                entailed = False
-                unknown = []
-                for it in p.items:
-                    s = self.tree_status(it)
-                    if s is True:
-                        entailed = True
-                        break
-                    if s is None:
-                        unknown.append(it)
-                        if len(unknown) > _OR_BRANCH_LIMIT:
-                            break  # skipped, entailed or not: no need to look further
-                if entailed:
-                    continue
-                if unknown and len(unknown) <= _OR_BRANCH_LIMIT:
-                    return [("or", p, d) for d in unknown]
+                live = p.open_disjuncts(self, _OR_BRANCH_LIMIT)
+                if live and len(live) <= _OR_BRANCH_LIMIT:
+                    return [("or", p, d) for d in live]
         best = best_size = None
         for vid in self.order:
             d = self.doms[vid]

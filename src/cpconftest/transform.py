@@ -1,10 +1,12 @@
 """Constraint negation and canonical forms for structural equality.
 
 negate() builds the logical complement of a ground constraint tree:
-relational operators flip, De Morgan pushes through And/Or, and each global
-atom has a dedicated complement (allDifferent becomes a disjunction of
-equalities, a pack constraint becomes "some bin load is off", and so on).
-The result is again a ground constraint tree that the solver can post.
+relational operators flip and De Morgan pushes through And/Or.  Table, count
+and pack-bin atoms have a dedicated complement of the same kind, which keeps
+the structure their propagators use.  Every other global atom is complemented
+through its expansion (allDifferent becomes a disjunction of equalities, a
+pack constraint "some bin load is off", and so on).  The result is again a
+ground constraint tree that the solver can post.
 
 canonical_key() maps a tree to a hashable key such that two trees with equal
 keys are logically equivalent.  Arithmetic is expanded into a multivariate
@@ -26,7 +28,6 @@ from .grounding import (
     AndC,
     Const,
     CountC,
-    FALSE_C,
     InverseC,
     OrC,
     PackBinC,
@@ -35,10 +36,8 @@ from .grounding import (
     RelAtom,
     Sum,
     TableC,
-    TRUE_C,
     Var,
     expansion,
-    mk_diff,
 )
 from .ops import FLIP, MIRROR, add64, mul64, rel_holds
 
@@ -57,39 +56,15 @@ def negate(tree):
     """Complement of a ground constraint, as a NegationResult."""
     if isinstance(tree, RelAtom):
         return NegationResult(True, RelAtom(FLIP[tree.op], tree.left, tree.right))
-    if isinstance(tree, AndC):
+    if isinstance(tree, (AndC, OrC)):
+        dual = OrC if isinstance(tree, AndC) else AndC
         parts = []
         for it in tree.items:
             r = negate(it)
             if not r.ok:
                 return r
             parts.append(r.tree)
-        return NegationResult(True, OrC(tuple(parts)))
-    if isinstance(tree, OrC):
-        parts = []
-        for it in tree.items:
-            r = negate(it)
-            if not r.ok:
-                return r
-            parts.append(r.tree)
-        return NegationResult(True, AndC(tuple(parts)))
-    if isinstance(tree, AllDiffC):
-        pairs = []
-        for i in range(len(tree.items)):
-            for j in range(i + 1, len(tree.items)):
-                pairs.append(RelAtom("==", tree.items[i], tree.items[j]))
-        return NegationResult(True, OrC(tuple(pairs)))
-    if isinstance(tree, AllMinDistC):
-        g = Const(tree.gap)
-        pairs = []
-        for i in range(len(tree.items)):
-            for j in range(i + 1, len(tree.items)):
-                a, b = tree.items[i], tree.items[j]
-                # |a - b| < gap
-                pairs.append(
-                    AndC((RelAtom("<", mk_diff(a, b), g), RelAtom("<", mk_diff(b, a), g)))
-                )
-        return NegationResult(True, OrC(tuple(pairs)))
+        return NegationResult(True, dual(tuple(parts)))
     if isinstance(tree, TableC):
         other = "forbidden" if tree.kind == "allowed" else "allowed"
         return NegationResult(True, TableC(other, tree.items, tree.rows))
@@ -97,17 +72,12 @@ def negate(tree):
         return NegationResult(
             True, CountC(tree.items, tree.value, FLIP[tree.op], tree.rhs)
         )
-    if isinstance(tree, PackC):
-        bins = []
-        for pos, b in enumerate(tree.bins):
-            bins.append(PackBinC(b, tree.loads[pos], tree.assigns, tree.sizes, "!="))
-        return NegationResult(True, OrC(tuple(bins)))
     if isinstance(tree, PackBinC):
-        op = "!=" if tree.op == "==" else "=="
         return NegationResult(
-            True, PackBinC(tree.bin_key, tree.load_vid, tree.assigns, tree.sizes, op)
+            True,
+            PackBinC(tree.bin_key, tree.load_vid, tree.assigns, tree.sizes, FLIP[tree.op]),
         )
-    if isinstance(tree, InverseC):
+    if isinstance(tree, (AllDiffC, AllMinDistC, InverseC, PackC)):
         return negate(expansion(tree))
     return NegationResult(False, None, f"cannot negate {type(tree).__name__}")
 

@@ -22,9 +22,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from cpconftest.grounding import (
     AllDiffC,
+    AllMinDistC,
     AndC,
     Const,
     CountC,
+    InverseC,
     OrC,
     Prod,
     RelAtom,
@@ -120,6 +122,22 @@ def rand_tree(rng, vids, depth=1):
         return rand_atom(rng, vids)
     node = AndC if rng.random() < 0.5 else OrC
     return node(tuple(rand_tree(rng, vids, depth - 1) for _ in range(rng.randint(2, 3))))
+
+
+def small_globals():
+    """(domains, tree) pairs of allMinDistance and inverse atoms small enough
+    to enumerate: gaps <= 0, fewer than two items, and inverse arrays of
+    unequal lengths whose values may fall outside the other's indices."""
+    x, y, z = Var(0), Var(1), Var(2)
+    cases = [
+        ({v: (0, 4) for v in range(3)}, AllMinDistC(items, gap))
+        for items in ((), (x,), (x, y), (x, y, z), (x, Sum((y, Const(1))), z))
+        for gap in (-1, 0, 1, 2, 3)
+    ]
+    for f_idx, g_idx in (((), ()), ((1,), (1,)), ((1,), (1, 2)), ((1, 2), (1, 2)), ((1, 2), (2,))):
+        f_vids, g_vids = (0, 1)[: len(f_idx)], (2, 3)[: len(g_idx)]
+        cases.append(({v: (0, 3) for v in range(4)}, InverseC(f_vids, g_vids, f_idx, g_idx)))
+    return cases
 
 
 def all_assignments(vids, lo, hi):

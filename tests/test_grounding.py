@@ -3,8 +3,10 @@ import pytest
 from cpconftest import parse_data, parse_model
 from cpconftest.errors import EvaluationError, GroundingError, UsageError
 from cpconftest.grounding import (
+    AllMinDistC,
     AndC,
     CountC,
+    InverseC,
     PackC,
     RelAtom,
     VarSpace,
@@ -223,6 +225,44 @@ def test_count_grounding():
     a = {gm.space.index[("x", (i,))]: v for i, v in zip(range(1, 5), (2, 1, 1, 3))}
     assert evaluate_ground(tree, a)
     a[gm.space.index[("x", (4,))]] = 2
+    assert not evaluate_ground(tree, a)
+
+
+def test_allmindistance_grounding():
+    m = parse_model(
+        """
+        int n = ...;
+        int g = ...;
+        dvar int x[1..n] in 0..9;
+        subject to { c: allMinDistance(all (i in 1..n) x[i], g + 1); }
+        """
+    )
+    gm = ground(m, build_instance(m, {"n": 3, "g": 1}))
+    tree = gm.constraint("c").tree
+    assert isinstance(tree, AllMinDistC) and len(tree.items) == 3 and tree.gap == 2
+    a = {gm.space.index[("x", (i,))]: v for i, v in zip(range(1, 4), (0, 4, 2))}
+    assert evaluate_ground(tree, a)
+    a[gm.space.index[("x", (3,))]] = 3
+    assert not evaluate_ground(tree, a)
+
+
+def test_inverse_grounding():
+    m = parse_model(
+        """
+        int n = ...;
+        dvar int f[1..n] in 1..n;
+        dvar int g[1..n] in 1..n;
+        subject to { c: inverse(f, g); }
+        """
+    )
+    gm = ground(m, build_instance(m, {"n": 3}))
+    tree = gm.constraint("c").tree
+    assert isinstance(tree, InverseC) and tree.f_idx == tree.g_idx == (1, 2, 3)
+    f, g = (2, 3, 1), (3, 1, 2)  # g is f's inverse
+    a = {gm.space.index[("f", (i,))]: v for i, v in zip(range(1, 4), f)}
+    a.update({gm.space.index[("g", (i,))]: v for i, v in zip(range(1, 4), g)})
+    assert evaluate_ground(tree, a)
+    a[gm.space.index[("g", (1,))]] = 1
     assert not evaluate_ground(tree, a)
 
 

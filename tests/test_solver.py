@@ -28,7 +28,7 @@ from cpconftest.parser import parse_data_file, parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
 from cpconftest.transform import canonical_key, negate
 
-from conftest import brute_min, brute_solutions, rand_tree
+from conftest import brute_min, brute_solutions, rand_tree, small_globals
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -159,7 +159,7 @@ def test_atom_without_normal_form_is_judged_exactly():
     eq = RelAtom("==", left, right)
     eng = solver.Engine(doms(1, 0, 1), SearchConfig(), time.monotonic())
     assert eng.post_tree(eq, False)
-    assert [type(p) for p in eng.queues[0]] == [solver.ExactProp]
+    assert [type(p) for p in eng.queues[0]] == [solver.CheckProp]
     assert eng.tree_status(eq) is None
     assert solve(doms(1, 0, 1), [eq]).assignment == {0: 0}
     assert solve(doms(1, 0, 1), [RelAtom("!=", left, right)]).assignment == {0: 1}
@@ -337,6 +337,19 @@ def test_random_models_agree_with_brute_force(rng):
             assert all(evaluate_ground(t, out.assignment) for t in trees)
         else:
             assert out.status == "UNSAT"
+
+
+@pytest.mark.parametrize("negated", [False, True])
+def test_allmindist_and_inverse_agree_with_brute_force(negated):
+    # as a hard constraint, and negated as a choice, the way a witness
+    # subproblem posts it
+    for domains, t in small_globals():
+        hard, extras = ([], [negate(t).tree]) if negated else ([t], [])
+        sols = brute_solutions(domains, hard + extras)
+        out = solve(domains, hard, extras)
+        assert out.status == ("SAT" if sols else "UNSAT"), t
+        if sols:
+            assert out.assignment in sols
 
 
 def test_random_optimization_agrees_with_brute_force(rng):

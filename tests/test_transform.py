@@ -28,7 +28,7 @@ from cpconftest.transform import (
     rel_form,
 )
 
-from conftest import all_assignments, rand_tree
+from conftest import all_assignments, rand_tree, small_globals
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -151,6 +151,11 @@ def test_negate_alldiff_shape():
     r = negate(AllDiffC((x, y, z)))
     assert isinstance(r.tree, OrC) and len(r.tree.items) == 3
     exhaustive_negation_check(AllDiffC((x, y, z)), [0, 1, 2])
+
+
+def test_negate_allmindist_and_inverse():
+    for domains, t in small_globals():
+        exhaustive_negation_check(t, list(domains), *domains[0])
 
 
 def test_negate_table_flips_kind():
