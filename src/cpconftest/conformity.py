@@ -147,21 +147,22 @@ class _Effort:
     propagations: int = 0
 
 
-def ground_pair(oracle_model, cput_model, data=None, overrides=None):
+def ground_pair(oracle_model, cput_model, data=None, overrides=None, deadline=None):
     """Ground both models into a shared variable space.
 
     Instance parameters are bound per model from the same data and overrides
     (each model may add its own computed parameters).  The program under test
     is grounded first and owns the numbering; every reference-model variable
-    must then resolve to an existing cell.
+    must then resolve to an existing cell.  TimeoutError past `deadline`.
     """
     space = VarSpace()
-    cput_gm = ground(cput_model, build_instance(cput_model, data, overrides), space)
+    cput_gm = ground(cput_model, build_instance(cput_model, data, overrides), space, deadline=deadline)
     oracle_gm = ground(
         oracle_model,
         build_instance(oracle_model, data, overrides),
         space,
         require_existing=True,
+        deadline=deadline,
     )
     return oracle_gm, cput_gm
 
@@ -433,8 +434,6 @@ class _Run:
         # objective-interval atoms of each side (bounds and best only)
         self.f_atoms = self.fp_atoms = []
         if opts.relation in ("bounds", "best"):
-            if opts.bounds is None:
-                raise UsageError("this relation needs --bounds lo:hi")
             lo, hi = opts.bounds
             self.f_atoms = _bounds_atoms(oracle_gm, lo, hi, "reference")
             self.fp_atoms = _bounds_atoms(cput_gm, lo, hi, "program")
@@ -590,8 +589,14 @@ def check(oracle_model, cput_model, data=None, overrides=None, opts=None):
     phases = _PHASES.get(opts.relation)
     if phases is None:
         raise UsageError(f"unknown relation {opts.relation!r}")
+    if opts.relation in ("bounds", "best") and opts.bounds is None:  # before grounding can time out
+        raise UsageError("this relation needs --bounds lo:hi")
     budget = _Budget(opts.time_limit)
-    oracle_gm, cput_gm = ground_pair(oracle_model, cput_model, data, overrides)
+    try:
+        oracle_gm, cput_gm = ground_pair(oracle_model, cput_model, data, overrides, budget.deadline)
+    except TimeoutError:
+        stats = {**vars(_Effort()), "elapsed": round(budget.elapsed(), 6)}
+        return Verdict("Unknown", opts.relation, "timeout", stats=stats)
     run = _Run(oracle_gm, cput_gm, opts, budget)
     for phase in phases:
         verdict = phase(run)

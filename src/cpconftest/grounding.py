@@ -7,10 +7,13 @@ definitions extracted from constraints marked @channeling.
 
 Ground expressions are Const / Var / Sum / Prod over int64 with checked
 arithmetic.  Subtraction lowers to Sum(a, Prod(-1, b)); division must fold to
-a constant at grounding time.  Ground constraints are relational atoms plus
-And / Or trees and a handful of global atoms (allDifferent, allMinDistance,
-inverse, table, count, pack) that keep enough structure for negation and
-propagation.  An empty And is TRUE, an empty Or is FALSE.
+a constant at grounding time.  Equal ground expressions of one ground() call
+are one object, through a table dropped when the call returns, so what is
+kept on one (transform.poly_of) is computed once per model and lives as long
+as it.  Ground constraints are relational atoms plus And / Or trees and a
+handful of global atoms (allDifferent, allMinDistance, inverse, table, count,
+pack) that keep enough structure for negation and propagation.  An empty And
+is TRUE, an empty Or is FALSE.
 
 Channeling definitions drive extend_assignment: given values for the base
 variables, auxiliary variables are filled in by running the definitions to a
@@ -18,6 +21,8 @@ fixpoint in declaration order (first writer wins).  It also returns the
 variables still undefined, so callers can fall back to search for them.
 """
 
+import itertools
+import time
 from dataclasses import dataclass, field
 
 from .errors import EvaluationError, GroundingError, UsageError
@@ -46,6 +51,21 @@ from .syntax import (
     TableCtr,
     TupleExpr,
 )
+
+_POLL_EVERY = 256  # bindings (grounding) or atoms (presolve) between two looks at a deadline
+
+
+def _clock(deadline):
+    """A call once per binding or atom: every _POLL_EVERY calls, from the
+    first, it raises TimeoutError once time.monotonic() is past `deadline`."""
+    calls = itertools.count()
+
+    def tick():
+        if deadline is not None and next(calls) % _POLL_EVERY == 0 and time.monotonic() > deadline:
+            raise TimeoutError
+
+    return tick
+
 
 # ---------------------------------------------------------------------------
 # Ground expressions
@@ -763,7 +783,7 @@ class GroundModel:
 
 
 class _Ctx:
-    def __init__(self, model, instance, space, require_existing):
+    def __init__(self, model, instance, space, require_existing, deadline):
         self.model = model
         self.instance = instance
         self.space = space
@@ -772,6 +792,17 @@ class _Ctx:
         self.label = None
         self.channeling = False
         self.channel_defs = []
+        self.nodes = {}  # ground expression -> the one object equal to it
+        self.tick = _clock(deadline)
+
+    def share(self, g):
+        """The one object of this grounding equal to g, built of shared parts."""
+        s = self.nodes.get(g)
+        if s is None:
+            if isinstance(g, (Sum, Prod)):
+                g = type(g)(tuple(map(self.share, g.items)))
+            s = self.nodes[g] = g
+        return s
 
 
 def _var_keys(ctx, decl):
@@ -803,7 +834,11 @@ def _intern_var(ctx, base, key, span_owner):
 
 
 def lower_expr(e, ctx, env):
-    """Lower an expression to a ground expression, folding constants."""
+    """Lower an expression to a shared ground expression, folding constants."""
+    return ctx.share(_lower(e, ctx, env))
+
+
+def _lower(e, ctx, env):
     if isinstance(e, IntLit):
         return Const(check64(e.value))
     if isinstance(e, NameRef):
@@ -836,10 +871,10 @@ def lower_expr(e, ctx, env):
             raise GroundingError(f"index out of range: {name}", ctx.label)
         return Var(vid)
     if isinstance(e, Neg):
-        return mk_prod((Const(-1), lower_expr(e.operand, ctx, env)))
+        return mk_prod((Const(-1), _lower(e.operand, ctx, env)))
     if isinstance(e, BinOp):
-        a = lower_expr(e.left, ctx, env)
-        b = lower_expr(e.right, ctx, env)
+        a = _lower(e.left, ctx, env)
+        b = _lower(e.right, ctx, env)
         if e.op == "+":
             return mk_sum((a, b))
         if e.op == "-":
@@ -909,6 +944,7 @@ def lower_ctr(ctr, ctx, env):
     if isinstance(ctr, Forall):
         out = []
         for benv in iter_bindings(ctx.model, ctx.instance, ctr.binders, env, ctr.guard):
+            ctx.tick()
             out.append(lower_ctr(ctr.body, ctx, benv))
         return AndC(tuple(out))
     if isinstance(ctr, OrAgg):
@@ -916,6 +952,7 @@ def lower_ctr(ctr, ctx, env):
         was = ctx.channeling
         ctx.channeling = False  # a disjunct is not asserted by itself
         for benv in iter_bindings(ctx.model, ctx.instance, ctr.binders, env, ctr.guard):
+            ctx.tick()
             out.append(lower_ctr(ctr.body, ctx, benv))
         ctx.channeling = was
         return OrC(tuple(out))
@@ -988,16 +1025,16 @@ def _int_array(ctx, name):
     return idx, vids
 
 
-def ground(model, instance, space=None, require_existing=False):
+def ground(model, instance, space=None, require_existing=False, deadline=None):
     """Ground a model against an instance into a GroundModel.
 
     With require_existing=True every variable must already be present in the
     shared space (used for the reference model after the program under test
-    has claimed the numbering).
+    has claimed the numbering).  Raises TimeoutError past `deadline`.
     """
     if space is None:
         space = VarSpace()
-    ctx = _Ctx(model, instance, space, require_existing)
+    ctx = _Ctx(model, instance, space, require_existing, deadline)
     vids = []
     domains = {}
     for d in model.dvars:

@@ -41,7 +41,9 @@ atom is keyed with every pivot substituted out: with d[i,j] == x[j] - x[i]
 asserted, the disjunct x[3] - x[2] == x[2] - x[1] meets d[1,2] != d[2,3].
 An Or with a disjunct the equalities imply is dropped.  An Or that loses
 all disjuncts, or an asserted atom contradicted the same way, proves
-unsatisfiability with zero search.  Atoms are posted as written.
+unsatisfiability with zero search.  Atoms are posted as written, and each
+distinct asserted constraint once: of the atoms asserted at the top level
+with one canonical key, only the first is posted.
 
 solve() finds one solution or proves there is none; solve_optimal() runs
 branch and bound on a minimization objective and reports whether optimality
@@ -50,7 +52,6 @@ the wall-clock one counted from entry and read in presolve and at every
 node, though not while posting, and are fully deterministic.
 """
 
-import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -71,6 +72,7 @@ from .grounding import (
     TableC,
     TRUE_C,
     Var,
+    _clock,
     ctr_vars,
     eval_gexpr,
     evaluate_ground,
@@ -81,7 +83,6 @@ from .transform import FALSE_KEY, TRUE_KEY, canonical_key, is_constant, negate, 
 
 _BITDOM_SPAN = 1024
 _OR_BRANCH_LIMIT = 64  # choice disjunctions wider than this don't drive branching
-_POLL_EVERY = 256  # atoms presolve handles between two looks at its deadline
 
 
 class BitDom:
@@ -341,8 +342,8 @@ class LinProp(Prop):
             open_i = -1
             for i, vid in enumerate(self.vids):
                 d = doms[vid]
-                if d.fixed:
-                    acc += self.coefs[i] * d.value
+                if d.min == d.max:
+                    acc += self.coefs[i] * d.min
                 elif open_i >= 0:
                     return True
                 else:
@@ -691,18 +692,6 @@ def _reduce(p, rows):
     return p
 
 
-def _clock(deadline):
-    """Presolve's call once per atom: every _POLL_EVERY calls, from the
-    first, it raises TimeoutError once time.monotonic() is past `deadline`."""
-    calls = itertools.count()
-
-    def tick():
-        if deadline is not None and next(calls) % _POLL_EVERY == 0 and time.monotonic() > deadline:
-            raise TimeoutError
-
-    return tick
-
-
 def _echelon(trees, tick):
     """Reduced row-echelon form of the linear equalities asserted at the top
     level of `trees`: pivot monomial -> polynomial equal to zero, with
@@ -782,16 +771,17 @@ def _refutes(tree, keys, reduce):
         return False
 
 
-def _simplify(tree, keys, reduce, asserted, tick):
-    """`asserted`: the tree is asserted at the top level of hard.  Such an
-    atom is a tautology by its own key only: modulo the rows, the
-    equalities that justify every deletion would read as true."""
+def _simplify(tree, keys, reduce, seen, tick):
+    """`seen` (own keys so far) is None unless the tree is asserted at the
+    top level of hard.  Such an atom is a tautology by its own key only:
+    modulo the rows, the equalities that justify every deletion would read
+    as true.  A seen key is TRUE_C: the earlier atom prunes the same."""
     if isinstance(tree, (AndC, OrC)):
         conj = isinstance(tree, AndC)
         unit, zero = (TRUE_C, FALSE_C) if conj else (FALSE_C, TRUE_C)
         parts = []
         for it in tree.items:
-            s = _simplify(it, keys, reduce, asserted and conj, tick)
+            s = _simplify(it, keys, reduce, seen if conj else None, tick)
             if s is zero:
                 return zero
             if s is not unit:
@@ -801,9 +791,13 @@ def _simplify(tree, keys, reduce, asserted, tick):
         return type(tree)(tuple(parts)) if parts else unit
     tick()
     try:
-        k = canonical_key(tree, None if asserted else reduce)
+        k = canonical_key(tree, reduce if seen is None else None)
     except EvaluationError:
         return tree
+    if seen is not None:
+        if k in seen:
+            return TRUE_C
+        seen.add(k)
     if k == TRUE_KEY:
         return TRUE_C
     if k == FALSE_KEY:
@@ -821,14 +815,15 @@ def presolve(hard, extras, deadline=None):
     Atoms are compared modulo the linear equalities asserted in `hard`, so a
     disjunct is deleted when its negation, in that normal form, is asserted
     there, and an Or goes when those equalities imply one of its disjuncts.
-    Sound over the hard-constrained space: the asserted atoms stay in hard2.
+    Sound over the hard-constrained space: asserted atoms stay, one per key.
     """
     hard, tick = list(hard), _clock(deadline)
     try:
         reduce = _normal_form(_echelon(hard, tick))
         keys = _asserted_keys(hard, reduce, tick)
-        hard = [_simplify(t, keys, reduce, True, tick) for t in hard]
-        extras = [_simplify(t, keys, reduce, False, tick) for t in extras]
+        seen = set()
+        hard = [_simplify(t, keys, reduce, seen, tick) for t in hard]
+        extras = [_simplify(t, keys, reduce, None, tick) for t in extras]
     except TimeoutError:
         return hard, extras, "RESOURCE_OUT"
     unsat = any(t is FALSE_C for t in hard) or any(t is FALSE_C for t in extras)

@@ -91,11 +91,17 @@ def negate(tree):
 
 
 def poly_of(e):
+    """Polynomial of a ground expression, kept on the expression object once
+    computed: an expression that grounding shares is expanded once per model,
+    and the result lives as long as the model.  Callers must not change it."""
+    acc = getattr(e, "_poly", None)
+    if acc is not None:
+        return acc
     if isinstance(e, Const):
-        return {(): e.value} if e.value != 0 else {}
-    if isinstance(e, Var):
-        return {(e.vid,): 1}
-    if isinstance(e, Sum):
+        acc = {(): e.value} if e.value != 0 else {}
+    elif isinstance(e, Var):
+        acc = {(e.vid,): 1}
+    elif isinstance(e, Sum):
         acc = {}
         for it in e.items:
             for mono, c in poly_of(it).items():
@@ -104,8 +110,7 @@ def poly_of(e):
                     acc.pop(mono, None)
                 else:
                     acc[mono] = nc
-        return acc
-    if isinstance(e, Prod):
+    elif isinstance(e, Prod):
         acc = {(): 1}
         for it in e.items:
             p = poly_of(it)
@@ -119,8 +124,10 @@ def poly_of(e):
                     else:
                         nxt[mono] = nc
             acc = nxt
-        return acc
-    raise TypeError(f"not a ground expression: {e!r}")
+    else:
+        raise TypeError(f"not a ground expression: {e!r}")
+    object.__setattr__(e, "_poly", acc)  # not a field; the dataclass is frozen
+    return acc
 
 
 def _poly_neg(p):

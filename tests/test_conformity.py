@@ -244,6 +244,11 @@ subject to { k1: x >= 0; }
 def test_bounds_relation_needs_bounds():
     with pytest.raises(UsageError, match="--bounds"):
         run(O_MIN2, P_MIN2, relation="bounds")
+    # also when the budget would run out in grounding first
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    program = parse_model_file(corpus_path("golomb", "p.cpm"))
+    with pytest.raises(UsageError, match="--bounds"):
+        check(oracle, program, overrides={"m": 16}, opts=CheckOptions(relation="best", time_limit=0.0))
 
 
 def test_bounds_relation_needs_objectives():
@@ -357,6 +362,18 @@ def test_time_limit_counts_grounding():
     assert (v.kind, v.reason) == ("Unknown", "timeout")
     assert wall < grounding + 0.5, (wall, grounding)
     assert v.stats["elapsed"] <= wall
+
+
+def test_grounding_stops_at_the_deadline():
+    # grounding p at m=16 alone takes about 3 s; it looks at the deadline
+    # every few hundred bindings, so the check ends soon after its budget
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    program = parse_model_file(corpus_path("golomb", "p.cpm"))
+    t0 = time.monotonic()
+    v = check(oracle, program, overrides={"m": 16}, opts=CheckOptions(time_limit=0.5))
+    wall = time.monotonic() - t0
+    assert (v.kind, v.reason, v.notes, v.subreports) == ("Unknown", "timeout", (), ())
+    assert v.stats["solves"] == 0 and 0.5 <= v.stats["elapsed"] <= wall < 1.5, (v.stats, wall)
 
 
 def test_unknown_relation_rejected():

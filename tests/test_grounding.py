@@ -1,6 +1,7 @@
 import pytest
 
-from cpconftest import parse_data, parse_model
+from cpconftest import parse_data, parse_model, parse_model_file
+from cpconftest.corpus import corpus_path
 from cpconftest.errors import EvaluationError, GroundingError, UsageError
 from cpconftest.grounding import (
     AllMinDistC,
@@ -8,7 +9,9 @@ from cpconftest.grounding import (
     CountC,
     InverseC,
     PackC,
+    Prod,
     RelAtom,
+    Sum,
     VarSpace,
     build_instance,
     evaluate_ground,
@@ -124,6 +127,35 @@ def test_shared_space_requires_counterparts():
     ground(cput, build_instance(cput, {"m": 3}), space)
     with pytest.raises(UsageError, match="no counterpart"):
         ground(oracle, build_instance(oracle, {"m": 3}), space, require_existing=True)
+
+
+def _subexpressions(e, out):
+    out.append(e)
+    if isinstance(e, (Sum, Prod)):
+        for it in e.items:
+            _subexpressions(it, out)
+    return out
+
+
+def test_equal_ground_expressions_are_one_object():
+    # the Golomb reference at m=7 uses each difference x[j] - x[i] in 40
+    # atoms, and each x[i] in more; one ground() call makes one object of
+    # each distinct expression, at every depth, and a second call shares
+    # none of them
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    gm, again = (ground(oracle, build_instance(oracle, None, {"m": 7})) for _ in range(2))
+
+    def nodes(g):
+        out = _subexpressions(g.objective, [])
+        for c in g.constraints:
+            for atom in c.tree.items:
+                _subexpressions(atom.left, out)
+                _subexpressions(atom.right, out)
+        return out
+
+    seen = nodes(gm)
+    assert len(seen) == 4213 and len(set(seen)) == len({id(e) for e in seen}) == 35
+    assert not {id(e) for e in seen} & {id(e) for e in nodes(again)}
 
 
 def test_data_round_trip_through_instance():

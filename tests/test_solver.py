@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cpconftest import solver
+from cpconftest import grounding, solver
 from cpconftest.conformity import CheckOptions, check, ground_pair
 from cpconftest.corpus import corpus_path, load_manifest
 from cpconftest.grounding import (
@@ -150,7 +150,7 @@ def test_presolve_polls_its_deadline(monkeypatch, hard):
     ):
         keyed.clear()
         assert run().status == "RESOURCE_OUT"
-        assert len(keyed) <= solver._POLL_EVERY
+        assert len(keyed) <= grounding._POLL_EVERY
 
 
 def test_atom_without_normal_form_is_judged_exactly():
@@ -469,6 +469,26 @@ def test_event_wakeups_match_waking_on_every_change(rng, monkeypatch):
     assert [_effort(a) for a in woken] == [_effort(b) for b in every]
     # the propagator runs saved; their count also depends on queue order
     assert sum(a.stats.propagations for a in woken) < sum(b.stats.propagations for b in every)
+
+
+def test_presolve_posts_each_asserted_constraint_once():
+    # the Golomb reference at m=7 asserts 426 atoms with 131 own keys: c2
+    # writes x[j]-x[i] != x[l]-x[k] for both orders of the two pairs, and
+    # x[j]-x[i] != x[l]-x[k] has the key of x[k]-x[i] != x[l]-x[j]
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    gm = ground(oracle, build_instance(oracle, None, {"m": 7}))
+    hard = [c.tree for c in gm.constraints]
+    leaves = [t for tree in hard for t in solver._and_spine(tree)]
+    hard2, _, status = presolve(hard, ())
+    kept = [t for tree in hard2 for t in solver._and_spine(tree)]
+    assert (status, len(leaves), len(kept)) == (None, 426, 131)
+    assert {canonical_key(t) for t in kept} == {canonical_key(t) for t in leaves}
+    # a one-disjunct Or is not asserted, so presolve posts every copy of it:
+    # the same fixpoint at every node, with more propagator runs
+    once = solve_optimal(dict(gm.domains), hard, gm.objective)
+    copies = solve_optimal(dict(gm.domains), [OrC((t,)) for t in leaves], gm.objective)
+    assert [(o.value, o.stats.nodes, o.stats.failures) for o in (once, copies)] == [(25, 8886, 6698)] * 2
+    assert once.stats.propagations < copies.stats.propagations
 
 
 def test_search_effort_pinned():

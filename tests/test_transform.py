@@ -1,5 +1,7 @@
 import pytest
 
+from cpconftest import conformity
+from cpconftest.corpus import corpus_path, load_manifest
 from cpconftest.errors import EvaluationError
 from cpconftest.grounding import (
     AllDiffC,
@@ -18,6 +20,7 @@ from cpconftest.grounding import (
     Var,
     evaluate_ground,
 )
+from cpconftest.parser import parse_data_file, parse_model_file
 from cpconftest.transform import (
     FALSE_KEY,
     TRUE_KEY,
@@ -25,6 +28,7 @@ from cpconftest.transform import (
     canonical_key,
     gexpr_key,
     negate,
+    poly_of,
     rel_form,
 )
 
@@ -85,6 +89,92 @@ def test_rel_form_is_computed_once_per_atom():
     # invisible to equality, hashing and repr
     assert getattr(b, "_form", None) is None
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def _fresh(e):
+    """An equal expression of new objects, on which nothing is kept yet."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.vid)
+    return type(e)(tuple(_fresh(it) for it in e.items))
+
+
+def _expressions(tree, out):
+    """Every expression node of a ground tree, atoms' sides and items down."""
+    stack = []
+    if isinstance(tree, RelAtom):
+        stack = [tree.left, tree.right]
+    elif isinstance(tree, (AndC, OrC)):
+        for it in tree.items:
+            _expressions(it, out)
+    elif isinstance(tree, CountC):
+        stack = [*tree.items, tree.value, tree.rhs]
+    elif isinstance(tree, (AllDiffC, TableC)):
+        stack = list(tree.items)
+    while stack:
+        e = stack.pop()
+        out.append(e)
+        if isinstance(e, (Sum, Prod)):
+            stack.extend(e.items)
+    return out
+
+
+def test_poly_of_is_kept_and_equals_a_fresh_expansion(rng):
+    checked = 0
+    for _ in range(300):
+        for e in _expressions(rand_tree(rng, [0, 1, 2], depth=2), []):
+            # in a sum of e with itself, e's kept polynomial is read twice
+            for expr in (e, Sum((e, e))):
+                try:
+                    p = poly_of(expr)
+                except EvaluationError:
+                    continue
+                assert poly_of(expr) is p and poly_of(_fresh(expr)) == p
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("name", ["golomb-p-fixed-best-m5", "carseq-cput1-one"])
+def test_kept_polynomials_survive_a_check(monkeypatch, name):
+    # every layer reads the polynomials and normal forms kept on the ground
+    # models; after a whole check each still equals its recomputation, so
+    # no caller changed a shared dict
+    run = next(r for r in load_manifest()["runs"] if r["name"] == name)
+    grounded = []
+
+    def keep(*args, **kwargs):
+        grounded.extend(ground_pair(*args, **kwargs))
+        return grounded[-2:]
+
+    ground_pair = conformity.ground_pair
+    monkeypatch.setattr(conformity, "ground_pair", keep)
+    conformity.check(
+        parse_model_file(corpus_path(*run["oracle"].split("/"))),
+        parse_model_file(corpus_path(*run["program"].split("/"))),
+        data=parse_data_file(corpus_path(*run["data"].split("/"))) if run.get("data") else None,
+        overrides=run.get("params"),
+        opts=conformity.CheckOptions(relation=run["relation"], bounds=run.get("bounds")),
+    )
+    polys = forms = 0
+    for gm in grounded:
+        trees = [c.tree for c in gm.constraints]
+        for tree in trees:
+            for e in _expressions(tree, []):
+                kept = getattr(e, "_poly", None)
+                if kept is not None:
+                    polys += 1
+                    assert kept == poly_of(_fresh(e))
+            stack = [tree]
+            while stack:
+                t = stack.pop()
+                if isinstance(t, (AndC, OrC)):
+                    stack.extend(t.items)
+                elif isinstance(t, RelAtom) and getattr(t, "_form", None) is not None:
+                    forms += 1
+                    fresh = RelAtom(t.op, _fresh(t.left), _fresh(t.right))
+                    assert t._form == rel_form(fresh)
+    assert polys > 100 and forms > 50
 
 
 def test_subtracting_zero():
