@@ -10,7 +10,11 @@ arithmetic.  Subtraction lowers to Sum(a, Prod(-1, b)); division must fold to
 a constant at grounding time.  Equal ground expressions of one ground() call
 are one object, through a table dropped when the call returns, so what is
 kept on one (transform.poly_of) is computed once per model and lives as long
-as it.  Ground constraints are relational atoms plus And / Or trees and a
+as it.  Grounding costs what it keeps: iter_bindings enumerates a binder
+under an equality guard b.f == e from an index of b's tuple set by field f,
+built once per call, and lower_expr lowers an expression once per ground()
+call and values of the binder names it mentions; both tables go with their
+call.  Ground constraints are relational atoms plus And / Or trees and a
 handful of global atoms (allDifferent, allMinDistance, inverse, table, count,
 pack) that keep enough structure for negation and propagation.  An empty And
 is TRUE, an empty Or is FALSE.
@@ -571,6 +575,12 @@ def _expr_names(e, out):
     elif isinstance(e, BinOp):
         _expr_names(e.left, out)
         _expr_names(e.right, out)
+    elif isinstance(e, IndexedRef):
+        _expr_names(e.index, out)
+    elif isinstance(e, TupleExpr):
+        for it in e.items:
+            _expr_names(it, out)
+    return out
 
 
 def _bool_names(b, out):
@@ -584,39 +594,63 @@ def _bool_names(b, out):
         _bool_names(b.item, out)
 
 
+def _join_field(model, dom, conj, name):
+    """(f, e) when binder `name` ranges over a tuple set whose rows have field
+    f and a guard conjunct reads name.f == e, either way round, with e free of
+    name; else None."""
+    if isinstance(dom, RangeDom) or not (isinstance(conj, RelChain) and conj.rel_ops == ("==",)):
+        return None
+    p = _param_decl(model, dom.name)
+    fields = next((tt.fields for tt in model.tuple_types if p and tt.name == p.tuple_type), ())
+    for side, e in (conj.operands, conj.operands[::-1]):
+        if isinstance(side, FieldRef) and side.base == name and name not in _expr_names(e, set()):
+            return (side.fieldname, e) if side.fieldname in fields else None
+    return None
+
+
 def iter_bindings(model, instance, binders, env0=None, guard=None):
     """Yield env dicts for all combinations of the binder groups, in order.
 
     A guard is split into conjuncts, each checked as soon as the binders it
     mentions are bound, so failing combinations are cut before the deeper
-    binders are enumerated.
+    binders are enumerated.  When the first conjunct at a tuple-set binder
+    b reads b.f == e, the binder is a join: its set is indexed once per call
+    by field f (value -> rows, in set order), and only the rows under e's
+    value are enumerated.  The index and its row dicts are shared by every
+    binding of the call, so they are read-only, and go when the call ends.
     """
-    pairs = []
-    for g in binders:
-        for nm in g.names:
-            pairs.append((nm, g.domain))
-
+    pairs = [(nm, g.domain) for g in binders for nm in g.names]
     checks = [[] for _ in range(len(pairs) + 1)]
     if guard is not None:
-        binder_names = [nm for nm, _ in pairs]
         for conj in _guard_conjuncts(guard):
             names = set()
             _bool_names(conj, names)
-            depth = 0
-            for i, nm in enumerate(binder_names):
-                if nm in names:
-                    depth = i + 1
+            depth = max((i + 1 for i, (nm, _) in enumerate(pairs) if nm in names), default=0)
             checks[depth].append(conj)
+    joins = {k: _join_field(model, dom, checks[k + 1][0], nm)
+             for k, (nm, dom) in enumerate(pairs) if checks[k + 1]}
+    indexes = {}  # depth -> {field value: rows}, built at the depth's first visit
 
     def rec(k, env):
         if k == len(pairs):
             yield env
             return
         nm, dom = pairs[k]
-        for v in _domain_values(model, instance, env, dom):
+        join = joins.get(k)
+        if join is None:
+            vals, tests = _domain_values(model, instance, env, dom), checks[k + 1]
+        else:
+            if k not in indexes:
+                index = indexes[k] = {}
+                for row in _domain_values(model, instance, env, dom):
+                    index.setdefault(row[join[0]], []).append(row)
+            index = indexes[k]
+            vals = index.get(_peval(join[1], instance, env), ()) if index else ()
+            tests = checks[k + 1][1:]
+        for v in vals:
             child = dict(env)
             child[nm] = v
-            if all(_peval_bool(c, instance, child) for c in checks[k + 1]):
+            if all(_peval_bool(c, instance, child) for c in tests):
                 yield from rec(k + 1, child)
 
     env0 = dict(env0 or {})
@@ -793,6 +827,7 @@ class _Ctx:
         self.channeling = False
         self.channel_defs = []
         self.nodes = {}  # ground expression -> the one object equal to it
+        self.lowered = {}  # id(AST node) -> (names it mentions, {their values: lowering})
         self.tick = _clock(deadline)
 
     def share(self, g):
@@ -834,8 +869,17 @@ def _intern_var(ctx, base, key, span_owner):
 
 
 def lower_expr(e, ctx, env):
-    """Lower an expression to a shared ground expression, folding constants."""
-    return ctx.share(_lower(e, ctx, env))
+    """Lower an expression to a shared ground expression, folding constants,
+    once per ground() call and values of the names e mentions (a row: its items)."""
+    memo = ctx.lowered.get(id(e))
+    if memo is None:
+        memo = ctx.lowered[id(e)] = (tuple(_expr_names(e, set())), {})
+    names, table = memo
+    key = tuple(tuple(v.items()) if isinstance(v, dict) else v for v in map(env.get, names))
+    g = table.get(key)
+    if g is None:
+        g = table[key] = ctx.share(_lower(e, ctx, env))
+    return g
 
 
 def _lower(e, ctx, env):

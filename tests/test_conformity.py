@@ -350,14 +350,15 @@ def test_extra_direction_timeout_is_not_blamed_on_the_program():
 
 
 def test_time_limit_counts_grounding():
-    # grounding Golomb at m=14 alone takes longer than the budget
+    # grounding Golomb at m=20 alone takes longer than the budget (about
+    # 1.8 s; m=14 takes about 0.4 s since grounding joins)
     oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
     program = parse_model_file(corpus_path("golomb", "p.cpm"))
     t0 = time.monotonic()
-    ground_pair(oracle, program, overrides={"m": 14})
+    ground_pair(oracle, program, overrides={"m": 20})
     grounding = time.monotonic() - t0
     t0 = time.monotonic()
-    v = check(oracle, program, overrides={"m": 14}, opts=CheckOptions(time_limit=0.5))
+    v = check(oracle, program, overrides={"m": 20}, opts=CheckOptions(time_limit=0.5))
     wall = time.monotonic() - t0
     assert (v.kind, v.reason) == ("Unknown", "timeout")
     assert wall < grounding + 0.5, (wall, grounding)
@@ -365,15 +366,25 @@ def test_time_limit_counts_grounding():
 
 
 def test_grounding_stops_at_the_deadline():
-    # grounding p at m=16 alone takes about 3 s; it looks at the deadline
-    # every few hundred bindings, so the check ends soon after its budget
+    # grounding both models at m=20 alone takes about 1.8 s (m=16 takes
+    # about 0.7 s); it looks at the deadline every few hundred bindings, so
+    # the check ends soon after its budget
     oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
     program = parse_model_file(corpus_path("golomb", "p.cpm"))
     t0 = time.monotonic()
-    v = check(oracle, program, overrides={"m": 16}, opts=CheckOptions(time_limit=0.5))
+    v = check(oracle, program, overrides={"m": 20}, opts=CheckOptions(time_limit=0.5))
     wall = time.monotonic() - t0
     assert (v.kind, v.reason, v.notes, v.subreports) == ("Unknown", "timeout", (), ())
     assert v.stats["solves"] == 0 and 0.5 <= v.stats["elapsed"] <= wall < 1.5, (v.stats, wall)
+
+
+def test_detection_at_m20_within_a_minute():
+    # ROADMAP item 2's target: grounding by joins and the lowering memo
+    # bring this check to some 6 s; it took about 17 s without them
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    program = parse_model_file(corpus_path("golomb", "p.cpm"))
+    v = check(oracle, program, overrides={"m": 20}, opts=CheckOptions(time_limit=60))
+    assert (v.kind, v.reason, v.violated) == ("NonConf", "extra-solution", "c2")
 
 
 def test_unknown_relation_rejected():

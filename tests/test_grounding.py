@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from cpconftest import parse_data, parse_model, parse_model_file
+from cpconftest import grounding, parse_data, parse_data_file, parse_model, parse_model_file
 from cpconftest.corpus import corpus_path
 from cpconftest.errors import EvaluationError, GroundingError, UsageError
 from cpconftest.grounding import (
@@ -15,8 +17,22 @@ from cpconftest.grounding import (
     VarSpace,
     build_instance,
     evaluate_ground,
+    gexpr_vars,
     ground,
+    iter_bindings,
     parse_var_name,
+)
+from cpconftest.syntax import (
+    BinderGroup,
+    BinOp,
+    BoolNot,
+    BoolOp,
+    FieldRef,
+    IntLit,
+    NameRef,
+    RangeDom,
+    RelChain,
+    SetDom,
 )
 
 RULER3 = """
@@ -328,3 +344,275 @@ def test_parse_var_name():
     assert parse_var_name("d[2,5]") == ("d", (2, 5))
     with pytest.raises(UsageError):
         parse_var_name("d[a]")
+
+
+# ---------------------------------------------------------------------------
+# Indexed joins and the lowering memo
+
+
+def filtering_bindings(model, instance, binders, env0=None, guard=None):
+    """iter_bindings without joins: every value of every binder is filtered
+    through the conjuncts placed at its depth."""
+    pairs = [(nm, g.domain) for g in binders for nm in g.names]
+    checks = [[] for _ in range(len(pairs) + 1)]
+    if guard is not None:
+        for conj in grounding._guard_conjuncts(guard):
+            names = set()
+            grounding._bool_names(conj, names)
+            depth = max((i + 1 for i, (nm, _) in enumerate(pairs) if nm in names), default=0)
+            checks[depth].append(conj)
+
+    def holds(c, env):
+        return grounding._peval_bool(c, instance, env)
+
+    def rec(k, env):
+        if k == len(pairs):
+            yield env
+            return
+        nm, dom = pairs[k]
+        for v in grounding._domain_values(model, instance, env, dom):
+            child = dict(env)
+            child[nm] = v
+            if all(holds(c, child) for c in checks[k + 1]):
+                yield from rec(k + 1, child)
+
+    env0 = dict(env0 or {})
+    if all(holds(c, env0) for c in checks[0]):
+        yield from rec(0, env0)
+
+
+JOIN_MODEL = parse_model(
+    """
+    int n = ...;
+    tuple T { int i; int j; }
+    {T} s = ...;
+    {T} t = ...;
+    {int} u = ...;
+    dvar int x in 0..1;
+    subject to { c: x >= 0; }
+    """
+)
+
+
+def join_instance(rng, empty):
+    def rows():
+        return [(rng.randint(0, 2), rng.randint(0, 3)) for _ in range(rng.randint(1, 7))]
+
+    data = {"n": rng.randint(0, 3), "s": rows(), "t": rows(), "u": [rng.randint(0, 3) for _ in range(3)]}
+    for name in empty:
+        data[name] = []
+    return build_instance(JOIN_MODEL, data)
+
+
+def outcome(enumerate_bindings, instance, binders, env0, guard):
+    """The envs enumerated and the error that ended them, if any."""
+    envs = []
+    try:
+        for env in enumerate_bindings(JOIN_MODEL, instance, binders, env0, guard):
+            envs.append(env)
+    except (GroundingError, EvaluationError) as exc:
+        return envs, (type(exc), str(exc))
+    return envs, None
+
+
+def counting(monkeypatch, name):
+    """Count the calls to grounding.<name>; returns the one-item counter."""
+    calls = [0]
+    fn = getattr(grounding, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(grounding, name, counted)
+    return calls
+
+
+def f(base, name):
+    return FieldRef(base, name)
+
+
+def eq(a, b):
+    return RelChain((a, b), ("==",))
+
+
+def both(*items):
+    return BoolOp("and", items)
+
+
+S, T, U = SetDom("s"), SetDom("t"), SetDom("u")
+RANGE = RangeDom(IntLit(0), NameRef("n"))
+
+# (binder groups, guard): each names a case the join must reproduce exactly
+JOIN_CASES = [
+    # the field on either side of the equality
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "i"), f("a", "j"))),
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("a", "j"), f("b", "i"))),
+    # e is an expression of outer binders and parameters
+    ((BinderGroup(("a", "b"), S),), eq(BinOp("+", f("a", "i"), NameRef("n")), f("b", "j"))),
+    # the cc7 shape: two joins and a chain over three binders
+    (
+        (BinderGroup(("a", "b", "c"), S),),
+        both(
+            eq(f("a", "i"), f("b", "i")),
+            eq(f("b", "j"), f("c", "i")),
+            eq(f("a", "j"), f("c", "j")),
+            RelChain((f("a", "i"), f("b", "j"), f("a", "j")), ("<", "<")),
+        ),
+    ),
+    # a chain placed first at b's depth: not a join, filtered as before
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), RelChain((f("a", "i"), f("b", "j"), f("a", "j")), ("<", "<"))),
+    # a field the tuple type lacks, as the join field and inside e
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "k"), f("a", "i"))),
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "i"), f("a", "k"))),
+    # an int set and a range binder under a field equality
+    ((BinderGroup(("a",), S), BinderGroup(("b",), U)), eq(f("b", "i"), f("a", "i"))),
+    ((BinderGroup(("a",), S), BinderGroup(("r",), RANGE)), eq(NameRef("r"), f("a", "i"))),
+    # e mentions the binder itself
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "i"), BinOp("-", f("b", "j"), f("a", "i")))),
+    # e overflows
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "i"), BinOp("*", IntLit(2**62), IntLit(4)))),
+]
+
+
+def random_case(rng, outer):
+    names = ["a", "b", "c"][: rng.choice((1, 2, 3, 3))]
+    groups, rows = [], {"o"} if outer else set()
+    for nm in names:
+        dom = rng.choice((S, S, T, T, U, RANGE))
+        if dom in (S, T):
+            rows.add(nm)
+        if groups and groups[-1].domain == dom and rng.random() < 0.5:
+            groups[-1] = BinderGroup(groups[-1].names + (nm,), dom)
+        else:
+            groups.append(BinderGroup((nm,), dom))
+
+    def operand():
+        nm = rng.choice(names + ["o"] * outer)
+        pick = rng.random()
+        if pick < 0.05:  # a missing field, or a field of an int
+            return f(nm, "k") if nm in rows else f(nm, "i")
+        if pick < 0.1:  # a whole row as an int
+            return NameRef(nm)
+        if pick < 0.2:
+            return rng.choice((IntLit(rng.randint(0, 3)), NameRef("n")))
+        ref = f(nm, rng.choice(("i", "j"))) if nm in rows else NameRef(nm)
+        return BinOp("+", ref, IntLit(1)) if pick < 0.3 else ref
+
+    def conjunct():
+        if rng.random() < 0.1:
+            return BoolNot(conjunct())
+        if rng.random() < 0.1:
+            return BoolOp("or", (conjunct(), conjunct()))
+        size = rng.choice((2, 2, 2, 3))
+        ops = tuple(rng.choice(("==", "==", "==", "<", "!=")) for _ in range(size - 1))
+        return RelChain(tuple(operand() for _ in range(size)), ops)
+
+    conjuncts = tuple(conjunct() for _ in range(rng.randint(1, 4)))
+    return tuple(groups), (conjuncts[0] if len(conjuncts) == 1 else both(*conjuncts))
+
+
+def test_joins_enumerate_what_filtering_enumerates(monkeypatch):
+    # the same envs, in the same order, ended by the same error, on fixed
+    # cases and 1,500 seeded random ones; the join must also save guard
+    # evaluations, or it never fired
+    calls = counting(monkeypatch, "_peval_bool")
+    errors = joined = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        outer = rng.random() < 0.5
+        env0 = {"o": {"i": rng.randint(0, 2), "j": rng.randint(0, 3)}} if outer else None
+        if seed < 4 * len(JOIN_CASES):
+            binders, guard = JOIN_CASES[seed % len(JOIN_CASES)]
+            instance = join_instance(rng, ("s", "t", "u") if seed < len(JOIN_CASES) else ())
+        else:
+            binders, guard = random_case(rng, outer)
+            instance = join_instance(rng, rng.choice(((), (), ("s",), ("t",))))
+        results, spent = [], []
+        for fn in (iter_bindings, filtering_bindings):
+            calls[0] = 0
+            results.append(outcome(fn, instance, binders, env0, guard))
+            spent.append(calls[0])
+        assert results[0] == results[1], (seed, binders, guard)
+        errors += results[0][1] is not None
+        joined += spent[0] < spent[1]
+    assert errors > 150 and joined > 150, (errors, joined)
+
+
+def test_join_cuts_guard_evaluations(monkeypatch):
+    # grounding p at m=16 filtered 429,065 guard evaluations through
+    # cc7/cc8's nested binders over `indexes` before the joins
+    program = parse_model_file(corpus_path("golomb", "p.cpm"))
+    instance = build_instance(program, None, {"m": 16})
+    calls = counting(monkeypatch, "_peval_bool")
+    ground(program, instance)
+    assert calls[0] < 60_000
+
+
+def model_parts(gm):
+    """What makes a ground model: GroundModel itself has no ==."""
+    trees = [(c.label, c.channeling, c.tree) for c in gm.constraints]
+    return gm.vids, gm.domains, trees, gm.channel_defs, gm.objective, gm.space.keys
+
+
+def corpus_groundings():
+    for prog in ("oracle", "p", "p_fixed", "cput1", "cput2", "cput3", "cput4"):
+        model = parse_model_file(corpus_path("golomb", prog + ".cpm"))
+        for m in range(3, 13):
+            yield model, build_instance(model, None, {"m": m})
+    data = parse_data_file(corpus_path("carseq", "slots10.data"))
+    for prog in ("oracle", "cput1", "cput2", "cput3", "cput4"):
+        model = parse_model_file(corpus_path("carseq", prog + ".cpm"))
+        yield model, build_instance(model, data)
+
+
+def test_memo_leaves_ground_models_unchanged(monkeypatch):
+    cases = list(corpus_groundings())
+    memoised = [model_parts(ground(model, instance)) for model, instance in cases]
+    monkeypatch.setattr(
+        grounding, "lower_expr", lambda e, ctx, env: ctx.share(grounding._lower(e, ctx, env))
+    )
+    plain = [model_parts(ground(model, instance)) for model, instance in cases]
+    assert len(cases) == 75 and memoised == plain
+
+
+def test_memo_lowers_each_difference_once(monkeypatch):
+    # the reference's c2 uses each of the 45 differences x[j] - x[i] at
+    # m=10 in 88 atoms; without the memo one ground() made 11,899 _lower calls
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    instance = build_instance(oracle, None, {"m": 10})
+    calls = counting(monkeypatch, "_lower")
+    ground(oracle, instance)
+    assert calls[0] <= 300
+
+
+def test_memo_keys_reach_array_indexes():
+    # a memo keyed without the names inside x[...] would lower x[j] - x[i]
+    # once and reuse it for every pair
+    model = parse_model(
+        """
+        int n = ...;
+        tuple P { int i; int j; }
+        {P} pairs = {<i, j> | i, j in 1..n : i < j};
+        dvar int x[1..n] in 0..99;
+        dvar int d[pairs] in 0..99;
+        subject to {
+          a: forall (i, j in 1..n : i < j) x[j] - x[i] >= 1;
+          b: forall (p in pairs) x[p.j] - x[p.i] <= 50;
+          c: forall (i, j in 1..n : i < j) d[<i, j>] >= x[j] - x[i];
+          e: forall (p in pairs) d[p] <= 99 - x[p.i];
+        }
+        """
+    )
+    gm = ground(model, build_instance(model, {"n": 5}))
+    x = {i: gm.space.index[("x", (i,))] for i in range(1, 6)}
+    d = {key: vid for (base, key), vid in gm.space.index.items() if base == "d"}
+    pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    for label, side in (("a", "left"), ("b", "left"), ("c", "right")):
+        atoms = gm.constraint(label).tree.items
+        assert [gexpr_vars(getattr(a, side)) for a in atoms] == [{x[i], x[j]} for i, j in pairs]
+        assert len({getattr(a, side) for a in atoms}) == len(pairs)
+    assert [gexpr_vars(a.left) for a in gm.constraint("c").tree.items] == [{d[p]} for p in pairs]
+    assert [gexpr_vars(a.left) | gexpr_vars(a.right) for a in gm.constraint("e").tree.items] == [
+        {d[p], x[p[0]]} for p in pairs
+    ]
