@@ -13,14 +13,15 @@ under one of four relations:
 
 The workhorse enumerates the constraints of one side in declaration order
 and asks, for each, whether the other side's solutions can violate it:
-solve D and not(C_i).  Constraints structurally equal to one on the solving
-side are skipped (a sound, deliberately incomplete test).  When C_i mentions
-variables the solving side does not have, the channeling definitions that
-give them meaning are pulled in, and candidate witnesses are re-validated by
-the independent evaluator; false alarms are excluded with a disequality cut
-over the reference variables and the search resumes.  Domain membership is
-itself checked as one synthetic constraint per direction, so a point outside
-the other side's declared bounds counts as a violation too.
+solve D and not(C_i).  D is presolved once per check, so each subproblem
+simplifies only not(C_i), and a C_i that D asserts is refuted before search.
+When C_i mentions variables the solving side does not have, the channeling
+definitions that give them meaning are added to D, and candidate witnesses
+are re-validated by the independent evaluator; false alarms are excluded
+with a disequality cut over the reference variables and the search resumes.
+Domain membership is itself checked as one synthetic constraint per
+direction, so a point outside the other side's declared bounds counts as a
+violation too.
 
 Under one and all, the reference is first probed by root propagation, not
 solved: only a refutation there stops the check, as a usage error.  The
@@ -34,7 +35,7 @@ Unknown, with the reason (timeout or unsupported negation) in the report.
 import time
 from dataclasses import dataclass, field, replace
 
-from .errors import EvaluationError, UsageError
+from .errors import UsageError
 from .grounding import (
     AndC,
     Const,
@@ -50,8 +51,10 @@ from .grounding import (
     ground,
     parse_var_name,
 )
+from . import solver
 from .solver import SearchConfig, SolveOutcome, solve
-from .transform import canonical_key, negate
+# canonical_key is unused here; perfbench/spans.py wraps it by this name
+from .transform import canonical_key, negate  # noqa: F401
 
 
 @dataclass
@@ -60,7 +63,6 @@ class CheckOptions:
     time_limit: float = None  # overall wall-clock budget in seconds
     node_limit: int = None  # per solver call
     bounds: tuple = None  # (lo, hi) for the bounds/best relations
-    use_skip: bool = True
     jobs: int = 1  # only 1: subproblems run one after another
 
     def __post_init__(self):
@@ -74,7 +76,7 @@ class SubReport:
 
     label: str
     origin: str  # "reference" | "program"
-    status: str  # skipped | unsat | witness | resource_out | unsupported-negation | undecided
+    status: str  # unsat | witness | resource_out | unsupported-negation | undecided
     nodes: int = 0
     elapsed: float = 0.0
     false_alarms: int = 0
@@ -268,65 +270,6 @@ def _widened_box(oracle_gm, cput_gm, aux_vids):
     return box
 
 
-def _plan_subproblems(oracle_gm, cput_gm, direction, extra_atoms, use_skip):
-    """One work item per constraint of the negated side, plus the synthetic
-    domain-membership constraint, each with its full solving context."""
-    plan = []
-    base_vids = set(oracle_gm.vids)
-    if direction == "extra":
-        d_gm, c_gm = cput_gm, oracle_gm
-        origin = "reference"
-    else:
-        d_gm, c_gm = oracle_gm, cput_gm
-        origin = "program"
-    d_keys = set()
-    if use_skip:
-        for c in d_gm.constraints:
-            try:
-                d_keys.add(canonical_key(c.tree))
-            except EvaluationError:
-                pass
-    d_trees = [c.tree for c in d_gm.constraints] + list(extra_atoms)
-
-    def item_for(label, tree):
-        skipped = False
-        if use_skip and d_keys:
-            try:
-                skipped = canonical_key(tree) in d_keys
-            except EvaluationError:
-                skipped = False
-        if direction == "extra":
-            domains = dict(cput_gm.domains)
-            hard = d_trees
-        else:
-            v_need = {v for v in ctr_vars(tree) if v not in base_vids}
-            aux, chans = _channel_closure(cput_gm, base_vids, v_need)
-            domains = _widened_box(oracle_gm, cput_gm, aux)
-            hard = d_trees + chans
-        return {
-            "label": label,
-            "origin": origin,
-            "tree": tree,
-            "hard": hard,
-            "domains": domains,
-            "skipped": skipped,
-        }
-
-    for c in c_gm.constraints:
-        plan.append(item_for(c.label, c.tree))
-    # membership in the other side's declared bounds, as a constraint
-    if direction == "extra":
-        dom_tree = _domain_tree(oracle_gm, oracle_gm.vids)
-    else:
-        dom_tree = _domain_tree(cput_gm, cput_gm.vids)
-    plan.append(item_for("(domains)", dom_tree))
-    return plan
-
-
-def _fix_atoms(assignment, vids):
-    return [RelAtom("==", Var(v), Const(assignment[v])) for v in vids]
-
-
 def _genuine_extra(oracle_gm, cput_gm, w):
     """Does w prove an extra solution: program-valid but reference-invalid?"""
     if not cput_gm.in_domains(w) or not cput_gm.evaluate(w):
@@ -341,7 +284,8 @@ def _program_accepts(cput_gm, full, open_vids, budget, effort, opts):
     open are decided by search."""
     if not open_vids:
         return cput_gm.in_domains(full) and cput_gm.evaluate(full)
-    hard = [c.tree for c in cput_gm.constraints] + _fix_atoms(full, list(full))
+    hard = [c.tree for c in cput_gm.constraints]
+    hard += [RelAtom("==", Var(v), Const(x)) for v, x in full.items()]
     out = _timed_solve(effort, budget, dict(cput_gm.domains), hard, (), opts)
     return {"SAT": True, "UNSAT": False}.get(out.status)
 
@@ -356,22 +300,19 @@ def _genuine_missing(oracle_gm, cput_gm, w, budget, effort, opts):
     return None if accepts is None else not accepts
 
 
-def _run_subproblem(item, oracle_gm, cput_gm, direction, budget, opts):
+def _run_subproblem(run, direction, label, tree, domains, hard, pre):
     """Solve D and not(C), cutting false alarms, until a genuine witness,
-    a refutation or the end of the check's budget."""
-    rep = SubReport(item["label"], item["origin"], "unsat")
+    a refutation or the end of the check's budget.  `hard` holds D's trees
+    and `pre` their presolved state, or None to presolve them in solve()."""
+    rep = SubReport(label, "reference" if direction == "extra" else "program", "unsat")
     t0 = time.monotonic()
-    if item["skipped"]:
-        rep.status = "skipped"
-        return rep
-    neg = negate(item["tree"])
+    neg = negate(tree)
     if not neg.ok:
         rep.status = "unsupported-negation"
         return rep
-    hard = list(item["hard"])
-    base = list(oracle_gm.vids)
+    oracle_gm, cput_gm, budget, opts = run.oracle_gm, run.cput_gm, run.budget, run.opts
     while True:
-        out = _timed_solve(rep, budget, item["domains"], hard, [neg.tree], opts)
+        out = _timed_solve(rep, budget, domains, pre or hard, [neg.tree], opts)
         if out.status == "UNSAT":
             break
         if out.status == "RESOURCE_OUT":
@@ -389,19 +330,38 @@ def _run_subproblem(item, oracle_gm, cput_gm, direction, budget, opts):
             rep.status = "witness"
             rep.witness = w
             break
-        # false alarm: exclude this projection and keep looking
+        # false alarm: exclude this projection and keep looking; the cut
+        # extends D, which is presolved afresh from then on
         rep.false_alarms += 1
-        hard = hard + [OrC(tuple(RelAtom("!=", Var(v), Const(w[v])) for v in base))]
+        hard = hard + [OrC(tuple(RelAtom("!=", Var(v), Const(w[v])) for v in oracle_gm.vids))]
+        pre = None
     rep.elapsed = time.monotonic() - t0
     return rep
 
 
-def _run_direction(oracle_gm, cput_gm, direction, budget, opts, extra_atoms):
-    """SubReports of one direction's subproblems, up to the first witness."""
-    plan = _plan_subproblems(oracle_gm, cput_gm, direction, extra_atoms, opts.use_skip)
+def _run_direction(run, direction, extra_atoms):
+    """SubReports of one direction's subproblems, up to the first witness:
+    one per constraint of the negated side C, plus the synthetic
+    domain-membership constraint, each solved against the solving side D
+    plus `extra_atoms`.  Those that pull in no channelings share one
+    presolved state of D."""
+    oracle_gm, cput_gm = run.oracle_gm, run.cput_gm
+    d_gm, c_gm = (cput_gm, oracle_gm) if direction == "extra" else (oracle_gm, cput_gm)
+    d_trees = [c.tree for c in d_gm.constraints] + list(extra_atoms)
+    base_vids = set(oracle_gm.vids)
+    # membership in the other side's declared bounds, as a constraint
+    items = [(c.label, c.tree) for c in c_gm.constraints]
+    items.append(("(domains)", _domain_tree(c_gm, c_gm.vids)))
     reports = []
-    for item in plan:
-        reports.append(_run_subproblem(item, oracle_gm, cput_gm, direction, budget, opts))
+    for label, tree in items:
+        if direction == "extra":
+            domains, chans = dict(cput_gm.domains), []
+        else:
+            v_need = {v for v in ctr_vars(tree) if v not in base_vids}
+            aux, chans = _channel_closure(cput_gm, base_vids, v_need)
+            domains = _widened_box(oracle_gm, cput_gm, aux)
+        pre = None if chans else run.presolved(d_gm, extra_atoms)
+        reports.append(_run_subproblem(run, direction, label, tree, domains, d_trees + chans, pre))
         if reports[-1].status == "witness":
             break
     return reports
@@ -431,6 +391,7 @@ class _Run:
         self.budget = budget
         self.effort = _Effort()
         self.reports = []
+        self.states = {}  # presolved states, by side and extra atoms
         # objective-interval atoms of each side (bounds and best only)
         self.f_atoms = self.fp_atoms = []
         if opts.relation in ("bounds", "best"):
@@ -438,10 +399,19 @@ class _Run:
             self.f_atoms = _bounds_atoms(oracle_gm, lo, hi, "reference")
             self.fp_atoms = _bounds_atoms(cput_gm, lo, hi, "program")
 
+    def presolved(self, gm, extra_atoms):
+        """One side's constraints plus the given atoms, presolved once per
+        check (through the solver module, where perfbench/spans.py looks)."""
+        key = (gm is self.cput_gm, tuple(extra_atoms))
+        if key not in self.states:
+            hard = [c.tree for c in gm.constraints] + list(extra_atoms)
+            self.states[key] = solver.presolve(hard, self.budget.deadline)
+        return self.states[key]
+
     def solve(self, gm, extra_atoms, opts=None):
         """Solve one side's constraints plus the given atoms."""
-        hard = [c.tree for c in gm.constraints] + extra_atoms
-        return _timed_solve(self.effort, self.budget, dict(gm.domains), hard, (), opts or self.opts)
+        pre = self.presolved(gm, extra_atoms)
+        return _timed_solve(self.effort, self.budget, dict(gm.domains), pre, (), opts or self.opts)
 
     def verdict(self, kind, reason=None, witness=None, **kw):
         if witness is not None:
@@ -506,9 +476,7 @@ def _program_sat(run):
 
 
 def _witness_search(run, direction, extra_atoms):
-    reports = _run_direction(
-        run.oracle_gm, run.cput_gm, direction, run.budget, run.opts, extra_atoms
-    )
+    reports = _run_direction(run, direction, extra_atoms)
     run.reports.extend(reports)
     if reports and reports[-1].status == "witness":
         hit = reports[-1]

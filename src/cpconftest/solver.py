@@ -32,18 +32,20 @@ since their unit rule re-evaluates each disjunct.  Domains compute their
 bounds once, when built, since they are read far more often than changed.
 
 Presolve deletes disjuncts whose negation is asserted at the top level,
-directly or as an allDifferent pair, comparing atoms modulo the linear
-equalities asserted there (substituting variables out with equality rows,
-as in Andersen & Andersen, "Presolving in linear programming", 1995).  The
-equalities are put in reduced row-echelon form once, pivoting on the highest
-unit-coefficient variable so that channeled auxiliaries go, and each linear
-atom is keyed with every pivot substituted out: with d[i,j] == x[j] - x[i]
-asserted, the disjunct x[3] - x[2] == x[2] - x[1] meets d[1,2] != d[2,3].
-An Or with a disjunct the equalities imply is dropped.  An Or that loses
-all disjuncts, or an asserted atom contradicted the same way, proves
-unsatisfiability with zero search.  Atoms are posted as written, and each
-distinct asserted constraint once: of the atoms asserted at the top level
-with one canonical key, only the first is posted.
+directly, as an Or, or as a leaf of a global's expansion (an allDifferent
+pair, say), comparing atoms modulo the linear equalities asserted there
+(substituting variables out with equality rows, as in Andersen & Andersen,
+"Presolving in linear programming", 1995).  The equalities are put in
+reduced row-echelon form once, pivoting on the highest unit-coefficient
+variable so that channeled auxiliaries go, and each linear atom is keyed
+with every pivot substituted out: with d[i,j] == x[j] - x[i] asserted, the
+disjunct x[3] - x[2] == x[2] - x[1] meets d[1,2] != d[2,3].  An Or with a
+disjunct the equalities imply is dropped.  An Or that loses all disjuncts,
+or an asserted atom contradicted the same way, proves unsatisfiability with
+zero search.  Atoms are posted as written, and each distinct asserted
+constraint once: of the atoms asserted at the top level with one canonical
+key, only the first is posted.  Solves that share their hard constraints
+share one Presolved state of them and simplify only their extras.
 
 solve() finds one solution or proves there is none; solve_optimal() runs
 branch and bound on a minimization objective and reports whether optimality
@@ -741,23 +743,21 @@ def _normal_form(rows):
 
 
 def _asserted_keys(trees, reduce, tick):
-    """Canonical keys of everything asserted at the top level."""
+    """Canonical keys of everything asserted at the top level, Or leaves
+    included, and of the top-level leaves of each global that negate()
+    complements through its expansion."""
     keys = set()
     for tree in trees:
         for leaf in _and_spine(tree):
             tick()
-            if isinstance(leaf, (AndC, OrC)):
-                continue
-            try:
-                keys.add(canonical_key(leaf, reduce))
-            except EvaluationError:
-                continue
-            if isinstance(leaf, AllDiffC):
-                for pair in _and_spine(expansion(leaf)):
-                    try:
-                        keys.add(canonical_key(pair, reduce))
-                    except EvaluationError:
-                        pass
+            leaves = [leaf]
+            if isinstance(leaf, (AllDiffC, AllMinDistC, InverseC, PackC)):
+                leaves += _and_spine(expansion(leaf))
+            for t in leaves:
+                try:
+                    keys.add(canonical_key(t, reduce))
+                except EvaluationError:
+                    pass
     return keys
 
 
@@ -775,9 +775,14 @@ def _simplify(tree, keys, reduce, seen, tick):
     """`seen` (own keys so far) is None unless the tree is asserted at the
     top level of hard.  Such an atom is a tautology by its own key only:
     modulo the rows, the equalities that justify every deletion would read
-    as true.  A seen key is TRUE_C: the earlier atom prunes the same."""
+    as true.  A seen key is TRUE_C: the earlier atom prunes the same.  Of the
+    composite trees only a conjunction that is not asserted is refuted
+    whole: an Or's negation is a conjunction, which an asserted key almost
+    never is, and keying it costs most on the widest trees."""
     if isinstance(tree, (AndC, OrC)):
         conj = isinstance(tree, AndC)
+        if conj and seen is None and _refutes(tree, keys, reduce):
+            return FALSE_C
         unit, zero = (TRUE_C, FALSE_C) if conj else (FALSE_C, TRUE_C)
         parts = []
         for it in tree.items:
@@ -807,15 +812,39 @@ def _simplify(tree, keys, reduce, seen, tick):
     return tree
 
 
-def presolve(hard, extras, deadline=None):
-    """Filter constraint trees before search.
+@dataclass
+class Presolved:
+    """Hard constraints presolved once, for any number of solves that add
+    different extra trees to them: the simplified trees, their status
+    (UNSAT, RESOURCE_OUT or None) and what simplifying an extra needs."""
 
-    Returns (hard2, extras2, status), status UNSAT when no solution is left,
-    RESOURCE_OUT when time.monotonic() passed `deadline` first, else None.
-    Atoms are compared modulo the linear equalities asserted in `hard`, so a
-    disjunct is deleted when its negation, in that normal form, is asserted
-    there, and an Or goes when those equalities imply one of its disjuncts.
-    Sound over the hard-constrained space: asserted atoms stay, one per key.
+    hard: list
+    status: str
+    keys: set = frozenset()
+    reduce: object = None
+
+    def extras(self, extras, deadline=None):
+        """(extras2, status): the extra trees simplified against the hard
+        ones, and the status of both together."""
+        if self.status:
+            return [], self.status
+        tick = _clock(deadline)
+        try:
+            extras = [_simplify(t, self.keys, self.reduce, None, tick) for t in extras]
+        except TimeoutError:
+            return [], "RESOURCE_OUT"
+        return extras, "UNSAT" if any(t is FALSE_C for t in extras) else None
+
+
+def presolve(hard, deadline=None):
+    """Filter hard constraint trees before search, as a Presolved state.
+
+    Its status is UNSAT when no solution is left, RESOURCE_OUT when
+    time.monotonic() passed `deadline` first, else None.  Atoms are compared
+    modulo the linear equalities asserted in `hard`, so a disjunct (an atom
+    or a conjunction) is deleted when its negation, in that normal form, is
+    asserted there, and an Or goes when those equalities imply one of its
+    disjuncts.  Sound over the hard space: asserted atoms stay, one per key.
     """
     hard, tick = list(hard), _clock(deadline)
     try:
@@ -823,11 +852,9 @@ def presolve(hard, extras, deadline=None):
         keys = _asserted_keys(hard, reduce, tick)
         seen = set()
         hard = [_simplify(t, keys, reduce, seen, tick) for t in hard]
-        extras = [_simplify(t, keys, reduce, None, tick) for t in extras]
     except TimeoutError:
-        return hard, extras, "RESOURCE_OUT"
-    unsat = any(t is FALSE_C for t in hard) or any(t is FALSE_C for t in extras)
-    return hard, extras, "UNSAT" if unsat else None
+        return Presolved(hard, "RESOURCE_OUT")
+    return Presolved(hard, "UNSAT" if any(t is FALSE_C for t in hard) else None, keys, reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -1192,15 +1219,19 @@ def _setup(domains, hard, extras, config, start):
 
 
 def solve(domains, hard, extras=(), config=None):
-    """Find one assignment satisfying hard plus every extra tree."""
+    """Find one assignment satisfying hard plus every extra tree.  `hard` is
+    a list of trees, or a Presolved state of them that solves with other
+    extras share; then only the extras are simplified here."""
     config = config or SearchConfig()
     t0 = time.monotonic()
-    hard2, extras2, status = presolve(hard, extras, config.deadline(t0))
+    deadline = config.deadline(t0)
+    pre = hard if isinstance(hard, Presolved) else presolve(hard, deadline)
+    extras2, status = pre.extras(extras, deadline)
     if status:
         out = SolveOutcome(status)
         out.stats.elapsed = time.monotonic() - t0
         return out
-    eng = _setup(domains, hard2, extras2, config, t0)
+    eng = _setup(domains, pre.hard, extras2, config, t0)
     hit = {}
 
     def grab(a):
@@ -1218,12 +1249,12 @@ def solve_optimal(domains, hard, objective, config=None):
     """Branch and bound minimization of a ground objective expression."""
     config = config or SearchConfig()
     t0 = time.monotonic()
-    hard2, _, status = presolve(hard, (), config.deadline(t0))
-    if status:
-        out = OptOutcome(status)
+    pre = presolve(hard, config.deadline(t0))
+    if pre.status:
+        out = OptOutcome(pre.status)
         out.stats.elapsed = time.monotonic() - t0
         return out
-    eng = _setup(domains, hard2, (), config, t0)
+    eng = _setup(domains, pre.hard, (), config, t0)
     obj_poly = poly_of(objective)
     eng.bound_prop = BoundProp(obj_poly)
     eng.register(eng.bound_prop)

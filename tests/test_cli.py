@@ -54,7 +54,9 @@ def test_check_conf_exits_zero(files, capsys):
     assert solved
     for sub in payload["subproblems"]:
         assert all(isinstance(sub[k], int) for k in counters), sub
-    assert all(s["solves"] >= 1 and s["propagations"] >= 1 for s in solved)
+    # c1 is asserted by the program too, so presolve refutes it unpropagated
+    assert all(s["solves"] >= 1 for s in solved)
+    assert any(s["propagations"] >= 1 for s in solved)
     for k in counters[:4]:
         assert sum(s[k] for s in payload["subproblems"]) <= payload["stats"][k]
 

@@ -16,6 +16,7 @@ from cpconftest import (
     validate_witness,
 )
 from cpconftest import conformity
+from cpconftest.solver import presolve
 from cpconftest.corpus import corpus_path
 
 ORACLE_LT = """
@@ -61,7 +62,7 @@ def test_one_subset_is_conf():
     v = run(ORACLE_LT, CPUT_SUBSET)
     assert v.kind == "Conf"
     assert v.reason is None and v.witness is None
-    assert all(s.status in ("skipped", "unsat") for s in v.subreports)
+    assert all(s.status == "unsat" for s in v.subreports)
     assert v.stats["solves"] > 0
 
 
@@ -94,15 +95,34 @@ def test_all_detects_missing_solution():
 def test_all_equal_sets_is_conf():
     v = run(ORACLE_LT, CPUT_MIRROR, relation="all")
     assert v.kind == "Conf"
-    # the mirrored constraint is structurally equal, so both directions skip it
-    skipped = [s.label for s in v.subreports if s.status == "skipped"]
-    assert "c1" in skipped and "p1" in skipped
+    # the mirrored constraint is asserted on the solving side, so presolve
+    # refutes it in both directions before search
+    refuted = [s.label for s in v.subreports if s.status == "unsat" and s.nodes == 0]
+    assert "c1" in refuted and "p1" in refuted
 
 
-def test_disabling_skip_keeps_verdict():
-    v = run(ORACLE_LT, CPUT_MIRROR, relation="all", use_skip=False)
-    assert v.kind == "Conf"
-    assert not [s for s in v.subreports if s.status == "skipped"]
+def test_each_side_is_presolved_once(monkeypatch):
+    # the probe's state of the reference serves the missing direction, and
+    # the extra direction's state of the program serves its nonemptiness
+    # solve; a subproblem only simplifies its negation against them
+    sides = []
+
+    def counting_presolve(hard, deadline=None):
+        sides.append(len(hard))
+        return presolve(hard, deadline)
+
+    monkeypatch.setattr(conformity.solver, "presolve", counting_presolve)
+    v = run(ORACLE_LT, CPUT_SUBSET, relation="all")
+    assert (v.kind, v.reason) == ("NonConf", "missing-solution")
+    assert sides == [1, 2]
+    # a subproblem that pulls in channelings presolves them with the
+    # reference, so its candidates keep the auxiliaries consistent: cc2
+    # (d == x[j] - x[i]) is refuted with no false alarm
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    program = parse_model_file(corpus_path("golomb", "p_fixed.cpm"))
+    v = check(oracle, program, overrides={"m": 5}, opts=CheckOptions(relation="all"))
+    assert (v.kind, v.reason, v.violated) == ("NonConf", "missing-solution", "cc3")
+    assert [s.false_alarms for s in v.subreports] == [0] * 6
 
 
 def test_unsatisfiable_program_is_nonconf():
@@ -146,7 +166,7 @@ def test_empty_program_is_found_after_the_extra_direction():
         assert (v.kind, v.reason) == ("NonConf", reason), relation
         assert v.subreports, relation
         assert all(s.origin == "reference" for s in v.subreports), relation
-        assert all(s.status in ("unsat", "skipped") for s in v.subreports), relation
+        assert all(s.status == "unsat" for s in v.subreports), relation
 
 
 def test_unsatisfiable_carseq_draft_within_budget():
@@ -317,7 +337,7 @@ def test_exhausted_budget_reports_unknown():
     assert (v.kind, v.reason) == ("Unknown", "timeout")
     assert v.notes == ("budget exhausted while checking the program for solutions",)
     assert v.subreports
-    assert {s.status for s in v.subreports} <= {"resource_out", "skipped"}
+    assert {s.status for s in v.subreports} == {"resource_out"}
 
 
 def test_budget_spent_before_the_missing_direction_is_unknown(monkeypatch):
@@ -333,7 +353,7 @@ def test_budget_spent_before_the_missing_direction_is_unknown(monkeypatch):
         for p in conformity._PHASES["all"]
     )
     monkeypatch.setitem(conformity._PHASES, "all", phases)
-    v = run(ORACLE_LT, CPUT_MIRROR, relation="all", use_skip=False, time_limit=60.0)
+    v = run(ORACLE_LT, CPUT_MIRROR, relation="all", time_limit=60.0)
     assert (v.kind, v.reason) == ("Unknown", "timeout")
     assert any(s.origin == "program" and s.status == "resource_out" for s in v.subreports)
 
