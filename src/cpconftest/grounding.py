@@ -27,10 +27,10 @@ variables still undefined, so callers can fall back to search for them.
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EvaluationError, GroundingError, UsageError
-from .ops import add64, check64, div64, mul64, rel_holds
+from .ops import FLIP, add64, check64, div64, mul64, rel_holds
 from .syntax import (
     AllDifferentCtr,
     AllMinDistanceCtr,
@@ -54,6 +54,9 @@ from .syntax import (
     RelChain,
     TableCtr,
     TupleExpr,
+    names_in,
+    walk_bool,
+    walk_exprs,
 )
 
 _POLL_EVERY = 256  # bindings (grounding) or atoms (presolve) between two looks at a deadline
@@ -443,9 +446,6 @@ class VarSpace:
             return base
         return f"{base}[{','.join(str(v) for v in key)}]"
 
-    def __len__(self):
-        return len(self.keys)
-
 
 def parse_var_name(text):
     """Split a printed variable name like "x[2,5]" into (base, key)."""
@@ -565,35 +565,6 @@ def _guard_conjuncts(b):
     return [b]
 
 
-def _expr_names(e, out):
-    if isinstance(e, NameRef):
-        out.add(e.name)
-    elif isinstance(e, FieldRef):
-        out.add(e.base)
-    elif isinstance(e, Neg):
-        _expr_names(e.operand, out)
-    elif isinstance(e, BinOp):
-        _expr_names(e.left, out)
-        _expr_names(e.right, out)
-    elif isinstance(e, IndexedRef):
-        _expr_names(e.index, out)
-    elif isinstance(e, TupleExpr):
-        for it in e.items:
-            _expr_names(it, out)
-    return out
-
-
-def _bool_names(b, out):
-    if isinstance(b, RelChain):
-        for e in b.operands:
-            _expr_names(e, out)
-    elif isinstance(b, BoolOp):
-        for it in b.items:
-            _bool_names(it, out)
-    elif isinstance(b, BoolNot):
-        _bool_names(b.item, out)
-
-
 def _join_field(model, dom, conj, name):
     """(f, e) when binder `name` ranges over a tuple set whose rows have field
     f and a guard conjunct reads name.f == e, either way round, with e free of
@@ -603,7 +574,7 @@ def _join_field(model, dom, conj, name):
     p = _param_decl(model, dom.name)
     fields = next((tt.fields for tt in model.tuple_types if p and tt.name == p.tuple_type), ())
     for side, e in (conj.operands, conj.operands[::-1]):
-        if isinstance(side, FieldRef) and side.base == name and name not in _expr_names(e, set()):
+        if isinstance(side, FieldRef) and side.base == name and name not in names_in(walk_exprs(e)):
             return (side.fieldname, e) if side.fieldname in fields else None
     return None
 
@@ -623,8 +594,7 @@ def iter_bindings(model, instance, binders, env0=None, guard=None):
     checks = [[] for _ in range(len(pairs) + 1)]
     if guard is not None:
         for conj in _guard_conjuncts(guard):
-            names = set()
-            _bool_names(conj, names)
+            names = names_in(walk_bool(conj))
             depth = max((i + 1 for i, (nm, _) in enumerate(pairs) if nm in names), default=0)
             checks[depth].append(conj)
     joins = {k: _join_field(model, dom, checks[k + 1][0], nm)
@@ -873,7 +843,7 @@ def lower_expr(e, ctx, env):
     once per ground() call and values of the names e mentions (a row: its items)."""
     memo = ctx.lowered.get(id(e))
     if memo is None:
-        memo = ctx.lowered[id(e)] = (tuple(_expr_names(e, set())), {})
+        memo = ctx.lowered[id(e)] = (tuple(names_in(walk_exprs(e))), {})
     names, table = memo
     key = tuple(tuple(v.items()) if isinstance(v, dict) else v for v in map(env.get, names))
     g = table.get(key)
@@ -932,8 +902,6 @@ def _lower(e, ctx, env):
 
 
 def _flip_atom(atom, ctx):
-    from .ops import FLIP
-
     if isinstance(atom, RelAtom):
         return RelAtom(FLIP[atom.op], atom.left, atom.right)
     if isinstance(atom, CountC):

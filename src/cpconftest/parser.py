@@ -56,6 +56,8 @@ from .syntax import (
     TableCtr,
     TupleExpr,
     TupleTypeDecl,
+    walk_bool,
+    walk_exprs,
 )
 
 RESERVED = {
@@ -647,36 +649,6 @@ def parse_model_file(path) -> ModelAst:
 # Static validation
 
 
-def _walk_exprs(node):
-    """Yield every arithmetic sub-expression of an expression node."""
-    yield node
-    if isinstance(node, BinOp):
-        yield from _walk_exprs(node.left)
-        yield from _walk_exprs(node.right)
-    elif isinstance(node, Neg):
-        yield from _walk_exprs(node.operand)
-    elif isinstance(node, IndexedRef):
-        if isinstance(node.index, TupleExpr):
-            for it in node.index.items:
-                yield from _walk_exprs(it)
-        else:
-            yield from _walk_exprs(node.index)
-    elif isinstance(node, TupleExpr):
-        for it in node.items:
-            yield from _walk_exprs(it)
-
-
-def _walk_bool(node):
-    if isinstance(node, RelChain):
-        for e in node.operands:
-            yield from _walk_exprs(e)
-    elif isinstance(node, BoolOp):
-        for it in node.items:
-            yield from _walk_bool(it)
-    elif isinstance(node, BoolNot):
-        yield from _walk_bool(node.item)
-
-
 class _Validator:
     def __init__(self, model):
         self.model = model
@@ -771,11 +743,11 @@ class _Validator:
     def _check_bool_scope(self, guard, scope):
         if guard is None:
             return
-        for e in _walk_bool(guard):
+        for e in walk_bool(guard):
             self._check_leaf(e, scope, allow_dvar=False)
 
     def _check_expr(self, expr, scope, allow_dvar):
-        for e in _walk_exprs(expr):
+        for e in walk_exprs(expr):
             self._check_leaf(e, scope, allow_dvar)
 
     def _check_leaf(self, e, scope, allow_dvar):

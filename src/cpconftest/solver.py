@@ -33,9 +33,12 @@ bounds once, when built, since they are read far more often than changed.
 
 Presolve deletes disjuncts whose negation is asserted at the top level,
 directly, as an Or, or as a leaf of a global's expansion (an allDifferent
-pair, say), comparing atoms modulo the linear equalities asserted there
-(substituting variables out with equality rows, as in Andersen & Andersen,
-"Presolving in linear programming", 1995).  The equalities are put in
+pair, say).  It negates each asserted leaf once per state and keeps the
+keys of the negations, so a disjunct (an atom or a conjunction) is refuted
+by looking up its own key; no candidate is negated.  Keys compare atoms
+modulo the linear equalities asserted there (substituting variables out
+with equality rows, as in Andersen & Andersen, "Presolving in linear
+programming", 1995).  The equalities are put in
 reduced row-echelon form once, pivoting on the highest unit-coefficient
 variable so that channeled auxiliaries go, and each linear atom is keyed
 with every pivot substituted out: with d[i,j] == x[j] - x[i] asserted, the
@@ -742,46 +745,45 @@ def _normal_form(rows):
     return reduce if rows else None
 
 
+def _key(tree, reduce):
+    """canonical_key(tree, reduce), or None when its arithmetic overflows."""
+    try:
+        return canonical_key(tree, reduce)
+    except EvaluationError:
+        return None
+
+
 def _asserted_keys(trees, reduce, tick):
-    """Canonical keys of everything asserted at the top level, Or leaves
-    included, and of the top-level leaves of each global that negate()
-    complements through its expansion."""
+    """Reduced canonical keys of the negations of everything asserted at the
+    top level, Or leaves included; a global that negate() complements through
+    its expansion gives those of its expansion's top-level leaves instead.  A
+    tree whose own reduced key is among them is false wherever `trees` hold."""
     keys = set()
     for tree in trees:
         for leaf in _and_spine(tree):
             tick()
-            leaves = [leaf]
             if isinstance(leaf, (AllDiffC, AllMinDistC, InverseC, PackC)):
-                leaves += _and_spine(expansion(leaf))
+                leaves = _and_spine(expansion(leaf))
+            else:
+                leaves = (leaf,)
             for t in leaves:
-                try:
-                    keys.add(canonical_key(t, reduce))
-                except EvaluationError:
-                    pass
+                keys.add(_key(negate(t).tree, reduce))
+    keys.discard(None)
     return keys
-
-
-def _refutes(tree, keys, reduce):
-    r = negate(tree)
-    if not r.ok:
-        return False
-    try:
-        return canonical_key(r.tree, reduce) in keys
-    except EvaluationError:
-        return False
 
 
 def _simplify(tree, keys, reduce, seen, tick):
     """`seen` (own keys so far) is None unless the tree is asserted at the
     top level of hard.  Such an atom is a tautology by its own key only:
     modulo the rows, the equalities that justify every deletion would read
-    as true.  A seen key is TRUE_C: the earlier atom prunes the same.  Of the
-    composite trees only a conjunction that is not asserted is refuted
-    whole: an Or's negation is a conjunction, which an asserted key almost
-    never is, and keying it costs most on the widest trees."""
+    as true.  A seen key is TRUE_C: the earlier atom prunes the same.  A tree
+    whose reduced key is in `keys` is FALSE_C.  Of the composite trees only a
+    conjunction that is not asserted is looked up whole: an Or's key is an
+    Or, which the negation of an asserted leaf almost never is, and keying
+    it costs most on the widest trees."""
     if isinstance(tree, (AndC, OrC)):
         conj = isinstance(tree, AndC)
-        if conj and seen is None and _refutes(tree, keys, reduce):
+        if conj and seen is None and _key(tree, reduce) in keys:
             return FALSE_C
         unit, zero = (TRUE_C, FALSE_C) if conj else (FALSE_C, TRUE_C)
         parts = []
@@ -795,9 +797,8 @@ def _simplify(tree, keys, reduce, seen, tick):
             return parts[0]
         return type(tree)(tuple(parts)) if parts else unit
     tick()
-    try:
-        k = canonical_key(tree, reduce if seen is None else None)
-    except EvaluationError:
+    k = _key(tree, reduce if seen is None else None)
+    if k is None:
         return tree
     if seen is not None:
         if k in seen:
@@ -807,16 +808,17 @@ def _simplify(tree, keys, reduce, seen, tick):
         return TRUE_C
     if k == FALSE_KEY:
         return FALSE_C
-    if _refutes(tree, keys, reduce):
-        return FALSE_C
-    return tree
+    if seen is not None and reduce is not None:
+        k = _key(tree, reduce)
+    return FALSE_C if k in keys else tree
 
 
 @dataclass
 class Presolved:
     """Hard constraints presolved once, for any number of solves that add
     different extra trees to them: the simplified trees, their status
-    (UNSAT, RESOURCE_OUT or None) and what simplifying an extra needs."""
+    (UNSAT, RESOURCE_OUT or None) and what simplifying an extra needs: the
+    reduced keys of the negations of what they assert, and the reduction."""
 
     hard: list
     status: str
@@ -841,10 +843,11 @@ def presolve(hard, deadline=None):
 
     Its status is UNSAT when no solution is left, RESOURCE_OUT when
     time.monotonic() passed `deadline` first, else None.  Atoms are compared
-    modulo the linear equalities asserted in `hard`, so a disjunct (an atom
-    or a conjunction) is deleted when its negation, in that normal form, is
-    asserted there, and an Or goes when those equalities imply one of its
-    disjuncts.  Sound over the hard space: asserted atoms stay, one per key.
+    modulo the linear equalities asserted in `hard`: the negation of each
+    asserted leaf is keyed in that normal form once, here, and a disjunct
+    (an atom or a conjunction) is deleted when its own key is one of them,
+    and an Or goes when those equalities imply one of its disjuncts.  Sound
+    over the hard space: asserted atoms stay, one per key.
     """
     hard, tick = list(hard), _clock(deadline)
     try:
@@ -921,7 +924,6 @@ class Engine:
         self.bound = None
         self.bound_prop = None
         self.root_failed = False
-        self._forms = {}  # id(tree) -> _form(tree)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -1063,26 +1065,13 @@ class Engine:
 
     # -- status of a tree under current domains -------------------------------
 
-    def _form(self, tree):
-        """Cache entry of a tree, filled once per engine: its normal form,
-        its variables and the tree itself, which stays alive so that its id
-        is not reused by a tree that post_tree expands later.  The form is
-        None for all but relational atoms, and for one whose normal form
-        overflows."""
-        form = None
-        if isinstance(tree, RelAtom):
-            try:
-                form = rel_form(tree)
-            except EvaluationError:
-                pass
-        hit = self._forms[id(tree)] = (form, ctr_vars(tree), tree)
-        return hit
-
     def tree_status(self, tree):
         """True = entailed, False = violated, None = unknown."""
-        form, vs, _ = self._forms.get(id(tree)) or self._form(tree)
-        if form is not None:
-            op, poly = form
+        if isinstance(tree, RelAtom):
+            try:
+                op, poly = rel_form(tree)
+            except EvaluationError:
+                return self._exact_status(tree)
             lo, hi = poly_interval(poly, self.doms)
             if op == "<=":
                 return True if hi <= 0 else (False if lo > 0 else None)
@@ -1109,11 +1098,15 @@ class Engine:
                 if s is None:
                     out = None
             return out
-        # other atoms, and relational atoms without a normal form: exact
-        # once their variables are fixed
-        if all(self.doms[v].fixed for v in vs):
-            a = {v: self.doms[v].value for v in vs}
-            return evaluate_ground(tree, a)
+        return self._exact_status(tree)
+
+    def _exact_status(self, tree):
+        """Status of an atom without a normal form (any but a relational atom,
+        or one whose form overflows): exact once its variables are fixed."""
+        doms = self.doms
+        vs = ctr_vars(tree)
+        if all(doms[v].fixed for v in vs):
+            return evaluate_ground(tree, {v: doms[v].value for v in vs})
         return None
 
     # -- propagation and search ----------------------------------------------

@@ -319,12 +319,43 @@ class ModelAst:
     objective: Optional[Objective]
     constraints: tuple
 
-    @property
-    def channelings(self):
-        return frozenset(c.label for c in self.constraints if c.channeling)
 
-    def constraint(self, label):
-        for c in self.constraints:
-            if c.label == label:
-                return c
-        raise KeyError(label)
+# ---------------------------------------------------------------------------
+# Walks
+
+
+def walk_exprs(node):
+    """Yield every arithmetic sub-expression of an expression node."""
+    yield node
+    if isinstance(node, BinOp):
+        yield from walk_exprs(node.left)
+        yield from walk_exprs(node.right)
+    elif isinstance(node, Neg):
+        yield from walk_exprs(node.operand)
+    elif isinstance(node, IndexedRef):
+        if isinstance(node.index, TupleExpr):
+            for it in node.index.items:
+                yield from walk_exprs(it)
+        else:
+            yield from walk_exprs(node.index)
+    elif isinstance(node, TupleExpr):
+        for it in node.items:
+            yield from walk_exprs(it)
+
+
+def walk_bool(node):
+    """Yield every arithmetic sub-expression of a boolean expression node."""
+    if isinstance(node, RelChain):
+        for e in node.operands:
+            yield from walk_exprs(e)
+    elif isinstance(node, BoolOp):
+        for it in node.items:
+            yield from walk_bool(it)
+    elif isinstance(node, BoolNot):
+        yield from walk_bool(node.item)
+
+
+def names_in(exprs):
+    """Names the expressions read: bare identifiers and tuple binders."""
+    return {e.name if isinstance(e, NameRef) else e.base for e in exprs
+            if isinstance(e, (NameRef, FieldRef))}

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from cpconftest.grounding import (
     iter_bindings,
     parse_var_name,
 )
+from cpconftest.solver import solve
 from cpconftest.syntax import (
     BinderGroup,
     BinOp,
@@ -33,7 +35,11 @@ from cpconftest.syntax import (
     RangeDom,
     RelChain,
     SetDom,
+    names_in,
+    walk_bool,
 )
+
+from conftest import brute_solutions
 
 RULER3 = """
 int m = ...;
@@ -314,6 +320,46 @@ def test_inverse_grounding():
     assert not evaluate_ground(tree, a)
 
 
+SOURCE_CONSTRUCTS = """
+    int n = ...;
+    tuple P { int a; int b; }
+    {P} ok = ...;
+    dvar int x[1..n] in 0..2;
+    subject to {
+      o: or (i in 1..n : i > 1) x[i] == x[i - 1] + 1;
+      f: if (n > 2) x[1] <= x[n] else x[1] != x[n];
+      t: allowedAssignments(<x[1], x[2]>, ok);
+      g: forbiddenAssignments(<x[2], x[n]>, ok);
+    }
+"""
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_source_constructs_agree_with_brute_force(n):
+    # an or aggregate, both branches of if/else and the two table kinds,
+    # parsed and grounded from source, then judged on every assignment
+    ok = {(0, 1), (1, 2), (2, 2)}
+    m = parse_model(SOURCE_CONSTRUCTS)
+    gm = ground(m, build_instance(m, parse_data(f"n = {n}; ok = {{<0, 1>, <1, 2>, <2, 2>}};")))
+    meaning = {
+        "o": lambda x: any(x[i] == x[i - 1] + 1 for i in range(1, n)),
+        "f": lambda x: x[0] <= x[-1] if n > 2 else x[0] != x[-1],
+        "t": lambda x: (x[0], x[1]) in ok,
+        "g": lambda x: (x[1], x[-1]) not in ok,
+    }
+    vids = [gm.space.lookup("x", (i,)) for i in range(1, n + 1)]
+    trees = [c.tree for c in gm.constraints]
+    sols = []
+    for vals in itertools.product(range(3), repeat=n):
+        a = dict(zip(vids, vals))
+        for c in gm.constraints:
+            assert evaluate_ground(c.tree, a) == meaning[c.label](vals), (c.label, vals)
+        if all(meaning[c.label](vals) for c in gm.constraints):
+            sols.append(a)
+    assert sols and brute_solutions(gm.domains, trees) == sols
+    assert solve(gm.domains, trees).assignment in sols
+
+
 def test_index_out_of_range():
     m = parse_model(
         """
@@ -357,8 +403,7 @@ def filtering_bindings(model, instance, binders, env0=None, guard=None):
     checks = [[] for _ in range(len(pairs) + 1)]
     if guard is not None:
         for conj in grounding._guard_conjuncts(guard):
-            names = set()
-            grounding._bool_names(conj, names)
+            names = names_in(walk_bool(conj))
             depth = max((i + 1 for i, (nm, _) in enumerate(pairs) if nm in names), default=0)
             checks[depth].append(conj)
 

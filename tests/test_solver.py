@@ -12,6 +12,8 @@ from cpconftest.grounding import (
     AndC,
     Const,
     CountC,
+    FALSE_C,
+    InverseC,
     OrC,
     PackC,
     Prod,
@@ -23,12 +25,13 @@ from cpconftest.grounding import (
     build_instance,
     eval_gexpr,
     evaluate_ground,
+    expansion,
     ground,
     mk_diff,
 )
 from cpconftest.parser import parse_data_file, parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
-from cpconftest.transform import canonical_key, negate
+from cpconftest.transform import FALSE_KEY, TRUE_KEY, canonical_key, negate
 
 from conftest import brute_min, brute_solutions, rand_tree, small_globals
 
@@ -362,6 +365,102 @@ def test_echelon_presolve_is_sound(rng):
                 assert not any(evaluate_ground(d, a) for a in sols)
                 modulo += canonical_key(negate(d).tree) not in plain
     assert modulo > 50 and whole > 15
+
+
+def _reference_keys(hard, reduce):
+    """The asserted keys of the earlier rule: own reduced keys of the
+    top-level leaves and of the expansion leaves of globals."""
+    keys = set()
+    for tree in hard:
+        for leaf in solver._and_spine(tree):
+            if isinstance(leaf, (AllDiffC, AllMinDistC, InverseC, PackC)):
+                keys |= {solver._key(t, reduce) for t in solver._and_spine(expansion(leaf))}
+            keys.add(solver._key(leaf, reduce))
+    return keys - {None}
+
+
+def _reference_deletes(tree, keys, reduce):
+    """Whether the earlier rule deletes a tree that is not asserted: it
+    negated each candidate (an atom or a conjunction), keyed the negation
+    and looked that up among the asserted keys."""
+    if isinstance(tree, OrC):
+        return all(_reference_deletes(t, keys, reduce) for t in tree.items)
+    if isinstance(tree, AndC):
+        if any(_reference_deletes(t, keys, reduce) for t in tree.items):
+            return True
+    elif solver._key(tree, reduce) in (TRUE_KEY, FALSE_KEY):
+        return solver._key(tree, reduce) == FALSE_KEY
+    return solver._key(negate(tree).tree, reduce) in keys
+
+
+def _has_global(tree):
+    if isinstance(tree, (AndC, OrC)):
+        return any(_has_global(t) for t in tree.items)
+    return isinstance(tree, (AllDiffC, AllMinDistC, InverseC, PackC))
+
+
+def _lookup_matches_reference(hard, candidates):
+    """Number of asserted atoms and candidates deleted, after asserting that
+    the lookup deletes exactly those that the earlier rule did."""
+    pre = presolve(hard)
+    old = _reference_keys(hard, pre.reduce)
+    deleted = 0
+    for t in (t for tree in hard for t in solver._and_spine(tree)):
+        if not isinstance(t, OrC) and not _has_global(t):
+            new = solver._simplify(t, pre.keys, pre.reduce, set(), lambda: None) is FALSE_C
+            own = solver._key(t, None)  # an asserted atom is a tautology by this key only
+            want = own == FALSE_KEY or (
+                own not in (None, TRUE_KEY) and solver._key(negate(t).tree, pre.reduce) in old
+            )
+            assert new == want, t
+            deleted += new
+    for d in candidates:
+        new = solver._simplify(d, pre.keys, pre.reduce, None, lambda: None) is FALSE_C
+        assert new == _reference_deletes(d, old, pre.reduce), d
+        deleted += new
+    return deleted
+
+
+def test_lookup_deletes_what_negating_each_candidate_deleted(rng):
+    # the rules agree wherever negate() is an involution on keys, so globals
+    # are kept out of the candidates and out of asserted Ors here
+    deleted = 0
+    for _ in range(200):
+        vs, hard, extras = _equality_system(rng)
+        ors = [t for t in hard + extras if isinstance(t, OrC)]
+        deleted += _lookup_matches_reference(hard, [d for t in ors for d in t.items])
+    assert deleted > 500
+    # table and count atoms too, and candidates that negate asserted trees
+    deleted, vids = 0, [0, 1, 2]
+    for _ in range(200):
+        hard = [t for t in (rand_tree(rng, vids) for _ in range(3))
+                if not (isinstance(t, OrC) and _has_global(t))]
+        candidates = [negate(t).tree for t in hard] + [rand_tree(rng, vids) for _ in range(3)]
+        deleted += _lookup_matches_reference(hard, [c for c in candidates if not _has_global(c)])
+    assert deleted > 300
+
+
+def test_presolve_negates_no_candidate(monkeypatch):
+    # presolve negates each asserted leaf once, an allDifferent through its
+    # expansion, and simplifying the extras negates nothing
+    alldiff, or_ = AllDiffC((x, y, z)), OrC((RelAtom("<", x, y), RelAtom("<", y, z)))
+    negated = []
+
+    def spy(tree):
+        negated.append(tree)
+        return negate(tree)
+
+    monkeypatch.setattr(solver, "negate", spy)
+    pre = presolve([alldiff, or_])
+    assert negated == list(solver._and_spine(expansion(alldiff))) + [or_]
+
+    def refuse(tree):
+        raise AssertionError(f"negated a candidate: {tree}")
+
+    monkeypatch.setattr(solver, "negate", refuse)
+    extras = [OrC((RelAtom("==", x, y), AndC((RelAtom(">=", y, z), RelAtom(">=", x, y))),
+                   RelAtom("<", z, x)))]
+    assert pre.extras(extras) == ([RelAtom("<", z, x)], None)
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])

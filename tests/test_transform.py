@@ -201,10 +201,14 @@ def test_nested_flattening():
 
 
 def test_shared_disjunct_factoring():
+    # (a|b) & (a|c) = a | (b&c), and its dual (a&b) | (a&c) = a & (b|c)
     a, b, c = RelAtom("==", x, Const(0)), RelAtom("==", y, Const(1)), RelAtom("==", z, Const(2))
-    assert canonical_key(AndC((OrC((a, b)), OrC((a, c))))) == canonical_key(
-        OrC((a, AndC((b, c))))
-    )
+    for outer, inner in ((AndC, OrC), (OrC, AndC)):
+        left = outer((inner((a, b)), inner((a, c))))
+        right = inner((a, outer((b, c))))
+        assert canonical_key(left) == canonical_key(right)
+        for asg in all_assignments([0, 1, 2], 0, 2):
+            assert evaluate_ground(left, asg) == evaluate_ground(right, asg)
 
 
 def test_ac_equal_is_sound(rng):
