@@ -17,6 +17,7 @@ named on stderr, 3 on manifest or input errors.
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .conformity import (
@@ -226,7 +227,7 @@ def _cmd_bench(args):
                 gm.domains,
                 [c.tree for c in gm.constraints],
                 gm.objective,
-                SearchConfig(time_limit=budget),
+                SearchConfig(deadline=None if budget is None else time.monotonic() + budget),
             )
             srows.append(
                 {

@@ -28,8 +28,12 @@ solved: only a refutation there stops the check, as a usage error.  The
 first genuine witness decides NonConf.  A genuine extra witness is itself a
 program solution, so the program's nonemptiness is solved for only when the
 extra direction finds none.  If every subproblem is unsatisfiable the
-verdict is Conf, a per-instance certificate.  Otherwise the verdict is
-Unknown, with the reason (timeout or unsupported negation) in the report.
+verdict is Conf, a per-instance certificate.  Otherwise the budget ran out
+and the verdict is Unknown (timeout).
+
+The budget is one deadline, a time.monotonic() value fixed at the entry of
+check() or validate_witness(); grounding, presolve and every solve read
+that same number, and a solve that would start past it is not run.
 """
 
 import time
@@ -76,7 +80,7 @@ class SubReport:
 
     label: str
     origin: str  # "reference" | "program"
-    status: str  # unsat | witness | resource_out | unsupported-negation | undecided
+    status: str  # unsat | witness | resource_out | undecided
     nodes: int = 0
     elapsed: float = 0.0
     false_alarms: int = 0
@@ -125,20 +129,6 @@ class Verdict:
         }
 
 
-class _Budget:
-    def __init__(self, seconds):
-        self.start = time.monotonic()
-        self.deadline = None if seconds is None else self.start + seconds
-
-    def remaining(self):
-        if self.deadline is None:
-            return None
-        return max(0.0, self.deadline - time.monotonic())
-
-    def elapsed(self):
-        return time.monotonic() - self.start
-
-
 @dataclass
 class _Effort:
     """Solver calls, nodes, failures and propagator runs, summed."""
@@ -169,13 +159,12 @@ def ground_pair(oracle_model, cput_model, data=None, overrides=None, deadline=No
     return oracle_gm, cput_gm
 
 
-def _timed_solve(effort, budget, domains, hard, extras, opts):
-    """solve() within what is left of the budget; the call's solver effort
-    is added to `effort` (an _Effort or a SubReport)."""
-    rem = budget.remaining()
-    if rem is not None and rem <= 0:
+def _timed_solve(effort, deadline, domains, hard, extras, opts):
+    """solve() until the deadline, not started once it has passed; the
+    call's solver effort is added to `effort` (an _Effort or a SubReport)."""
+    if deadline is not None and time.monotonic() >= deadline:
         return SolveOutcome("RESOURCE_OUT")
-    out = solve(domains, hard, extras, SearchConfig(time_limit=rem, node_limit=opts.node_limit))
+    out = solve(domains, hard, extras, SearchConfig(deadline=deadline, node_limit=opts.node_limit))
     effort.solves += 1
     effort.nodes += out.stats.nodes
     effort.failures += out.stats.failures
@@ -278,7 +267,7 @@ def _genuine_extra(oracle_gm, cput_gm, w):
     return not (oracle_gm.in_domains(wo) and oracle_gm.evaluate(wo))
 
 
-def _program_accepts(cput_gm, full, open_vids, budget, effort, opts):
+def _program_accepts(cput_gm, full, open_vids, deadline, effort, opts):
     """Does the program accept this extended assignment?  True / False /
     None (undecided within the budget).  Auxiliaries the channelings left
     open are decided by search."""
@@ -286,17 +275,17 @@ def _program_accepts(cput_gm, full, open_vids, budget, effort, opts):
         return cput_gm.in_domains(full) and cput_gm.evaluate(full)
     hard = [c.tree for c in cput_gm.constraints]
     hard += [RelAtom("==", Var(v), Const(x)) for v, x in full.items()]
-    out = _timed_solve(effort, budget, dict(cput_gm.domains), hard, (), opts)
+    out = _timed_solve(effort, deadline, dict(cput_gm.domains), hard, (), opts)
     return {"SAT": True, "UNSAT": False}.get(out.status)
 
 
-def _genuine_missing(oracle_gm, cput_gm, w, budget, effort, opts):
+def _genuine_missing(oracle_gm, cput_gm, w, deadline, effort, opts):
     """Does w prove a missing solution?  True / False / None (undecided)."""
     wo = {v: w[v] for v in oracle_gm.vids}
     if not (oracle_gm.in_domains(wo) and oracle_gm.evaluate(wo)):
         return False
     full, open_vids = cput_gm.extend_assignment(wo)
-    accepts = _program_accepts(cput_gm, full, open_vids, budget, effort, opts)
+    accepts = _program_accepts(cput_gm, full, open_vids, deadline, effort, opts)
     return None if accepts is None else not accepts
 
 
@@ -307,12 +296,9 @@ def _run_subproblem(run, direction, label, tree, domains, hard, pre):
     rep = SubReport(label, "reference" if direction == "extra" else "program", "unsat")
     t0 = time.monotonic()
     neg = negate(tree)
-    if not neg.ok:
-        rep.status = "unsupported-negation"
-        return rep
-    oracle_gm, cput_gm, budget, opts = run.oracle_gm, run.cput_gm, run.budget, run.opts
+    oracle_gm, cput_gm, opts = run.oracle_gm, run.cput_gm, run.opts
     while True:
-        out = _timed_solve(rep, budget, domains, pre or hard, [neg.tree], opts)
+        out = _timed_solve(rep, run.deadline, domains, pre or hard, [neg], opts)
         if out.status == "UNSAT":
             break
         if out.status == "RESOURCE_OUT":
@@ -322,7 +308,7 @@ def _run_subproblem(run, direction, label, tree, domains, hard, pre):
         if direction == "extra":
             genuine = _genuine_extra(oracle_gm, cput_gm, w)
         else:
-            genuine = _genuine_missing(oracle_gm, cput_gm, w, budget, rep, opts)
+            genuine = _genuine_missing(oracle_gm, cput_gm, w, run.deadline, rep, opts)
         if genuine is None:
             rep.status = "undecided"
             break
@@ -381,14 +367,16 @@ def _bounds_atoms(gm, lo, hi, what):
 
 
 class _Run:
-    """The state of one check that its phases share: the grounded pair, the
-    budget, the solver effort outside subproblems and the SubReports so far."""
+    """The state of one check that its phases share: the grounded pair, when
+    the check started and its deadline, the solver effort outside subproblems
+    and the SubReports so far."""
 
-    def __init__(self, oracle_gm, cput_gm, opts, budget):
+    def __init__(self, oracle_gm, cput_gm, opts, start, deadline):
         self.oracle_gm = oracle_gm
         self.cput_gm = cput_gm
         self.opts = opts
-        self.budget = budget
+        self.start = start
+        self.deadline = deadline
         self.effort = _Effort()
         self.reports = []
         self.states = {}  # presolved states, by side and extra atoms
@@ -405,13 +393,13 @@ class _Run:
         key = (gm is self.cput_gm, tuple(extra_atoms))
         if key not in self.states:
             hard = [c.tree for c in gm.constraints] + list(extra_atoms)
-            self.states[key] = solver.presolve(hard, self.budget.deadline)
+            self.states[key] = solver.presolve(hard, self.deadline)
         return self.states[key]
 
     def solve(self, gm, extra_atoms, opts=None):
         """Solve one side's constraints plus the given atoms."""
         pre = self.presolved(gm, extra_atoms)
-        return _timed_solve(self.effort, self.budget, dict(gm.domains), pre, (), opts or self.opts)
+        return _timed_solve(self.effort, self.deadline, dict(gm.domains), pre, (), opts or self.opts)
 
     def verdict(self, kind, reason=None, witness=None, **kw):
         if witness is not None:
@@ -425,7 +413,7 @@ class _Run:
             "nodes": sum(p.nodes for p in parts),
             "failures": sum(p.failures for p in parts),
             "propagations": sum(p.propagations for p in parts),
-            "elapsed": round(self.budget.elapsed(), 6),
+            "elapsed": round(time.monotonic() - self.start, 6),
         }
 
 
@@ -439,7 +427,7 @@ def _reference_probe(run):
     already spent ends the check before any subproblem is planned."""
     if run.solve(run.oracle_gm, [], replace(run.opts, node_limit=0)).status == "UNSAT":
         raise UsageError("the reference model is unsatisfiable on this instance")
-    if run.budget.remaining() == 0:
+    if run.deadline is not None and time.monotonic() >= run.deadline:
         return run.verdict("Unknown", "timeout")
     return None
 
@@ -499,12 +487,9 @@ def _missing(run):
 
 
 def _settle(run):
-    """Unknown when some subproblem was left open, else go on."""
-    statuses = {r.status for r in run.reports}
-    if statuses & {"resource_out", "undecided"}:
+    """Unknown when the budget left some subproblem open, else go on."""
+    if any(r.status in ("resource_out", "undecided") for r in run.reports):
         return run.verdict("Unknown", "timeout")
-    if "unsupported-negation" in statuses:
-        return run.verdict("Unknown", "unsupported-negation")
     return None
 
 
@@ -551,7 +536,7 @@ def check(oracle_model, cput_model, data=None, overrides=None, opts=None):
 
     The relation's phases run in order and the first verdict decides; when
     every phase passes the verdict is Conf.  The time limit counts from
-    entry, grounding included.
+    entry, grounding included: the deadline is fixed here, once.
     """
     opts = opts or CheckOptions()
     phases = _PHASES.get(opts.relation)
@@ -559,13 +544,14 @@ def check(oracle_model, cput_model, data=None, overrides=None, opts=None):
         raise UsageError(f"unknown relation {opts.relation!r}")
     if opts.relation in ("bounds", "best") and opts.bounds is None:  # before grounding can time out
         raise UsageError("this relation needs --bounds lo:hi")
-    budget = _Budget(opts.time_limit)
+    start = time.monotonic()
+    deadline = None if opts.time_limit is None else start + opts.time_limit
     try:
-        oracle_gm, cput_gm = ground_pair(oracle_model, cput_model, data, overrides, budget.deadline)
+        oracle_gm, cput_gm = ground_pair(oracle_model, cput_model, data, overrides, deadline)
     except TimeoutError:
-        stats = {**vars(_Effort()), "elapsed": round(budget.elapsed(), 6)}
+        stats = {**vars(_Effort()), "elapsed": round(time.monotonic() - start, 6)}
         return Verdict("Unknown", opts.relation, "timeout", stats=stats)
-    run = _Run(oracle_gm, cput_gm, opts, budget)
+    run = _Run(oracle_gm, cput_gm, opts, start, deadline)
     for phase in phases:
         verdict = phase(run)
         if verdict is not None:
@@ -649,7 +635,7 @@ def validate_witness(oracle_gm, cput_gm, assignment, opts=None):
     assignment is decided by search.
     """
     opts = opts or CheckOptions()
-    budget = _Budget(opts.time_limit)
+    deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
     notes = []
     full, open_vids = cput_gm.extend_assignment(dict(assignment))
     missing = [v for v in oracle_gm.vids if v not in full]
@@ -664,7 +650,7 @@ def validate_witness(oracle_gm, cput_gm, assignment, opts=None):
             "variables left open by the channelings, deciding by search: "
             + ", ".join(cput_gm.space.pretty(v) for v in open_vids[:5])
         )
-    cput_ok = _program_accepts(cput_gm, full, open_vids, budget, _Effort(), opts)
+    cput_ok = _program_accepts(cput_gm, full, open_vids, deadline, _Effort(), opts)
     cput_viol = ()
     if cput_ok is False and not open_vids:
         cput_viol = tuple(cput_gm.evaluate_with_failures(full))

@@ -52,9 +52,11 @@ share one Presolved state of them and simplify only their extras.
 
 solve() finds one solution or proves there is none; solve_optimal() runs
 branch and bound on a minimization objective and reports whether optimality
-was proven within the budget.  Both respect wall-clock and node budgets,
-the wall-clock one counted from entry and read in presolve and at every
-node, though not while posting, and are fully deterministic.
+was proven within the budget.  Both run one body and are fully
+deterministic.  Their budgets are a node limit and a deadline: an absolute
+time.monotonic() value that the caller fixes once (check() at its entry,
+for every solve of the check), read in presolve and at every node, though
+not while posting.
 """
 
 import time
@@ -390,14 +392,14 @@ class AllDiffProp(Prop):
 
     def propagate(self, eng):
         doms = eng.doms
-        seen = {}
+        seen = {}  # values taken, in order: the removals below keep that order
         for vid in self.vids:
             d = doms[vid]
             if d.fixed:
                 v = d.value
-                if v in seen and seen[v] != vid:
+                if v in seen:  # a repeated variable, too, takes its value twice
                     return False
-                seen[v] = vid
+                seen[v] = None
         if not seen:
             return True
         for vid in self.vids:
@@ -767,7 +769,7 @@ def _asserted_keys(trees, reduce, tick):
             else:
                 leaves = (leaf,)
             for t in leaves:
-                keys.add(_key(negate(t).tree, reduce))
+                keys.add(_key(negate(t), reduce))
     keys.discard(None)
     return keys
 
@@ -866,11 +868,8 @@ def presolve(hard, deadline=None):
 
 @dataclass
 class SearchConfig:
-    time_limit: float = None  # seconds
+    deadline: float = None  # time.monotonic() value past which a solve stops
     node_limit: int = None
-
-    def deadline(self, start):
-        return None if self.time_limit is None else start + self.time_limit
 
 
 @dataclass
@@ -906,7 +905,7 @@ class OptOutcome:
 
 
 class Engine:
-    def __init__(self, domains, config, start):
+    def __init__(self, domains, config):
         self.doms = {vid: make_dom(lo, hi) for vid, (lo, hi) in domains.items()}
         self.order = sorted(self.doms)
         # per variable, one propagator list per event class (FIX, BOUND, DOMAIN)
@@ -919,7 +918,6 @@ class Engine:
         # disjunct and runs far fewer times once the rest is at its fixpoint
         self.queues = (deque(), deque())
         self.config = config
-        self.start = start  # time.monotonic() the time limit counts from
         self.stats = Stats()
         self.bound = None
         self.bound_prop = None
@@ -1159,9 +1157,7 @@ class Engine:
         c = self.config
         if c.node_limit is not None and self.stats.nodes >= c.node_limit:
             return True
-        if c.time_limit is not None and time.monotonic() - self.start > c.time_limit:
-            return True
-        return False
+        return c.deadline is not None and time.monotonic() > c.deadline
 
     def search(self, on_solution):
         """DFS; on_solution(assignment) returns True to stop the search.
@@ -1200,74 +1196,59 @@ class Engine:
             failed = not (self._apply(alts[0]) and self.propagate())
 
 
-def _setup(domains, hard, extras, config, start):
-    eng = Engine(domains, config, start)
-    for t in hard:
-        if not eng.post_tree(t, False):
-            eng.root_failed = True
-    for t in extras:
-        if not eng.post_tree(t, True):
-            eng.root_failed = True
-    return eng
+def _solve(domains, hard, extras, objective, config):
+    """The one body of solve and solve_optimal: presolve `hard` unless it is
+    a Presolved state, simplify the extras against it, post both and search;
+    with an objective, branch and bound on it.  Returns (status, assignment,
+    value, stats): the search status, the last solution found (the best one
+    under an objective) and its objective value, or None for each."""
+    config = config or SearchConfig()
+    t0 = time.monotonic()
+    pre = hard if isinstance(hard, Presolved) else presolve(hard, config.deadline)
+    extras, status = pre.extras(extras, config.deadline)
+    best = {}
+    if status:
+        stats = Stats()
+    else:
+        eng = Engine(domains, config)
+        for choice, trees in ((False, pre.hard), (True, extras)):
+            for t in trees:
+                if not eng.post_tree(t, choice):
+                    eng.root_failed = True
+        if objective is not None:
+            eng.bound_prop = BoundProp(poly_of(objective))
+            eng.register(eng.bound_prop)
+
+        def on_solution(a):
+            if objective is None:
+                best["assignment"] = a
+                return True
+            v = eval_gexpr(objective, a)
+            if eng.bound is None or v < eng.bound:
+                eng.bound = v
+                best["assignment"], best["value"] = a, v
+            return False  # keep searching for better
+
+        status = eng.search(on_solution)
+        stats = eng.stats
+    stats.elapsed = time.monotonic() - t0
+    return status, best.get("assignment"), best.get("value"), stats
 
 
 def solve(domains, hard, extras=(), config=None):
     """Find one assignment satisfying hard plus every extra tree.  `hard` is
     a list of trees, or a Presolved state of them that solves with other
     extras share; then only the extras are simplified here."""
-    config = config or SearchConfig()
-    t0 = time.monotonic()
-    deadline = config.deadline(t0)
-    pre = hard if isinstance(hard, Presolved) else presolve(hard, deadline)
-    extras2, status = pre.extras(extras, deadline)
-    if status:
-        out = SolveOutcome(status)
-        out.stats.elapsed = time.monotonic() - t0
-        return out
-    eng = _setup(domains, pre.hard, extras2, config, t0)
-    hit = {}
-
-    def grab(a):
-        hit.update(a)
-        return True
-
-    status = eng.search(grab)
-    eng.stats.elapsed = time.monotonic() - t0
-    if status == "SAT":
-        return SolveOutcome("SAT", hit, eng.stats)
-    return SolveOutcome(status, None, eng.stats)
+    status, assignment, _, stats = _solve(domains, hard, extras, None, config)
+    return SolveOutcome(status, assignment, stats)
 
 
 def solve_optimal(domains, hard, objective, config=None):
-    """Branch and bound minimization of a ground objective expression."""
-    config = config or SearchConfig()
-    t0 = time.monotonic()
-    pre = presolve(hard, config.deadline(t0))
-    if pre.status:
-        out = OptOutcome(pre.status)
-        out.stats.elapsed = time.monotonic() - t0
-        return out
-    eng = _setup(domains, pre.hard, (), config, t0)
-    obj_poly = poly_of(objective)
-    eng.bound_prop = BoundProp(obj_poly)
-    eng.register(eng.bound_prop)
-    best = {}
-
-    def record(a):
-        v = eval_gexpr(objective, a)
-        if eng.bound is None or v < eng.bound:
-            eng.bound = v
-            best["assignment"] = dict(a)
-            best["value"] = v
-        return False  # keep searching for better
-
-    status = eng.search(record)
-    eng.stats.elapsed = time.monotonic() - t0
-    if "value" not in best:
-        if status == "UNSAT":
-            return OptOutcome("UNSAT", stats=eng.stats)
-        return OptOutcome("RESOURCE_OUT", stats=eng.stats)
-    if status == "UNSAT":
-        # search space exhausted below the incumbent: optimality proven
-        return OptOutcome("SAT", best["assignment"], best["value"], True, eng.stats)
-    return OptOutcome("RESOURCE_OUT", best["assignment"], best["value"], False, eng.stats)
+    """Branch and bound minimization of a ground objective expression.  SAT
+    means optimality was proven: the search space below the incumbent was
+    exhausted."""
+    status, assignment, value, stats = _solve(domains, hard, (), objective, config)
+    if assignment is None:
+        return OptOutcome(status, stats=stats)
+    proven = status == "UNSAT"
+    return OptOutcome("SAT" if proven else "RESOURCE_OUT", assignment, value, proven, stats)

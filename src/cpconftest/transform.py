@@ -19,8 +19,6 @@ distributive laws.  The equivalence is deliberately incomplete: unequal keys
 prove nothing.
 """
 
-from dataclasses import dataclass
-
 from .errors import EvaluationError
 from .grounding import (
     AllDiffC,
@@ -45,41 +43,23 @@ from .ops import FLIP, MIRROR, add64, mul64, rel_holds
 # Negation
 
 
-@dataclass(frozen=True)
-class NegationResult:
-    ok: bool
-    tree: object = None
-    reason: str = None
-
-
 def negate(tree):
-    """Complement of a ground constraint, as a NegationResult."""
+    """Complement of a ground constraint tree; TypeError for anything else."""
     if isinstance(tree, RelAtom):
-        return NegationResult(True, RelAtom(FLIP[tree.op], tree.left, tree.right))
+        return RelAtom(FLIP[tree.op], tree.left, tree.right)
     if isinstance(tree, (AndC, OrC)):
         dual = OrC if isinstance(tree, AndC) else AndC
-        parts = []
-        for it in tree.items:
-            r = negate(it)
-            if not r.ok:
-                return r
-            parts.append(r.tree)
-        return NegationResult(True, dual(tuple(parts)))
+        return dual(tuple(negate(it) for it in tree.items))
     if isinstance(tree, TableC):
         other = "forbidden" if tree.kind == "allowed" else "allowed"
-        return NegationResult(True, TableC(other, tree.items, tree.rows))
+        return TableC(other, tree.items, tree.rows)
     if isinstance(tree, CountC):
-        return NegationResult(
-            True, CountC(tree.items, tree.value, FLIP[tree.op], tree.rhs)
-        )
+        return CountC(tree.items, tree.value, FLIP[tree.op], tree.rhs)
     if isinstance(tree, PackBinC):
-        return NegationResult(
-            True,
-            PackBinC(tree.bin_key, tree.load_vid, tree.assigns, tree.sizes, FLIP[tree.op]),
-        )
+        return PackBinC(tree.bin_key, tree.load_vid, tree.assigns, tree.sizes, FLIP[tree.op])
     if isinstance(tree, (AllDiffC, AllMinDistC, InverseC, PackC)):
         return negate(expansion(tree))
-    return NegationResult(False, None, f"cannot negate {type(tree).__name__}")
+    raise TypeError(f"not a ground constraint: {tree!r}")
 
 
 # ---------------------------------------------------------------------------

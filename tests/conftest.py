@@ -125,11 +125,13 @@ def rand_tree(rng, vids, depth=1):
 
 
 def small_globals():
-    """(domains, tree) pairs of allMinDistance and inverse atoms small enough
-    to enumerate: gaps <= 0, fewer than two items, and inverse arrays of
-    unequal lengths whose values may fall outside the other's indices."""
+    """(domains, tree) pairs of allDifferent, allMinDistance and inverse atoms
+    small enough to enumerate: allDifferent over a repeated variable, gaps
+    <= 0, fewer than two items, and inverse arrays of unequal lengths whose
+    values may fall outside the other's indices."""
     x, y, z = Var(0), Var(1), Var(2)
-    cases = [
+    cases = [({v: (0, 4) for v in range(3)}, AllDiffC(items)) for items in ((x, x), (x, y, x))]
+    cases += [
         ({v: (0, 4) for v in range(3)}, AllMinDistC(items, gap))
         for items in ((), (x,), (x, y), (x, y, z), (x, Sum((y, Const(1))), z))
         for gap in (-1, 0, 1, 2, 3)

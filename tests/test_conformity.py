@@ -169,6 +169,24 @@ def test_empty_program_is_found_after_the_extra_direction():
         assert all(s.status == "unsat" for s in v.subreports), relation
 
 
+# allDifferent over one variable written twice holds nowhere
+O_LE3 = """
+dvar int x[1..2] in 0..3;
+subject to { c1: x[1] <= 3; }
+"""
+
+P_REPEATED = """
+dvar int x[1..2] in 0..3;
+subject to { cc1: allDifferent(all (i in 1..2) x[1]); }
+"""
+
+
+@pytest.mark.parametrize("relation", ["one", "all"])
+def test_alldifferent_over_a_repeated_variable_is_unsatisfiable(relation):
+    v = run(O_LE3, P_REPEATED, relation=relation)
+    assert (v.kind, v.reason) == ("NonConf", "unsatisfiable-program")
+
+
 def test_unsatisfiable_carseq_draft_within_budget():
     data = parse_data_file(corpus_path("carseq", "slots10.data"))
     oracle = parse_model_file(corpus_path("carseq", "oracle.cpm"))
@@ -345,7 +363,7 @@ def test_budget_spent_before_the_missing_direction_is_unknown(monkeypatch):
     # direction's subproblems are left open, which is no refutation
     def program_sat_then_spend(r):
         out = conformity._program_sat(r)
-        r.budget.deadline = time.monotonic()
+        r.deadline = time.monotonic()
         return out
 
     phases = tuple(

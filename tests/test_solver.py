@@ -132,7 +132,9 @@ def test_time_limit_counts_presolve():
     t0 = time.monotonic()
     presolve(hard).extras([wide_disjunction()])
     took = time.monotonic() - t0
-    out = solve(doms(8, 0, 9), hard, [wide_disjunction()], config=SearchConfig(time_limit=took / 4))
+    extras = [wide_disjunction()]
+    deadline = time.monotonic() + took / 4
+    out = solve(doms(8, 0, 9), hard, extras, config=SearchConfig(deadline=deadline))
     assert out.status == "RESOURCE_OUT"
 
 
@@ -148,7 +150,7 @@ def test_presolve_polls_its_deadline(monkeypatch, hard):
         return canonical_key(tree, reduce)
 
     monkeypatch.setattr(solver, "canonical_key", counting_key)
-    none_left = SearchConfig(time_limit=0.0)
+    none_left = SearchConfig(deadline=time.monotonic())
     for run in (
         lambda: solve(doms(8, 0, 9), hard, [wide_disjunction()], none_left),
         lambda: solve_optimal(doms(8, 0, 9), hard + [wide_disjunction()], x, none_left),
@@ -162,7 +164,7 @@ def test_atom_without_normal_form_is_judged_exactly():
     # x*2^62 - x*-2^62 has coefficient 2^63: no normal form in 64 bits
     left, right = Prod((Const(2**62), x)), Prod((Const(-(2**62)), x))
     eq = RelAtom("==", left, right)
-    eng = solver.Engine(doms(1, 0, 1), SearchConfig(), time.monotonic())
+    eng = solver.Engine(doms(1, 0, 1), SearchConfig())
     assert eng.post_tree(eq, False)
     assert [type(p) for p in eng.queues[0]] == [solver.CheckProp]
     assert eng.tree_status(eq) is None
@@ -217,9 +219,9 @@ def test_presolve_refutes_conjunctions_whose_negation_is_asserted():
     assert pre.extras([AndC((RelAtom(">=", y, z), RelAtom(">=", x, y)))])[1] == "UNSAT"
     assert pre.extras([AndC((RelAtom(">=", x, y),))])[1] is None
     # so is an Or's negation whose disjuncts are such conjunctions
-    assert pre.extras([negate(AndC((or_, RelAtom("<", x, z)))).tree])[1] is None
+    assert pre.extras([negate(AndC((or_, RelAtom("<", x, z))))])[1] is None
     assert presolve([or_, RelAtom("<", x, z)]).extras(
-        [negate(AndC((or_, RelAtom("<", x, z)))).tree]
+        [negate(AndC((or_, RelAtom("<", x, z))))]
     )[1] == "UNSAT"
 
 
@@ -227,7 +229,7 @@ def test_presolve_keys_the_expansion_of_globals():
     # not(allMinDistance) is an Or of conjunctions, each the negation of one
     # pair's disjunction in the expansion
     amd = AllMinDistC((x, y, z), 2)
-    assert presolve([amd]).extras([negate(amd).tree])[1] == "UNSAT"
+    assert presolve([amd]).extras([negate(amd)])[1] == "UNSAT"
 
 
 def test_presolved_state_is_shared_by_solves():
@@ -293,7 +295,7 @@ def _equality_system(rng):
         eq = rng.choice(eqs)
         k = Const(rng.choice((-1, 1, 2)))
         left = Sum((atom.left, Prod((k, eq.left)), Prod((Const(-1), k, eq.right))))
-        return negate(RelAtom(atom.op, left, atom.right)).tree
+        return negate(RelAtom(atom.op, left, atom.right))
 
     def disjunction(others):
         items = [disguised(rng.choice(atoms)) for _ in range(rng.randint(1, 3))]
@@ -313,7 +315,7 @@ def _equality_system(rng):
         else:
             items = [RelAtom(rng.choice(("==", "!=", "<")), Sum(tuple(_lin(rng, vs))),
                              Const(rng.randint(0, 4))) for _ in range(rng.randint(1, 2))]
-            items += [disguised(negate(rng.choice(atoms)).tree)] * rng.randint(0, 1)
+            items += [disguised(negate(rng.choice(atoms)))] * rng.randint(0, 1)
         rng.shuffle(items)
         return AndC(tuple(items))
 
@@ -363,7 +365,7 @@ def test_echelon_presolve_is_sound(rng):
                 if isinstance(d, AndC) or id(d) in _kept(after):
                     continue
                 assert not any(evaluate_ground(d, a) for a in sols)
-                modulo += canonical_key(negate(d).tree) not in plain
+                modulo += canonical_key(negate(d)) not in plain
     assert modulo > 50 and whole > 15
 
 
@@ -390,7 +392,7 @@ def _reference_deletes(tree, keys, reduce):
             return True
     elif solver._key(tree, reduce) in (TRUE_KEY, FALSE_KEY):
         return solver._key(tree, reduce) == FALSE_KEY
-    return solver._key(negate(tree).tree, reduce) in keys
+    return solver._key(negate(tree), reduce) in keys
 
 
 def _has_global(tree):
@@ -410,7 +412,7 @@ def _lookup_matches_reference(hard, candidates):
             new = solver._simplify(t, pre.keys, pre.reduce, set(), lambda: None) is FALSE_C
             own = solver._key(t, None)  # an asserted atom is a tautology by this key only
             want = own == FALSE_KEY or (
-                own not in (None, TRUE_KEY) and solver._key(negate(t).tree, pre.reduce) in old
+                own not in (None, TRUE_KEY) and solver._key(negate(t), pre.reduce) in old
             )
             assert new == want, t
             deleted += new
@@ -435,7 +437,7 @@ def test_lookup_deletes_what_negating_each_candidate_deleted(rng):
     for _ in range(200):
         hard = [t for t in (rand_tree(rng, vids) for _ in range(3))
                 if not (isinstance(t, OrC) and _has_global(t))]
-        candidates = [negate(t).tree for t in hard] + [rand_tree(rng, vids) for _ in range(3)]
+        candidates = [negate(t) for t in hard] + [rand_tree(rng, vids) for _ in range(3)]
         deleted += _lookup_matches_reference(hard, [c for c in candidates if not _has_global(c)])
     assert deleted > 300
 
@@ -470,7 +472,7 @@ def test_presolve_refutes_p_fixed_c2(m):
     oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
     program = parse_model_file(corpus_path("golomb", "p_fixed.cpm"))
     oracle_gm, p_gm = ground_pair(oracle, program, overrides={"m": m})
-    c2 = negate(oracle_gm.constraint("c2").tree).tree
+    c2 = negate(oracle_gm.constraint("c2").tree)
     assert presolve([c.tree for c in p_gm.constraints]).extras([c2])[1] == "UNSAT"
 
 
@@ -497,7 +499,7 @@ def test_allmindist_and_inverse_agree_with_brute_force(negated):
     # as a hard constraint, and negated as a choice, the way a witness
     # subproblem posts it
     for domains, t in small_globals():
-        hard, extras = ([], [negate(t).tree]) if negated else ([t], [])
+        hard, extras = ([], [negate(t)]) if negated else ([t], [])
         sols = brute_solutions(domains, hard + extras)
         out = solve(domains, hard, extras)
         assert out.status == ("SAT" if sols else "UNSAT"), t
@@ -606,7 +608,7 @@ def test_event_wakeups_match_waking_on_every_change(rng, monkeypatch):
             parse_model_file(corpus_path(family, program)), data, params,
         )
         hard = [c.tree for c in cput_gm.constraints]
-        extra = negate(ref_gm.constraint("c2").tree).tree
+        extra = negate(ref_gm.constraint("c2").tree)
         runs.append(lambda d=dict(cput_gm.domains), h=hard, e=extra: solve(d, h, [e]))
 
     woken = [run() for run in runs]

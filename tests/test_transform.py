@@ -1,14 +1,18 @@
+import dataclasses
+
 import pytest
 
-from cpconftest import conformity
+from cpconftest import conformity, grounding
 from cpconftest.corpus import corpus_path, load_manifest
 from cpconftest.errors import EvaluationError
 from cpconftest.grounding import (
     AllDiffC,
+    AllMinDistC,
     AndC,
     Const,
     CountC,
     FALSE_C,
+    InverseC,
     OrC,
     PackBinC,
     PackC,
@@ -18,6 +22,7 @@ from cpconftest.grounding import (
     TableC,
     TRUE_C,
     Var,
+    ctr_vars,
     evaluate_ground,
 )
 from cpconftest.parser import parse_data_file, parse_model_file
@@ -225,10 +230,9 @@ def test_ac_equal_is_sound(rng):
 
 
 def exhaustive_negation_check(tree, vids, lo=0, hi=2):
-    r = negate(tree)
-    assert r.ok, r.reason
+    neg = negate(tree)
     for a in all_assignments(vids, lo, hi):
-        assert evaluate_ground(r.tree, a) == (not evaluate_ground(tree, a))
+        assert evaluate_ground(neg, a) == (not evaluate_ground(tree, a))
 
 
 def test_negate_relation():
@@ -243,7 +247,7 @@ def test_negate_conjunction_disjunction():
 
 def test_negate_alldiff_shape():
     r = negate(AllDiffC((x, y, z)))
-    assert isinstance(r.tree, OrC) and len(r.tree.items) == 3
+    assert isinstance(r, OrC) and len(r.items) == 3
     exhaustive_negation_check(AllDiffC((x, y, z)), [0, 1, 2])
 
 
@@ -254,14 +258,13 @@ def test_negate_allmindist_and_inverse():
 
 def test_negate_table_flips_kind():
     t = TableC("allowed", (x, y), ((0, 1), (2, 2)))
-    r = negate(t)
-    assert r.tree.kind == "forbidden"
+    assert negate(t).kind == "forbidden"
     exhaustive_negation_check(t, [0, 1])
 
 
 def test_negate_count_flips_op():
     t = CountC((x, y, z), Const(1), "<=", Const(2))
-    assert negate(t).tree.op == ">"
+    assert negate(t).op == ">"
     exhaustive_negation_check(t, [0, 1, 2])
 
 
@@ -269,23 +272,49 @@ def test_negate_pack_by_bins():
     # loads v0,v1 for bins 1,2; items v2,v3 with sizes 2,3
     t = PackC((0, 1), (2, 3), (2, 3), (1, 2))
     r = negate(t)
-    assert isinstance(r.tree, OrC)
-    assert all(isinstance(b, PackBinC) and b.op == "!=" for b in r.tree.items)
+    assert isinstance(r, OrC)
+    assert all(isinstance(b, PackBinC) and b.op == "!=" for b in r.items)
     for a in all_assignments([0, 1, 2, 3], 0, 2):
         if a[2] in (1, 2) and a[3] in (1, 2):
-            assert evaluate_ground(r.tree, a) == (not evaluate_ground(t, a))
+            assert evaluate_ground(r, a) == (not evaluate_ground(t, a))
+
+
+def test_every_ground_constraint_class_has_a_complement():
+    # one tree per constraint class that grounding defines (its frozen
+    # dataclasses other than expressions and per-model records), so a class
+    # added without a complement fails here: negate raises TypeError for it
+    samples = {
+        RelAtom: RelAtom("<", Sum((x, y)), z),
+        AndC: AndC((RelAtom("<", x, y), RelAtom("!=", y, z))),
+        OrC: OrC((RelAtom("==", x, y), RelAtom(">", y, z))),
+        AllDiffC: AllDiffC((x, y, z)),
+        AllMinDistC: AllMinDistC((x, y, z), 2),
+        InverseC: InverseC((0, 1), (2, 3), (1, 2), (1, 2)),
+        TableC: TableC("forbidden", (x, y), ((0, 1), (2, 2))),
+        CountC: CountC((x, y), Const(1), "==", z),
+        PackC: PackC((0, 1), (2, 3), (2, 3), (1, 2)),
+        PackBinC: PackBinC(2, 0, (1, 2), (1, 2), "=="),
+    }
+    others = {Const, Var, Sum, Prod, grounding.ChannelDef, grounding.GroundCtr}
+    defined = {
+        c
+        for c in vars(grounding).values()
+        if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == grounding.__name__
+    }
+    assert defined - others == set(samples)
+    for tree in samples.values():
+        exhaustive_negation_check(tree, sorted(ctr_vars(tree)))
+    with pytest.raises(TypeError, match="not a ground constraint"):
+        negate(x)
 
 
 def test_negation_double_is_equivalent(rng):
     vids = [0, 1, 2]
     for _ in range(40):
         t = rand_tree(rng, vids)
-        r1 = negate(t)
-        assert r1.ok
-        r2 = negate(r1.tree)
-        assert r2.ok
+        twice = negate(negate(t))
         for a in all_assignments(vids, 0, 2):
-            assert evaluate_ground(r2.tree, a) == evaluate_ground(t, a)
+            assert evaluate_ground(twice, a) == evaluate_ground(t, a)
 
 
 def test_random_negation_soundness(rng):
