@@ -40,16 +40,6 @@ def _emit_json(obj):
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, list):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
-
-
 def _parse_params(pairs):
     out = {}
     for item in pairs or ():
@@ -117,7 +107,7 @@ def _cmd_check(args):
     verdict = check(oracle, program, data=data, overrides=overrides, opts=opts)
     if args.json:
         payload = {"schema": SCHEMA, "command": "check"}
-        payload.update(_jsonable(verdict.to_dict()))
+        payload.update(verdict.to_dict())
         _emit_json(payload)
     else:
         _print_verdict(verdict)
@@ -142,7 +132,7 @@ def _cmd_validate(args):
     report = validate_witness(oracle_gm, cput_gm, assignment, _options(args))
     if args.json:
         payload = {"schema": SCHEMA, "command": "validate"}
-        payload.update(_jsonable(report.to_dict()))
+        payload.update(report.to_dict())
         _emit_json(payload)
     else:
         print(f"genuine: {'yes' if report.genuine else 'no'}")
@@ -321,10 +311,7 @@ def main(argv=None):
         return 3
     try:
         return args.func(args)
-    except CpconfError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (OSError, json.JSONDecodeError) as e:
+    except (CpconfError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

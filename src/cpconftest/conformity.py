@@ -19,6 +19,9 @@ When C_i mentions variables the solving side does not have, the channeling
 definitions that give them meaning are added to D, and candidate witnesses
 are re-validated by the independent evaluator; false alarms are excluded
 with a disequality cut over the reference variables and the search resumes.
+That re-validation and validate_witness() are one judgement (_judge): the
+candidate is extended through the program's channelings and evaluated on
+both sides, and auxiliaries the channelings leave open are searched for.
 Domain membership is itself checked as one synthetic constraint per
 direction, so a point outside the other side's declared bounds counts as a
 violation too.
@@ -259,34 +262,44 @@ def _widened_box(oracle_gm, cput_gm, aux_vids):
     return box
 
 
-def _genuine_extra(oracle_gm, cput_gm, w):
-    """Does w prove an extra solution: program-valid but reference-invalid?"""
-    if not cput_gm.in_domains(w) or not cput_gm.evaluate(w):
-        return False
-    wo = {v: w[v] for v in oracle_gm.vids}
-    return not (oracle_gm.in_domains(wo) and oracle_gm.evaluate(wo))
-
-
-def _program_accepts(cput_gm, full, open_vids, deadline, effort, opts):
-    """Does the program accept this extended assignment?  True / False /
-    None (undecided within the budget).  Auxiliaries the channelings left
-    open are decided by search."""
+def _judge(oracle_gm, cput_gm, assignment, deadline, effort, opts):
+    """(full, open_vids, reference_ok, program_ok) of a candidate witness:
+    the assignment extended through the program's channelings, the
+    auxiliaries they leave open, and whether each side accepts it.  Open
+    auxiliaries are decided by search, its effort added to `effort`;
+    program_ok is None when that search is undecided within the budget.
+    UsageError when the extension misses a reference variable."""
+    full, open_vids = cput_gm.extend_assignment(assignment)
+    missing = [v for v in oracle_gm.vids if v not in full]
+    if missing:
+        names = ", ".join(oracle_gm.space.pretty(v) for v in missing[:5])
+        raise UsageError(f"witness does not cover reference variables: {names}")
+    wo = {v: full[v] for v in oracle_gm.vids}
+    reference_ok = oracle_gm.in_domains(wo) and oracle_gm.evaluate(wo)
     if not open_vids:
-        return cput_gm.in_domains(full) and cput_gm.evaluate(full)
+        return full, open_vids, reference_ok, cput_gm.in_domains(full) and cput_gm.evaluate(full)
     hard = [c.tree for c in cput_gm.constraints]
     hard += [RelAtom("==", Var(v), Const(x)) for v, x in full.items()]
     out = _timed_solve(effort, deadline, dict(cput_gm.domains), hard, (), opts)
-    return {"SAT": True, "UNSAT": False}.get(out.status)
+    return full, open_vids, reference_ok, {"SAT": True, "UNSAT": False}.get(out.status)
+
+
+def _genuine_extra(oracle_gm, cput_gm, w, deadline, effort, opts):
+    """Does w prove an extra solution: program-valid but reference-invalid?
+    True / False / None (undecided)."""
+    _, _, reference_ok, program_ok = _judge(oracle_gm, cput_gm, w, deadline, effort, opts)
+    return program_ok and not reference_ok
 
 
 def _genuine_missing(oracle_gm, cput_gm, w, deadline, effort, opts):
-    """Does w prove a missing solution?  True / False / None (undecided)."""
+    """Does w prove a missing solution?  True / False / None (undecided).
+    Only w's reference projection is judged: the program's auxiliaries are
+    recomputed from the channelings, or searched for."""
     wo = {v: w[v] for v in oracle_gm.vids}
-    if not (oracle_gm.in_domains(wo) and oracle_gm.evaluate(wo)):
+    _, _, reference_ok, program_ok = _judge(oracle_gm, cput_gm, wo, deadline, effort, opts)
+    if not reference_ok:
         return False
-    full, open_vids = cput_gm.extend_assignment(wo)
-    accepts = _program_accepts(cput_gm, full, open_vids, deadline, effort, opts)
-    return None if accepts is None else not accepts
+    return None if program_ok is None else not program_ok
 
 
 def _run_subproblem(run, direction, label, tree, domains, hard, pre):
@@ -305,10 +318,9 @@ def _run_subproblem(run, direction, label, tree, domains, hard, pre):
             rep.status = "resource_out"
             break
         w = out.assignment
-        if direction == "extra":
-            genuine = _genuine_extra(oracle_gm, cput_gm, w)
-        else:
-            genuine = _genuine_missing(oracle_gm, cput_gm, w, run.deadline, rep, opts)
+        genuine = (_genuine_extra if direction == "extra" else _genuine_missing)(
+            oracle_gm, cput_gm, w, run.deadline, rep, opts
+        )
         if genuine is None:
             rep.status = "undecided"
             break
@@ -493,41 +505,31 @@ def _settle(run):
     return None
 
 
-def _beats_lower_bound(run, gm, reason, note):
-    out = run.solve(gm, [RelAtom("<", gm.objective, Const(run.opts.bounds[0]))])
-    if out.status == "RESOURCE_OUT":
-        return run.verdict("Unknown", "timeout")
-    if out.status == "SAT":
-        return run.verdict("NonConf", reason, witness=out.assignment, notes=(note,))
+def _beats_lower_bound(run):
+    """NonConf when the reference, or else the program, reaches an
+    objective below the interval's lower bound."""
+    lo = run.opts.bounds[0]
+    sides = (
+        (run.oracle_gm, "reference-beats-lower-bound",
+         f"the reference model reaches an objective below {lo}, "
+         "so the given interval is not its optimum"),
+        (run.cput_gm, "program-beats-lower-bound",
+         f"the program under test reaches an objective below {lo}"),
+    )
+    for gm, reason, note in sides:
+        out = run.solve(gm, [RelAtom("<", gm.objective, Const(lo))])
+        if out.status == "RESOURCE_OUT":
+            return run.verdict("Unknown", "timeout")
+        if out.status == "SAT":
+            return run.verdict("NonConf", reason, witness=out.assignment, notes=(note,))
     return None
-
-
-def _reference_beats(run):
-    lo = run.opts.bounds[0]
-    return _beats_lower_bound(
-        run,
-        run.oracle_gm,
-        "reference-beats-lower-bound",
-        f"the reference model reaches an objective below {lo}, "
-        "so the given interval is not its optimum",
-    )
-
-
-def _program_beats(run):
-    lo = run.opts.bounds[0]
-    return _beats_lower_bound(
-        run,
-        run.cput_gm,
-        "program-beats-lower-bound",
-        f"the program under test reaches an objective below {lo}",
-    )
 
 
 _PHASES = {
     "one": (_reference_probe, _extra, _program_sat, _settle),
     "all": (_reference_probe, _extra, _program_sat, _missing, _settle),
     "bounds": (_extra, _program_sat, _settle),
-    "best": (_extra, _program_sat, _settle, _reference_beats, _program_beats),
+    "best": (_extra, _program_sat, _settle, _beats_lower_bound),
 }
 
 
@@ -627,41 +629,28 @@ def _as_int(name, v):
 
 
 def validate_witness(oracle_gm, cput_gm, assignment, opts=None):
-    """Decide whether an assignment is a genuine non-conformity witness.
-
-    The assignment may give only part of the variables; the rest is derived
-    through the program's channelings.  After derivation it must cover every
-    reference variable.  Program-side satisfaction of a still-incomplete
-    assignment is decided by search.
+    """Decide whether an assignment is a genuine non-conformity witness by
+    the judgement check() applies to its candidates, and list the labels
+    each side finds violated.  The assignment may give only part of the
+    variables: the channelings derive the rest, which must cover every
+    reference variable, and search decides the auxiliaries left open.
     """
     opts = opts or CheckOptions()
     deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
-    notes = []
-    full, open_vids = cput_gm.extend_assignment(dict(assignment))
-    missing = [v for v in oracle_gm.vids if v not in full]
-    if missing:
-        names = ", ".join(oracle_gm.space.pretty(v) for v in missing[:5])
-        raise UsageError(f"witness does not cover reference variables: {names}")
-    wo = {v: full[v] for v in oracle_gm.vids}
-    oracle_ok = oracle_gm.in_domains(wo) and oracle_gm.evaluate(wo)
-    oracle_viol = tuple(oracle_gm.evaluate_with_failures(wo)) if not oracle_ok else ()
-    if open_vids:
-        notes.append(
-            "variables left open by the channelings, deciding by search: "
-            + ", ".join(cput_gm.space.pretty(v) for v in open_vids[:5])
-        )
-    cput_ok = _program_accepts(cput_gm, full, open_vids, deadline, _Effort(), opts)
-    cput_viol = ()
+    full, open_vids, oracle_ok, cput_ok = _judge(
+        oracle_gm, cput_gm, assignment, deadline, _Effort(), opts
+    )
+    names = ", ".join(cput_gm.space.pretty(v) for v in open_vids[:5])
+    left_open = f"variables left open by the channelings, deciding by search: {names}"
+    notes = (left_open,) if open_vids else ()
+    oracle_viol = cput_viol = ()
+    if not oracle_ok:
+        wo = {v: full[v] for v in oracle_gm.vids}
+        oracle_viol = tuple(oracle_gm.evaluate_with_failures(wo))
     if cput_ok is False and not open_vids:
         cput_viol = tuple(cput_gm.evaluate_with_failures(full))
     if cput_ok and not oracle_ok:
-        return ValidationReport(
-            True, "extra-solution", True, False, (), oracle_viol, tuple(notes)
-        )
+        return ValidationReport(True, "extra-solution", True, False, (), oracle_viol, notes)
     if oracle_ok and cput_ok is False:
-        return ValidationReport(
-            True, "missing-solution", False, True, cput_viol, (), tuple(notes)
-        )
-    return ValidationReport(
-        False, None, cput_ok, oracle_ok, cput_viol, oracle_viol, tuple(notes)
-    )
+        return ValidationReport(True, "missing-solution", False, True, cput_viol, (), notes)
+    return ValidationReport(False, None, cput_ok, oracle_ok, cput_viol, oracle_viol, notes)

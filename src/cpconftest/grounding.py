@@ -351,17 +351,18 @@ def evaluate_ground(tree, assignment):
     raise TypeError(f"not a ground constraint: {tree!r}")
 
 
-def expansion(tree):
-    """Rewrite global atoms into And/Or trees of relational atoms.
+# The globals that have no complement of their own kind: negate() complements
+# them through their expansion, and presolve keys that expansion's leaves.
+EXPANDED_GLOBALS = (AllDiffC, AllMinDistC, InverseC, PackC)
 
-    Inverse and the table atoms expand fully; pack expands to one PackBinC
-    atom per bin.  Count atoms stay as they are.  Used by coherence tests and
-    by the solver when it decomposes a global it cannot propagate directly.
+
+def expansion(tree):
+    """Rewrite one of EXPANDED_GLOBALS as an And of simpler atoms: pairwise
+    disequalities for allDifferent, pairwise distance disjunctions for
+    allMinDistance, one Or of channeling pairs per cell for inverse, and one
+    PackBinC atom per bin for pack.  The solver also posts it for a global
+    it has no propagator for.  TypeError for any other tree.
     """
-    if isinstance(tree, AndC):
-        return AndC(tuple(expansion(it) for it in tree.items))
-    if isinstance(tree, OrC):
-        return OrC(tuple(expansion(it) for it in tree.items))
     if isinstance(tree, AllDiffC):
         out = []
         for i in range(len(tree.items)):
@@ -391,26 +392,12 @@ def expansion(tree):
                 alts.append(AndC((RelAtom("==", g_j, Const(i)), RelAtom("==", Var(tree.f_vids[pos]), Const(j)))))
             out.append(OrC(tuple(alts)))
         return AndC(tuple(out))
-    if isinstance(tree, TableC):
-        if tree.kind == "allowed":
-            rows = []
-            for row in tree.rows:
-                rows.append(
-                    AndC(tuple(RelAtom("==", it, Const(v)) for it, v in zip(tree.items, row)))
-                )
-            return OrC(tuple(rows))
-        rows = []
-        for row in tree.rows:
-            rows.append(
-                OrC(tuple(RelAtom("!=", it, Const(v)) for it, v in zip(tree.items, row)))
-            )
-        return AndC(tuple(rows))
     if isinstance(tree, PackC):
         out = []
         for pos, b in enumerate(tree.bins):
             out.append(PackBinC(b, tree.loads[pos], tree.assigns, tree.sizes, "=="))
         return AndC(tuple(out))
-    return tree
+    raise TypeError(f"no expansion of {tree!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -814,15 +801,8 @@ def _var_keys(ctx, decl):
     """Index keys of a declared variable, in enumeration order."""
     if decl.index is None:
         return [()]
-    if isinstance(decl.index, RangeDom):
-        lo = _peval(decl.index.lo, ctx.instance, {})
-        hi = _peval(decl.index.hi, ctx.instance, {})
-        return [(i,) for i in range(lo, hi + 1)]
-    p = _param_decl(ctx.model, decl.index.name)
-    vals = ctx.instance[decl.index.name]
-    if p.kind == "intset":
-        return [(i,) for i in vals]
-    return [tuple(row) for row in vals]
+    values = _domain_values(ctx.model, ctx.instance, {}, decl.index)
+    return [tuple(v.values()) if isinstance(v, dict) else (v,) for v in values]
 
 
 def _intern_var(ctx, base, key, span_owner):

@@ -273,7 +273,10 @@ class _Parser:
         fields = []
         while not self.at("}"):
             self.expect("int")
-            fields.append(self.expect_ident("field name").text)
+            tok = self.expect_ident("field name")
+            if tok.text in fields:
+                raise ParseError(f"duplicate field {tok.text!r} in tuple {name!r}", tok.span)
+            fields.append(tok.text)
             self.expect(";")
         self.expect("}")
         if not fields:
@@ -306,11 +309,7 @@ class _Parser:
         start = self.expect("{").span
         head = self._tuple_literal()
         self.expect("|")
-        binders = self._binders()
-        guard = None
-        if self.at(":"):
-            self.advance()
-            guard = self._bool_expr()
+        binders, guard = self._binding()
         self.expect("}", context=start)
         return SetComprehension(head, binders, guard, span=start)
 
@@ -359,11 +358,7 @@ class _Parser:
         if self.at("forall") or self.at("or"):
             kind = self.advance().text
             open_paren = self.expect("(").span
-            binders = self._binders()
-            guard = None
-            if self.at(":"):
-                self.advance()
-                guard = self._bool_expr()
+            binders, guard = self._binding()
             self.expect(")", context=open_paren)
             body = self._ctr()
             node = Forall if kind == "forall" else OrAgg
@@ -466,21 +461,22 @@ class _Parser:
     def _collection(self):
         start = self.expect("all").span
         open_paren = self.expect("(").span
-        binders = self._binders()
-        guard = None
-        if self.at(":"):
-            self.advance()
-            guard = self._bool_expr()
+        binders, guard = self._binding()
         self.expect(")", context=open_paren)
         elem = self._expr()
         return Collection(binders, guard, elem, span=start)
 
-    def _binders(self):
+    def _binding(self):
+        """binder groups [":" guard], as (groups, guard or None)."""
         groups = [self._binder_group()]
         while self.at(","):
             self.advance()
             groups.append(self._binder_group())
-        return tuple(groups)
+        guard = None
+        if self.at(":"):
+            self.advance()
+            guard = self._bool_expr()
+        return tuple(groups), guard
 
     def _binder_group(self):
         names = [self.expect_ident("binder name").text]
@@ -674,8 +670,7 @@ class _Validator:
                             f"match tuple type {p.tuple_type!r}",
                             p.comp.span,
                         )
-                    self._check_bool_scope(p.comp.guard, self._binder_scope(p.comp.binders, {}))
-                    scope = self._binder_scope(p.comp.binders, {})
+                    scope = self._binder_scope(p.comp.binders, p.comp.guard, {})
                     for e in p.comp.head.items:
                         self._check_expr(e, scope, allow_dvar=False)
         for d in m.dvars:
@@ -713,7 +708,9 @@ class _Validator:
             raise ParseError(f"{name!r} is a reserved word", span)
         table[name] = True
 
-    def _binder_scope(self, binders, outer):
+    def _binder_scope(self, binders, guard, outer):
+        """The scope inside a binding: `outer` plus its binders, checked
+        group by group, with the guard checked in it."""
         scope = dict(outer)
         for g in binders:
             if isinstance(g.domain, RangeDom):
@@ -726,6 +723,7 @@ class _Validator:
                 if nm in RESERVED:
                     raise ParseError(f"{nm!r} is a reserved word", g.span)
                 scope[nm] = kind
+        self._check_bool_scope(guard, scope)
         return scope
 
     def _check_setdom(self, dom):
@@ -800,8 +798,7 @@ class _Validator:
             self._check_ctr(ctr.left, scope)
             self._check_ctr(ctr.right, scope)
         elif isinstance(ctr, (Forall, OrAgg)):
-            inner = self._binder_scope(ctr.binders, scope)
-            self._check_bool_scope(ctr.guard, inner)
+            inner = self._binder_scope(ctr.binders, ctr.guard, scope)
             self._check_ctr(ctr.body, inner)
         elif isinstance(ctr, IfThenElse):
             self._check_bool_scope(ctr.cond, scope)
@@ -833,8 +830,7 @@ class _Validator:
             raise ParseError(f"unsupported constraint node {type(ctr).__name__}", None)
 
     def _check_collection(self, coll, scope):
-        inner = self._binder_scope(coll.binders, scope)
-        self._check_bool_scope(coll.guard, inner)
+        inner = self._binder_scope(coll.binders, coll.guard, scope)
         self._check_expr(coll.elem, inner, allow_dvar=True)
 
 
@@ -898,10 +894,9 @@ def _fmt_bool(b, parent="or"):
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
-def _fmt_binders(binders):
-    return ", ".join(
-        ", ".join(g.names) + " in " + _fmt_binder_dom(g.domain) for g in binders
-    )
+def _fmt_binding(binders, guard):
+    s = ", ".join(", ".join(g.names) + " in " + _fmt_binder_dom(g.domain) for g in binders)
+    return s if guard is None else f"{s} : {_fmt_bool(guard)}"
 
 
 def _fmt_binder_dom(dom):
@@ -911,8 +906,7 @@ def _fmt_binder_dom(dom):
 
 
 def _fmt_collection(c):
-    g = f" : {_fmt_bool(c.guard)}" if c.guard is not None else ""
-    return f"all({_fmt_binders(c.binders)}{g}) {_fmt_expr(c.elem)}"
+    return f"all({_fmt_binding(c.binders, c.guard)}) {_fmt_expr(c.elem)}"
 
 
 def _fmt_ctr(c):
@@ -927,8 +921,7 @@ def _fmt_ctr(c):
         return f"{_fmt_ctr(c.left)} => {_fmt_ctr(c.right)}"
     if isinstance(c, (Forall, OrAgg)):
         kw = "forall" if isinstance(c, Forall) else "or"
-        g = f" : {_fmt_bool(c.guard)}" if c.guard is not None else ""
-        return f"{kw} ({_fmt_binders(c.binders)}{g}) {_fmt_ctr(c.body)}"
+        return f"{kw} ({_fmt_binding(c.binders, c.guard)}) {_fmt_ctr(c.body)}"
     if isinstance(c, IfThenElse):
         return (
             f"if ({_fmt_bool(c.cond)}) {_fmt_ctr(c.then_ctr)} "
@@ -959,8 +952,8 @@ def pretty_print(model: ModelAst) -> str:
         else:
             rhs = "..."
             if p.comp is not None:
-                g = f" : {_fmt_bool(p.comp.guard)}" if p.comp.guard is not None else ""
-                rhs = f"{{{_fmt_tuple(p.comp.head)} | {_fmt_binders(p.comp.binders)}{g}}}"
+                binding = _fmt_binding(p.comp.binders, p.comp.guard)
+                rhs = f"{{{_fmt_tuple(p.comp.head)} | {binding}}}"
             out.append(f"{{{p.tuple_type}}} {p.name} = {rhs};")
     for tt in model.tuple_types:
         fields = " ".join(f"int {f};" for f in tt.fields)

@@ -55,8 +55,8 @@ branch and bound on a minimization objective and reports whether optimality
 was proven within the budget.  Both run one body and are fully
 deterministic.  Their budgets are a node limit and a deadline: an absolute
 time.monotonic() value that the caller fixes once (check() at its entry,
-for every solve of the check), read in presolve and at every node, though
-not while posting.
+for every solve of the check), read in presolve, while posting and at
+every node, though not in root propagation or while an expansion is built.
 """
 
 import time
@@ -70,6 +70,7 @@ from .grounding import (
     AndC,
     Const,
     CountC,
+    EXPANDED_GLOBALS,
     FALSE_C,
     InverseC,
     OrC,
@@ -764,7 +765,7 @@ def _asserted_keys(trees, reduce, tick):
     for tree in trees:
         for leaf in _and_spine(tree):
             tick()
-            if isinstance(leaf, (AllDiffC, AllMinDistC, InverseC, PackC)):
+            if isinstance(leaf, EXPANDED_GLOBALS):
                 leaves = _and_spine(expansion(leaf))
             else:
                 leaves = (leaf,)
@@ -991,11 +992,15 @@ class Engine:
 
     # -- posting -------------------------------------------------------------
 
-    def post_tree(self, tree, choice):
-        """Install propagators for a ground tree; False when trivially unsat."""
+    def post_tree(self, tree, choice, tick=None):
+        """Install propagators for a ground tree; False when trivially unsat.
+        `tick` (see grounding._clock), when given, is called once for every
+        tree and subtree posted, the expansions of globals included."""
+        if tick is not None:
+            tick()
         if isinstance(tree, AndC):
             for it in tree.items:
-                if not self.post_tree(it, choice):
+                if not self.post_tree(it, choice, tick):
                     return False
             return True
         if isinstance(tree, OrC):
@@ -1030,9 +1035,9 @@ class Engine:
             if all(isinstance(it, Var) for it in tree.items):
                 self.register(AllDiffProp(tuple(it.vid for it in tree.items)))
                 return True
-            return self.post_tree(expansion(tree), choice)
+            return self.post_tree(expansion(tree), choice, tick)
         if isinstance(tree, (AllMinDistC, InverseC)):
-            return self.post_tree(expansion(tree), choice)
+            return self.post_tree(expansion(tree), choice, tick)
         if isinstance(tree, TableC):
             self.register(TableProp(tree))
             return True
@@ -1043,7 +1048,7 @@ class Engine:
                 self.register(CheckProp(tree, ctr_vars(tree), FIX))
             return True
         if isinstance(tree, PackC):
-            if not self.post_tree(expansion(tree), choice):
+            if not self.post_tree(expansion(tree), choice, tick):
                 return False
             bins = set(tree.bins)
             closed = all(
@@ -1078,21 +1083,14 @@ class Engine:
             if op == "==":
                 return True if lo == hi == 0 else (None if lo <= 0 <= hi else False)
             return False if lo == hi == 0 else (None if lo <= 0 <= hi else True)  # !=
-        if isinstance(tree, AndC):
-            out = True
+        if isinstance(tree, (AndC, OrC)):
+            # an And is decided by a False item, an Or by a True one
+            decisive = isinstance(tree, OrC)
+            out = not decisive
             for it in tree.items:
                 s = self.tree_status(it)
-                if s is False:
-                    return False
-                if s is None:
-                    out = None
-            return out
-        if isinstance(tree, OrC):
-            out = False
-            for it in tree.items:
-                s = self.tree_status(it)
-                if s is True:
-                    return True
+                if s is decisive:
+                    return decisive
                 if s is None:
                     out = None
             return out
@@ -1206,15 +1204,19 @@ def _solve(domains, hard, extras, objective, config):
     t0 = time.monotonic()
     pre = hard if isinstance(hard, Presolved) else presolve(hard, config.deadline)
     extras, status = pre.extras(extras, config.deadline)
-    best = {}
-    if status:
-        stats = Stats()
-    else:
+    best, stats = {}, Stats()
+    if not status:
         eng = Engine(domains, config)
-        for choice, trees in ((False, pre.hard), (True, extras)):
-            for t in trees:
-                if not eng.post_tree(t, choice):
-                    eng.root_failed = True
+        stats = eng.stats
+        tick = _clock(config.deadline)
+        try:
+            for choice, trees in ((False, pre.hard), (True, extras)):
+                for t in trees:
+                    if not eng.post_tree(t, choice, tick):
+                        eng.root_failed = True
+        except TimeoutError:
+            status = "RESOURCE_OUT"
+    if not status:
         if objective is not None:
             eng.bound_prop = BoundProp(poly_of(objective))
             eng.register(eng.bound_prop)
@@ -1230,7 +1232,6 @@ def _solve(domains, hard, extras, objective, config):
             return False  # keep searching for better
 
         status = eng.search(on_solution)
-        stats = eng.stats
     stats.elapsed = time.monotonic() - t0
     return status, best.get("assignment"), best.get("value"), stats
 

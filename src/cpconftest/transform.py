@@ -26,6 +26,7 @@ from .grounding import (
     AndC,
     Const,
     CountC,
+    EXPANDED_GLOBALS,
     InverseC,
     OrC,
     PackBinC,
@@ -57,7 +58,7 @@ def negate(tree):
         return CountC(tree.items, tree.value, FLIP[tree.op], tree.rhs)
     if isinstance(tree, PackBinC):
         return PackBinC(tree.bin_key, tree.load_vid, tree.assigns, tree.sizes, FLIP[tree.op])
-    if isinstance(tree, (AllDiffC, AllMinDistC, InverseC, PackC)):
+    if isinstance(tree, EXPANDED_GLOBALS):
         return negate(expansion(tree))
     raise TypeError(f"not a ground constraint: {tree!r}")
 
@@ -191,74 +192,40 @@ def _rel_key(atom, reduce):
     return ("rel", op, _poly_key(p))
 
 
-def _conjuncts(key):
-    return set(key[1]) if key[0] == "and" else {key}
-
-
-def _disjuncts(key):
-    return set(key[1]) if key[0] == "or" else {key}
-
-
-def _mk_and(keys):
+def _junction(keys, conj):
+    """Key of the conjunction (conj) or disjunction of keys: flattened,
+    sorted and deduplicated, with the parts common to every item pulled out,
+    (a|b) & (a|c) = a | (b&c) and its dual."""
+    tag, unit, zero = ("and", TRUE_KEY, FALSE_KEY) if conj else ("or", FALSE_KEY, TRUE_KEY)
+    dual = "or" if conj else "and"
     items = []
     for k in keys:
-        if k == TRUE_KEY:
+        if k == unit:
             continue
-        if k == FALSE_KEY:
-            return FALSE_KEY
-        if k[0] == "and":
+        if k == zero:
+            return zero
+        if k[0] == tag:
             items.extend(k[1])
         else:
             items.append(k)
     items = _sorted_keys(set(items))
     if not items:
-        return TRUE_KEY
+        return unit
     if len(items) == 1:
         return items[0]
+
+    def parts(k):
+        return set(k[1]) if k[0] == dual else {k}
+
     common = None
     for k in items:
-        d = _disjuncts(k)
-        common = d if common is None else common & d
+        common = parts(k) if common is None else common & parts(k)
         if not common:
             break
     if common:
-        # And of Ors sharing disjuncts: pull them out, (a|b) & (a|c) = a | (b&c)
-        rest = []
-        for k in items:
-            rest.append(_mk_or(_disjuncts(k) - common))
-        return _mk_or(_sorted_keys(common) + (_mk_and(rest),))
-    return ("and", items)
-
-
-def _mk_or(keys):
-    items = []
-    for k in keys:
-        if k == FALSE_KEY:
-            continue
-        if k == TRUE_KEY:
-            return TRUE_KEY
-        if k[0] == "or":
-            items.extend(k[1])
-        else:
-            items.append(k)
-    items = _sorted_keys(set(items))
-    if not items:
-        return FALSE_KEY
-    if len(items) == 1:
-        return items[0]
-    common = None
-    for k in items:
-        c = _conjuncts(k)
-        common = c if common is None else common & c
-        if not common:
-            break
-    if common:
-        # Or of Ands sharing conjuncts: (a&b) | (a&c) = a & (b|c)
-        rest = []
-        for k in items:
-            rest.append(_mk_and(_conjuncts(k) - common))
-        return _mk_and(_sorted_keys(common) + (_mk_or(rest),))
-    return ("or", items)
+        rest = [_junction(parts(k) - common, not conj) for k in items]
+        return _junction(_sorted_keys(common) + (_junction(rest, conj),), not conj)
+    return (tag, items)
 
 
 def canonical_key(tree, reduce=None):
@@ -269,10 +236,8 @@ def canonical_key(tree, reduce=None):
     equal keys then imply constraints equal under those conditions."""
     if isinstance(tree, RelAtom):
         return _rel_key(tree, reduce)
-    if isinstance(tree, AndC):
-        return _mk_and([canonical_key(it, reduce) for it in tree.items])
-    if isinstance(tree, OrC):
-        return _mk_or([canonical_key(it, reduce) for it in tree.items])
+    if isinstance(tree, (AndC, OrC)):
+        return _junction([canonical_key(it, reduce) for it in tree.items], isinstance(tree, AndC))
     if isinstance(tree, AllDiffC):
         if len(tree.items) < 2:
             return TRUE_KEY

@@ -21,6 +21,7 @@ from cpconftest import (
     parse_model,
     validate_witness,
 )
+from cpconftest import conformity
 from cpconftest.grounding import eval_gexpr, evaluate_ground
 from cpconftest.solver import solve
 
@@ -337,3 +338,35 @@ def test_witness_found_after_a_false_alarm():
     (deciding,) = [s for s in v.subreports if s.status == "witness"]
     assert deciding.false_alarms >= 1
     check_witness(oracle_gm, cput_gm, v, None)
+
+
+@pytest.mark.parametrize("relation", ("one", "all"))
+@pytest.mark.parametrize("limit, w_hi", ((2, 12), (6, 12), (8, 12), (10, 12), (8, 6)))
+def test_auxiliary_channeled_from_an_auxiliary(relation, limit, w_hi):
+    # w is channeled from y, which is channeled from the x cells, so the
+    # missing direction's subproblem for k2 pulls in both channelings
+    oracle = "dvar int x[1..2] in 0..3;\nsubject to {\n  c1: x[1] + x[2] <= 4;\n}\n"
+    program = (
+        f"dvar int x[1..2] in 0..3;\ndvar int y in 0..6;\ndvar int w in 0..{w_hi};\n"
+        "subject to {\n  k0: y == x[1] + x[2];  @channeling\n"
+        f"  k1: w == 2 * y;  @channeling\n  k2: w <= {limit};\n}}\n"
+    )
+    oracle_gm, cput_gm = ground_pair(parse_model(oracle), parse_model(program))
+    w, y = cput_gm.space.lookup("w", ()), cput_gm.space.lookup("y", ())
+    needed, trees = conformity._channel_closure(cput_gm, set(oracle_gm.vids), {w})
+    assert needed == {w, y} and len(trees) == 2
+    v = check(parse_model(oracle), parse_model(program), opts=CheckOptions(relation=relation))
+    assert (v.kind, v.reason) == expected(oracle_gm, cput_gm, relation, None)
+    if v.witness is None:
+        return
+    check_witness(oracle_gm, cput_gm, v, None)
+    # the witness's x cells lie in one solution set and not in the other
+    xs = oracle_gm.vids
+
+    def points(gm):
+        sols = brute_solutions(gm.domains, [c.tree for c in gm.constraints])
+        return {tuple(a[v] for v in xs) for a in sols}
+
+    point = tuple(v.witness[oracle_gm.space.pretty(x)] for x in xs)
+    progs, refs = points(cput_gm), points(oracle_gm)
+    assert point in (progs - refs if v.reason == "extra-solution" else refs - progs)

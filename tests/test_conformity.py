@@ -376,6 +376,61 @@ def test_budget_spent_before_the_missing_direction_is_unknown(monkeypatch):
     assert any(s.origin == "program" and s.status == "resource_out" for s in v.subreports)
 
 
+@pytest.mark.parametrize("side", ("reference", "program"))
+def test_best_budget_spent_in_the_lower_bound_phase(monkeypatch, side):
+    # the budget runs out before the lower-bound solve of one side, the
+    # reference's or, once the reference is refuted, the program's: a bound
+    # left unproven is no Conf
+    calls = []
+    run_solve = conformity._Run.solve
+
+    def solve_then_spend(r, gm, extra_atoms, opts=None):
+        out = run_solve(r, gm, extra_atoms, opts)
+        calls.append("reference" if gm is r.oracle_gm else "program")
+        if len(calls) == (1 if side == "reference" else 2):
+            r.deadline = time.monotonic()
+        return out
+
+    monkeypatch.setattr(conformity._Run, "solve", solve_then_spend)
+    v = run(O_MIN2, P_MIN2, relation="best", bounds=(2, 2), time_limit=60.0)
+    assert (v.kind, v.reason, v.notes) == ("Unknown", "timeout", ())
+    # the program check, then the lower bound: the reference's, the program's
+    assert calls == ["program", "reference", "program"][: 2 if side == "reference" else 3]
+
+
+# the program's auxiliary z, which no channeling defines, is decided by search
+ORACLE_ANY = """
+dvar int x in 0..1;
+subject to { c1: x >= 0; }
+"""
+
+CPUT_OPEN_AUX = """
+dvar int x in 0..1;
+dvar int z in 0..1;
+subject to { k1: z != x; }
+"""
+
+
+def test_missing_candidate_left_undecided_is_unknown(monkeypatch):
+    # each candidate of the missing direction is a false alarm: the program
+    # accepts x with z = 1 - x, which only the search for z finds
+    v = run(ORACLE_ANY, CPUT_OPEN_AUX, relation="all")
+    assert v.kind == "Conf"
+    assert [s.false_alarms for s in v.subreports if s.label == "k1"] == [2]
+    # with no time left for that search the first candidate stays undecided,
+    # which refutes nothing
+    genuine_missing = conformity._genuine_missing
+
+    def no_time_left(oracle_gm, cput_gm, w, deadline, effort, opts):
+        return genuine_missing(oracle_gm, cput_gm, w, time.monotonic(), effort, opts)
+
+    monkeypatch.setattr(conformity, "_genuine_missing", no_time_left)
+    v = run(ORACLE_ANY, CPUT_OPEN_AUX, relation="all")
+    assert (v.kind, v.reason) == ("Unknown", "timeout")
+    (undecided,) = [s for s in v.subreports if s.status == "undecided"]
+    assert (undecided.origin, undecided.label, undecided.false_alarms) == ("program", "k1", 0)
+
+
 def test_extra_direction_timeout_is_not_blamed_on_the_program():
     # c2 needs far longer than the budget (its witness takes some 33,000
     # nodes), so the program check after it starts with nothing left; the

@@ -125,6 +125,13 @@ def test_dvar_needs_domain():
         )
 
 
+def test_duplicate_tuple_field_rejected():
+    # a tuple's fields name its components, so a repeated name would make
+    # field access ambiguous and drop a component of the rows it binds
+    with pytest.raises(ParseError, match="duplicate field 'i'"):
+        parse_model("tuple T { int i; int i; }\ndvar int x in 0..1;\nsubject to { c: x >= 0; }")
+
+
 def test_duplicate_label_rejected():
     with pytest.raises(ParseError, match="duplicate"):
         parse_model(

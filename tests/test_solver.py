@@ -160,6 +160,41 @@ def test_presolve_polls_its_deadline(monkeypatch, hard):
         assert len(keyed) <= grounding._POLL_EVERY
 
 
+@pytest.mark.parametrize("shape", ("atoms", "global"))
+def test_posting_polls_the_deadline(monkeypatch, shape):
+    # with the hard constraints presolved beforehand and no time left, a
+    # solve stops within one polling interval of posted trees, before root
+    # propagation, also inside the expansion of one global
+    n = 4 * grounding._POLL_EVERY if shape == "atoms" else 40
+    if shape == "atoms":
+        hard = [AndC(tuple(RelAtom("<=", Var(v), Const(5)) for v in range(n)))]
+        calls = n + 1
+    else:  # posted as its expansion, n*(n-1)/2 disequalities
+        hard = [AllDiffC(tuple(Sum((Var(v), Const(v))) for v in range(n)))]
+        calls = 2 + n * (n - 1) // 2
+    pre = presolve(hard)
+    posted = []
+    post_tree = solver.Engine.post_tree
+
+    def counting_post(eng, tree, choice, tick=None):
+        posted.append(tree)
+        return post_tree(eng, tree, choice, tick)
+
+    monkeypatch.setattr(solver.Engine, "post_tree", counting_post)
+    assert solve(doms(n, 0, 9), pre).status == "SAT"
+    assert len(posted) == calls > grounding._POLL_EVERY
+    none_left = SearchConfig(deadline=time.monotonic())
+    for run in (
+        lambda: solve(doms(n, 0, 9), pre, (), none_left),
+        lambda: solve_optimal(doms(n, 0, 9), pre, x, none_left),
+    ):
+        posted.clear()
+        out = run()
+        assert out.status == "RESOURCE_OUT" and out.assignment is None
+        assert out.stats.propagations == out.stats.nodes == 0
+        assert len(posted) <= grounding._POLL_EVERY
+
+
 def test_atom_without_normal_form_is_judged_exactly():
     # x*2^62 - x*-2^62 has coefficient 2^63: no normal form in 64 bits
     left, right = Prod((Const(2**62), x)), Prod((Const(-(2**62)), x))
