@@ -52,6 +52,7 @@ from .grounding import (
     Sum,
     Var,
     VarSpace,
+    _clock,
     build_instance,
     ctr_vars,
     gexpr_vars,
@@ -162,12 +163,12 @@ def ground_pair(oracle_model, cput_model, data=None, overrides=None, deadline=No
     return oracle_gm, cput_gm
 
 
-def _timed_solve(effort, deadline, domains, hard, extras, opts):
+def _timed_solve(effort, deadline, domains, hard, extras, opts, **kw):
     """solve() until the deadline, not started once it has passed; the
     call's solver effort is added to `effort` (an _Effort or a SubReport)."""
     if deadline is not None and time.monotonic() >= deadline:
         return SolveOutcome("RESOURCE_OUT")
-    out = solve(domains, hard, extras, SearchConfig(deadline=deadline, node_limit=opts.node_limit))
+    out = solve(domains, hard, extras, SearchConfig(deadline=deadline, node_limit=opts.node_limit), **kw)
     effort.solves += 1
     effort.nodes += out.stats.nodes
     effort.failures += out.stats.failures
@@ -308,7 +309,11 @@ def _run_subproblem(run, direction, label, tree, domains, hard, pre):
     and `pre` their presolved state, or None to presolve them in solve()."""
     rep = SubReport(label, "reference" if direction == "extra" else "program", "unsat")
     t0 = time.monotonic()
-    neg = negate(tree)
+    try:
+        neg = negate(tree, _clock(run.deadline))
+    except TimeoutError:  # the budget ran out before any solve
+        rep.status, rep.elapsed = "resource_out", time.monotonic() - t0
+        return rep
     oracle_gm, cput_gm, opts = run.oracle_gm, run.cput_gm, run.opts
     while True:
         out = _timed_solve(rep, run.deadline, domains, pre or hard, [neg], opts)
@@ -408,10 +413,10 @@ class _Run:
             self.states[key] = solver.presolve(hard, self.deadline)
         return self.states[key]
 
-    def solve(self, gm, extra_atoms, opts=None):
-        """Solve one side's constraints plus the given atoms."""
+    def solve(self, gm, extra_atoms, opts=None, **kw):
+        """Solve one side's constraints plus the given atoms, `kw` to solve()."""
         pre = self.presolved(gm, extra_atoms)
-        return _timed_solve(self.effort, self.deadline, dict(gm.domains), pre, (), opts or self.opts)
+        return _timed_solve(self.effort, self.deadline, dict(gm.domains), pre, (), opts or self.opts, **kw)
 
     def verdict(self, kind, reason=None, witness=None, **kw):
         if witness is not None:
@@ -445,7 +450,8 @@ def _reference_probe(run):
 
 
 def _program_sat(run):
-    out = run.solve(run.cput_gm, run.fp_atoms)
+    # any solution will do, so no optimum is proven on the way to one
+    out = run.solve(run.cput_gm, run.fp_atoms, first_fail=False)
     if out.status == "RESOURCE_OUT":
         if any(r.status == "resource_out" and r.solves for r in run.reports):
             return run.verdict("Unknown", "timeout")  # an extra subproblem spent the budget

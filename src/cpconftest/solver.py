@@ -8,9 +8,13 @@ disjunction is branched disjunct by disjunct, in declaration order, before
 any variable enumeration.  A choice disjunction with many open disjuncts
 is left to its unit rule instead, since committing to one of hundreds of
 disjuncts near the root buries solutions that plain variable enumeration
-reaches quickly.  Everything else is decided by variable branching
-(smallest domain first, values ascending) plus exact checks once
-all variables are fixed, so quiescence with fixed variables is a solution.
+reaches quickly.  Everything else is decided by variable branching, values
+ascending, plus exact checks once all variables are fixed, so quiescence
+with fixed variables is a solution.  Searches that refute or prove optimal
+pick the smallest domain first (fail-first: Haralick & Elliott, AIJ 1980);
+one that wants any solution takes the first unfixed variable in
+declaration order, since fail-first picks what a bound leaves small (a
+ruler's length) and proves the optimum before it returns a solution.
 A relational atom is posted in its normal form from transform.rel_form.
 Engine.tree_status is the one judgement of a tree under the current
 domains: interval evaluation of a normal form, exact evaluation of any
@@ -614,7 +618,7 @@ class OrProp(Prop):
         watch = set()
         for it in items:
             ctr_vars(it, watch)
-        super().__init__(watch, DOMAIN)
+        super().__init__(watch, BOUND)  # tree_status reads bounds and fixedness
         self.items = items
         self.choice = choice
 
@@ -906,9 +910,10 @@ class OptOutcome:
 
 
 class Engine:
-    def __init__(self, domains, config):
+    def __init__(self, domains, config, first_fail=True):
         self.doms = {vid: make_dom(lo, hi) for vid, (lo, hi) in domains.items()}
         self.order = sorted(self.doms)
+        self.first_fail = first_fail  # else branch on the first unfixed in order
         # per variable, one propagator list per event class (FIX, BOUND, DOMAIN)
         self.watchers = {vid: ([], [], []) for vid in self.doms}
         self.choices = []  # choice OrProps, in posting order
@@ -1136,6 +1141,8 @@ class Engine:
                 continue
             if best_size is None or d.size < best_size:
                 best, best_size = vid, d.size
+                if not self.first_fail:
+                    break
         if best is None:
             return None
         return [("assign", best, v) for v in self.doms[best].values()]
@@ -1194,7 +1201,7 @@ class Engine:
             failed = not (self._apply(alts[0]) and self.propagate())
 
 
-def _solve(domains, hard, extras, objective, config):
+def _solve(domains, hard, extras, objective, config, first_fail=True):
     """The one body of solve and solve_optimal: presolve `hard` unless it is
     a Presolved state, simplify the extras against it, post both and search;
     with an objective, branch and bound on it.  Returns (status, assignment,
@@ -1206,7 +1213,7 @@ def _solve(domains, hard, extras, objective, config):
     extras, status = pre.extras(extras, config.deadline)
     best, stats = {}, Stats()
     if not status:
-        eng = Engine(domains, config)
+        eng = Engine(domains, config, first_fail)
         stats = eng.stats
         tick = _clock(config.deadline)
         try:
@@ -1236,11 +1243,13 @@ def _solve(domains, hard, extras, objective, config):
     return status, best.get("assignment"), best.get("value"), stats
 
 
-def solve(domains, hard, extras=(), config=None):
+def solve(domains, hard, extras=(), config=None, *, first_fail=True):
     """Find one assignment satisfying hard plus every extra tree.  `hard` is
     a list of trees, or a Presolved state of them that solves with other
-    extras share; then only the extras are simplified here."""
-    status, assignment, _, stats = _solve(domains, hard, extras, None, config)
+    extras share; then only the extras are simplified here.  first_fail=False
+    branches on variables in declaration order, for a caller that wants any
+    solution rather than a refutation."""
+    status, assignment, _, stats = _solve(domains, hard, extras, None, config, first_fail)
     return SolveOutcome(status, assignment, stats)
 
 

@@ -44,13 +44,17 @@ from .ops import FLIP, MIRROR, add64, mul64, rel_holds
 # Negation
 
 
-def negate(tree):
-    """Complement of a ground constraint tree; TypeError for anything else."""
+def negate(tree, tick=None):
+    """Complement of a ground constraint tree; TypeError for anything else.
+    `tick` (see grounding._clock), when given, is called once per tree node
+    negated; building a global's expansion does not call it."""
+    if tick is not None:
+        tick()
     if isinstance(tree, RelAtom):
         return RelAtom(FLIP[tree.op], tree.left, tree.right)
     if isinstance(tree, (AndC, OrC)):
         dual = OrC if isinstance(tree, AndC) else AndC
-        return dual(tuple(negate(it) for it in tree.items))
+        return dual(tuple(negate(it, tick) for it in tree.items))
     if isinstance(tree, TableC):
         other = "forbidden" if tree.kind == "allowed" else "allowed"
         return TableC(other, tree.items, tree.rows)
@@ -59,7 +63,7 @@ def negate(tree):
     if isinstance(tree, PackBinC):
         return PackBinC(tree.bin_key, tree.load_vid, tree.assigns, tree.sizes, FLIP[tree.op])
     if isinstance(tree, EXPANDED_GLOBALS):
-        return negate(expansion(tree))
+        return negate(expansion(tree), tick)
     raise TypeError(f"not a ground constraint: {tree!r}")
 
 

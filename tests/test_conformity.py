@@ -384,8 +384,8 @@ def test_best_budget_spent_in_the_lower_bound_phase(monkeypatch, side):
     calls = []
     run_solve = conformity._Run.solve
 
-    def solve_then_spend(r, gm, extra_atoms, opts=None):
-        out = run_solve(r, gm, extra_atoms, opts)
+    def solve_then_spend(r, gm, extra_atoms, opts=None, **kw):
+        out = run_solve(r, gm, extra_atoms, opts, **kw)
         calls.append("reference" if gm is r.oracle_gm else "program")
         if len(calls) == (1 if side == "reference" else 2):
             r.deadline = time.monotonic()
@@ -429,6 +429,53 @@ def test_missing_candidate_left_undecided_is_unknown(monkeypatch):
     assert (v.kind, v.reason) == ("Unknown", "timeout")
     (undecided,) = [s for s in v.subreports if s.status == "undecided"]
     assert (undecided.origin, undecided.label, undecided.false_alarms) == ("program", "k1", 0)
+
+
+@pytest.mark.parametrize(
+    "relation, oracle, cput, bounds",
+    [
+        ("one", ORACLE_LT, CPUT_SUBSET, None),
+        ("all", ORACLE_LT, CPUT_MIRROR, None),
+        ("bounds", O_MIN2, P_MIN2, (2, 2)),
+        ("best", O_MIN2, P_MIN2, (2, 2)),
+    ],
+)
+def test_only_the_nonemptiness_solve_branches_in_declaration_order(
+    monkeypatch, relation, oracle, cput, bounds
+):
+    calls = []  # (inside the nonemptiness phase, fail-first) per solve
+    inside = []
+    solve, program_sat = conformity.solve, conformity._program_sat
+
+    def recording_solve(*args, **kw):
+        calls.append((bool(inside), kw.get("first_fail", True)))
+        return solve(*args, **kw)
+
+    def recording_program_sat(r):
+        inside.append(True)
+        try:
+            return program_sat(r)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(conformity, "solve", recording_solve)
+    monkeypatch.setitem(conformity._PHASES, relation, tuple(
+        recording_program_sat if p is program_sat else p for p in conformity._PHASES[relation]
+    ))
+    assert run(oracle, cput, relation=relation, bounds=bounds).kind == "Conf"
+    assert (True, False) in calls
+    assert all(nonempty != first_fail for nonempty, first_fail in calls), calls
+
+
+def test_negation_past_the_deadline_is_resource_out(monkeypatch):
+    # the budget runs out while a subproblem's constraint is negated
+    def negate_past_deadline(tree, tick=None):
+        raise TimeoutError
+
+    monkeypatch.setattr(conformity, "negate", negate_past_deadline)
+    v = run(ORACLE_LT, CPUT_SUBSET, time_limit=60.0)
+    assert (v.kind, v.reason) == ("Unknown", "timeout")
+    assert [(s.status, s.solves) for s in v.subreports] == [("resource_out", 0)] * 2
 
 
 def test_extra_direction_timeout_is_not_blamed_on_the_program():

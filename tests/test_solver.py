@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -33,7 +34,7 @@ from cpconftest.parser import parse_data_file, parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
 from cpconftest.transform import FALSE_KEY, TRUE_KEY, canonical_key, negate
 
-from conftest import brute_min, brute_solutions, rand_tree, small_globals
+from conftest import brute_min, brute_solutions, rand_expr, rand_tree, small_globals
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -529,6 +530,28 @@ def test_random_models_agree_with_brute_force(rng):
             assert out.status == "UNSAT"
 
 
+def test_declaration_order_agrees_with_brute_force():
+    # the random models of acceptance criterion 8, drawn the same way
+    rng = random.Random(55117)
+    for _ in range(1000):
+        vids = list(range(rng.randint(2, 3)))
+        domains = {v: (0, rng.randint(1, 3)) for v in vids}
+        trees = [rand_tree(rng, vids) for _ in range(rng.randint(1, 3))]
+        rand_expr(rng, vids)  # criterion 8's objective
+        sols = brute_solutions(domains, trees)
+        out = solve(domains, trees, config=SearchConfig(node_limit=100000), first_fail=False)
+        assert out.status == ("SAT" if sols else "UNSAT"), trees
+        if sols:
+            assert all(evaluate_ground(t, out.assignment) for t in trees)
+
+
+@pytest.mark.parametrize("first_fail, first", [(True, 1), (False, 0)])
+def test_branching_orders(first_fail, first):
+    # x has the larger domain: fail-first branches on y, declaration order on x
+    eng = solver.Engine({0: (0, 3), 1: (0, 1)}, SearchConfig(), first_fail)
+    assert {alt[1] for alt in eng._pick()} == {first}
+
+
 @pytest.mark.parametrize("negated", [False, True])
 def test_allmindist_and_inverse_agree_with_brute_force(negated):
     # as a hard constraint, and negated as a choice, the way a witness
@@ -661,6 +684,22 @@ def test_event_wakeups_match_waking_on_every_change(rng, monkeypatch):
     assert sum(a.stats.propagations for a in woken) < sum(b.stats.propagations for b in every)
 
 
+def test_tree_status_reads_only_bounds_and_fixedness(rng):
+    # why a disjunction waits for bound changes only: removing values from
+    # inside the domains leaves the judgement of every tree as it was
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        domains = {v: (rng.randint(-2, 0), rng.randint(2, 5)) for v in range(n)}
+        tree = rand_tree(rng, list(range(n)), depth=2)
+        eng = solver.Engine(domains, SearchConfig())
+        before = eng.tree_status(tree)
+        for v, d in eng.doms.items():
+            for k in rng.sample(range(d.min + 1, d.max), rng.randint(0, d.max - d.min - 1)):
+                eng.doms[v] = eng.doms[v].remove(k)
+            assert (eng.doms[v].min, eng.doms[v].max) == (d.min, d.max)
+        assert eng.tree_status(tree) == before, tree
+
+
 def test_presolve_posts_each_asserted_constraint_once():
     # the Golomb reference at m=7 asserts 426 atoms with 131 own keys: c2
     # writes x[j]-x[i] != x[l]-x[k] for both orders of the two pairs, and
@@ -701,6 +740,14 @@ def test_search_effort_pinned():
         # (3, 1153, 577) until the reference was probed, not searched: its
         # nonemptiness check now stops after root propagation
         "carseq-cput1-one": (3, 562, 277),
+        # Conf under one and all needs one program solution.  These were
+        # (5, 112, 84) and (8, 118, 84), and the m10 row was Unknown at 60 s,
+        # until that solve branched in declaration order: smallest domain
+        # first picked x[m], which cc4 narrows, and so tried ruler lengths
+        # upwards from m(m-1)/2, proving the optimum before any ruler came.
+        "golomb-p-fixed-one-m6": (5, 5, 1),
+        "golomb-p-fixed-all-m6": (8, 11, 1),
+        "golomb-p-fixed-one-m10": (5, 9, 1),
         # detection: a fault found, and an unsatisfiable program proven
         "golomb-p-one-m8": (3, 7, 0),
         "carseq-cput4-one": (6, 0, 2),

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -306,6 +307,13 @@ def test_every_ground_constraint_class_has_a_complement():
         exhaustive_negation_check(tree, sorted(ctr_vars(tree)))
     with pytest.raises(TypeError, match="not a ground constraint"):
         negate(x)
+
+
+def test_negation_polls_the_deadline():
+    tree = AndC(tuple(RelAtom("!=", x, Const(c)) for c in range(grounding._POLL_EVERY + 1)))
+    with pytest.raises(TimeoutError):
+        negate(tree, grounding._clock(time.monotonic() - 1.0))
+    assert negate(tree, grounding._clock(time.monotonic() + 60.0)) == negate(tree)
 
 
 def test_negation_double_is_equivalent(rng):
