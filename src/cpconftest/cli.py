@@ -171,7 +171,7 @@ def _cmd_bench(args):
         bounds = tuple(run["bounds"]) if run.get("bounds") else None
         opts = CheckOptions(
             relation=run.get("relation", "one"),
-            time_limit=args.timeout or run.get("timeout"),
+            time_limit=run.get("timeout") if args.timeout is None else args.timeout,
             bounds=bounds,
         )
         verdict = check(oracle, program, data=data, overrides=overrides, opts=opts)
@@ -204,7 +204,7 @@ def _cmd_bench(args):
         detect = parse_model_file(rpath(scaling["detect"]))
         repaired = parse_model_file(rpath(scaling["solve"]))
         size_param = scaling.get("size_param", "m")
-        budget = args.timeout or scaling.get("timeout")
+        budget = scaling.get("timeout") if args.timeout is None else args.timeout
         for size in scaling["sizes"]:
             overrides = {size_param: size}
             opts = CheckOptions(

@@ -47,9 +47,7 @@ from .grounding import (
     AndC,
     Const,
     OrC,
-    Prod,
     RelAtom,
-    Sum,
     Var,
     VarSpace,
     _clock,
@@ -62,7 +60,7 @@ from .grounding import (
 from . import solver
 from .solver import SearchConfig, SolveOutcome, solve
 # canonical_key is unused here; perfbench/spans.py wraps it by this name
-from .transform import canonical_key, negate  # noqa: F401
+from .transform import canonical_key, negate, poly_of  # noqa: F401
 
 
 @dataclass
@@ -186,28 +184,6 @@ def _domain_tree(gm, vids):
     return AndC(tuple(atoms))
 
 
-def _gexpr_interval(e, box):
-    if isinstance(e, Const):
-        return e.value, e.value
-    if isinstance(e, Var):
-        return box[e.vid]
-    if isinstance(e, Sum):
-        lo = hi = 0
-        for it in e.items:
-            a, b = _gexpr_interval(it, box)
-            lo += a
-            hi += b
-        return lo, hi
-    if isinstance(e, Prod):
-        lo = hi = 1
-        for it in e.items:
-            a, b = _gexpr_interval(it, box)
-            cands = (lo * a, lo * b, hi * a, hi * b)
-            lo, hi = min(cands), max(cands)
-        return lo, hi
-    raise TypeError(f"not a ground expression: {e!r}")
-
-
 def _channel_closure(cput_gm, base_vids, v_need):
     """Channeling trees (in declaration order) defining the needed variables,
     plus every auxiliary variable those trees touch."""
@@ -250,9 +226,11 @@ def _widened_box(oracle_gm, cput_gm, aux_vids):
     for _ in range(len(defs) + 1):
         changed = False
         for cd in defs:
-            if not gexpr_vars(cd.rhs) <= box.keys():
+            rhs_vids = gexpr_vars(cd.rhs)
+            if not rhs_vids <= box.keys():
                 continue
-            lo, hi = _gexpr_interval(cd.rhs, box)
+            doms = {v: solver.make_dom(*box[v]) for v in rhs_vids}
+            lo, hi = solver.poly_interval(poly_of(cd.rhs), doms)
             clo, chi = box[cd.vid]
             nlo, nhi = min(clo, lo), max(chi, hi)
             if (nlo, nhi) != (clo, chi):

@@ -705,9 +705,7 @@ class GroundCtr:
 
 
 class GroundModel:
-    def __init__(self, model, instance, space, vids, domains, constraints, channel_defs, objective):
-        self.model = model
-        self.instance = instance
+    def __init__(self, space, vids, domains, constraints, channel_defs, objective):
         self.space = space
         self.vids = tuple(vids)
         self.domains = dict(domains)  # vid -> (lo, hi)
@@ -720,12 +718,6 @@ class GroundModel:
             if c.label == label:
                 return c
         raise KeyError(label)
-
-    @property
-    def base_vids(self):
-        """Variables not defined by any channeling rule."""
-        defined = {cd.vid for cd in self.channel_defs}
-        return tuple(v for v in self.vids if v not in defined)
 
     def in_domains(self, assignment):
         for vid in self.vids:
@@ -805,7 +797,7 @@ def _var_keys(ctx, decl):
     return [tuple(v.values()) if isinstance(v, dict) else (v,) for v in values]
 
 
-def _intern_var(ctx, base, key, span_owner):
+def _intern_var(ctx, base, key):
     vid = ctx.space.lookup(base, key)
     if vid is None:
         if ctx.require_existing:
@@ -842,10 +834,9 @@ def _lower(e, ctx, env):
                 raise GroundingError(f"binder {e.name!r} is not an integer", ctx.label)
             return Const(v)
         if e.name in ctx.dvars:
-            d = ctx.dvars[e.name]
-            if d.index is not None:
+            if ctx.dvars[e.name].index is not None:
                 raise GroundingError(f"array {e.name!r} used without an index", ctx.label)
-            return Var(_intern_var(ctx, e.name, (), d))
+            return Var(_intern_var(ctx, e.name, ()))
         return Const(_peval(e, ctx.instance, env))
     if isinstance(e, FieldRef):
         return Const(_peval(e, ctx.instance, env))
@@ -1035,7 +1026,7 @@ def ground(model, instance, space=None, require_existing=False, deadline=None):
         if lo > hi:
             raise GroundingError(f"empty domain {lo}..{hi} for {d.name!r}")
         for key in _var_keys(ctx, d):
-            vid = _intern_var(ctx, d.name, key, d)
+            vid = _intern_var(ctx, d.name, key)
             vids.append(vid)
             domains[vid] = (lo, hi)
     constraints = []
@@ -1049,6 +1040,4 @@ def ground(model, instance, space=None, require_existing=False, deadline=None):
     objective = None
     if model.objective is not None:
         objective = lower_expr(model.objective.expr, ctx, {})
-    return GroundModel(
-        model, instance, space, vids, domains, constraints, ctx.channel_defs, objective
-    )
+    return GroundModel(space, vids, domains, constraints, ctx.channel_defs, objective)

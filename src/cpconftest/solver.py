@@ -20,9 +20,10 @@ Engine.tree_status is the one judgement of a tree under the current
 domains: interval evaluation of a normal form, exact evaluation of any
 other atom once its variables are fixed.  Disjunctions use it for their
 unit rule and for branching, through one scan of their disjuncts, and an
-atom the engine can judge but not prune (a nonlinear relation, one whose
-normal form overflows 64 bits, a count of a non-constant value) is posted
-as a CheckProp that fails once tree_status finds it violated.
+atom the engine can judge but not prune (a nonlinear relation, a count of
+a non-constant value) is posted as a CheckProp that fails once tree_status
+finds it violated.  Normal forms and presolve's row arithmetic are exact
+integers; the models' own 64-bit semantics belong to grounding.
 
 Propagation wakes a propagator only on the kind of domain change it reads
 (after Schulte & Stuckey, "Efficient constraint propagation engines",
@@ -67,7 +68,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import EvaluationError
 from .grounding import (
     AllDiffC,
     AllMinDistC,
@@ -90,7 +90,7 @@ from .grounding import (
     evaluate_ground,
     expansion,
 )
-from .ops import add64, mul64, rel_holds
+from .ops import rel_holds
 from .transform import FALSE_KEY, TRUE_KEY, canonical_key, is_constant, negate, poly_of, rel_form
 
 _BITDOM_SPAN = 1024
@@ -685,10 +685,10 @@ def _and_spine(tree):
 
 
 def _axpy(p, a, q):
-    """p + a*q in checked 64-bit arithmetic, zero terms dropped."""
+    """p + a*q, zero terms dropped."""
     out = dict(p)
     for m, c in q.items():
-        nc = add64(out.get(m, 0), mul64(a, c))
+        nc = out.get(m, 0) + a * c
         if nc == 0:
             out.pop(m, None)
         else:
@@ -710,54 +710,35 @@ def _echelon(trees, tick):
     coefficient 1 on its pivot and no other row's pivot in it.  The pivot is
     the highest unit-coefficient variable, so auxiliaries (declared after the
     variables they are defined from) are eliminated.  Rows that reduce to
-    zero or keep no unit coefficient are skipped, as is a row whose
-    arithmetic overflows 64 bits."""
+    zero or keep no unit coefficient are skipped."""
     rows = {}
     for tree in trees:
         for leaf in _and_spine(tree):
             tick()
             if not (isinstance(leaf, RelAtom) and leaf.op == "=="):
                 continue
-            try:
-                _, p = rel_form(leaf)
-                if not _poly_is_linear(p):
-                    continue
-                p = _reduce(p, rows)
-                pivot = max((m for m, c in p.items() if m and abs(c) == 1), default=None)
-                if pivot is None:
-                    continue
-                if p[pivot] == -1:
-                    p = {m: -c for m, c in p.items()}
-                rows = {
-                    k: _axpy(r, -r[pivot], p) if pivot in r else r for k, r in rows.items()
-                }
-            except EvaluationError:
+            _, p = rel_form(leaf)
+            if not _poly_is_linear(p):
                 continue
+            p = _reduce(p, rows)
+            pivot = max((m for m, c in p.items() if m and abs(c) == 1), default=None)
+            if pivot is None:
+                continue
+            if p[pivot] == -1:
+                p = {m: -c for m, c in p.items()}
+            rows = {k: _axpy(r, -r[pivot], p) if pivot in r else r for k, r in rows.items()}
             rows[pivot] = p
     return rows
 
 
 def _normal_form(rows):
     """The `reduce` hook of canonical_key: linear polynomials modulo the
-    rows; others, and any whose reduction overflows, as they are."""
+    rows, others as they are."""
 
     def reduce(p):
-        if not _poly_is_linear(p):
-            return p
-        try:
-            return _reduce(p, rows)
-        except EvaluationError:
-            return p
+        return _reduce(p, rows) if _poly_is_linear(p) else p
 
     return reduce if rows else None
-
-
-def _key(tree, reduce):
-    """canonical_key(tree, reduce), or None when its arithmetic overflows."""
-    try:
-        return canonical_key(tree, reduce)
-    except EvaluationError:
-        return None
 
 
 def _asserted_keys(trees, reduce, tick):
@@ -774,8 +755,7 @@ def _asserted_keys(trees, reduce, tick):
             else:
                 leaves = (leaf,)
             for t in leaves:
-                keys.add(_key(negate(t), reduce))
-    keys.discard(None)
+                keys.add(canonical_key(negate(t), reduce))
     return keys
 
 
@@ -790,7 +770,7 @@ def _simplify(tree, keys, reduce, seen, tick):
     it costs most on the widest trees."""
     if isinstance(tree, (AndC, OrC)):
         conj = isinstance(tree, AndC)
-        if conj and seen is None and _key(tree, reduce) in keys:
+        if conj and seen is None and canonical_key(tree, reduce) in keys:
             return FALSE_C
         unit, zero = (TRUE_C, FALSE_C) if conj else (FALSE_C, TRUE_C)
         parts = []
@@ -804,9 +784,7 @@ def _simplify(tree, keys, reduce, seen, tick):
             return parts[0]
         return type(tree)(tuple(parts)) if parts else unit
     tick()
-    k = _key(tree, reduce if seen is None else None)
-    if k is None:
-        return tree
+    k = canonical_key(tree, reduce if seen is None else None)
     if seen is not None:
         if k in seen:
             return TRUE_C
@@ -816,7 +794,7 @@ def _simplify(tree, keys, reduce, seen, tick):
     if k == FALSE_KEY:
         return FALSE_C
     if seen is not None and reduce is not None:
-        k = _key(tree, reduce)
+        k = canonical_key(tree, reduce)
     return FALSE_C if k in keys else tree
 
 
@@ -1017,12 +995,7 @@ class Engine:
                 self.choices.append(prop)
             return True
         if isinstance(tree, RelAtom):
-            try:
-                op, poly = rel_form(tree)
-            except EvaluationError:
-                # no normal form: judge the atom exactly once it is fixed
-                self.register(CheckProp(tree, ctr_vars(tree), FIX))
-                return True
+            op, poly = rel_form(tree)
             if is_constant(poly):
                 return rel_holds(op, poly.get((), 0), 0)
             if op == "<":  # over the integers, p < 0 is p + 1 <= 0
@@ -1076,10 +1049,7 @@ class Engine:
     def tree_status(self, tree):
         """True = entailed, False = violated, None = unknown."""
         if isinstance(tree, RelAtom):
-            try:
-                op, poly = rel_form(tree)
-            except EvaluationError:
-                return self._exact_status(tree)
+            op, poly = rel_form(tree)
             lo, hi = poly_interval(poly, self.doms)
             if op == "<=":
                 return True if hi <= 0 else (False if lo > 0 else None)
@@ -1102,8 +1072,8 @@ class Engine:
         return self._exact_status(tree)
 
     def _exact_status(self, tree):
-        """Status of an atom without a normal form (any but a relational atom,
-        or one whose form overflows): exact once its variables are fixed."""
+        """Status of an atom without a normal form (any but a relational
+        atom): exact once its variables are fixed."""
         doms = self.doms
         vs = ctr_vars(tree)
         if all(doms[v].fixed for v in vs):
@@ -1150,10 +1120,7 @@ class Engine:
     def _apply(self, alt):
         self.stats.nodes += 1
         if alt[0] == "assign":
-            vid, v = alt[1], alt[2]
-            if not self.doms[vid].contains(v):
-                return False
-            return self.prune(vid, fixed_dom(v))
+            return self.prune(alt[1], fixed_dom(alt[2]))
         _, prop, disjunct = alt
         self.set_done(prop)
         return self.post_tree(disjunct, prop.choice)

@@ -19,7 +19,6 @@ distributive laws.  The equivalence is deliberately incomplete: unequal keys
 prove nothing.
 """
 
-from .errors import EvaluationError
 from .grounding import (
     AllDiffC,
     AllMinDistC,
@@ -38,7 +37,7 @@ from .grounding import (
     Var,
     expansion,
 )
-from .ops import FLIP, MIRROR, add64, mul64, rel_holds
+from .ops import FLIP, MIRROR, rel_holds
 
 # ---------------------------------------------------------------------------
 # Negation
@@ -90,7 +89,7 @@ def poly_of(e):
         acc = {}
         for it in e.items:
             for mono, c in poly_of(it).items():
-                nc = add64(acc.get(mono, 0), c)
+                nc = acc.get(mono, 0) + c
                 if nc == 0:
                     acc.pop(mono, None)
                 else:
@@ -103,7 +102,7 @@ def poly_of(e):
             for m1, c1 in acc.items():
                 for m2, c2 in p.items():
                     mono = tuple(sorted(m1 + m2))
-                    nc = add64(nxt.get(mono, 0), mul64(c1, c2))
+                    nc = nxt.get(mono, 0) + c1 * c2
                     if nc == 0:
                         nxt.pop(mono, None)
                     else:
@@ -122,7 +121,7 @@ def _poly_neg(p):
 def _poly_sub(p, q):
     acc = dict(p)
     for m, c in q.items():
-        nc = add64(acc.get(m, 0), -c)
+        nc = acc.get(m, 0) - c
         if nc == 0:
             acc.pop(m, None)
         else:
@@ -169,10 +168,8 @@ def _sorted_keys(keys):
 def rel_form(atom):
     """Normal form of a relational atom: (op, poly) for poly op 0, where
     poly is left - right, negated for > and >=, so that op is one of <, <=,
-    == and !=.  Raises EvaluationError when the expansion overflows 64 bits;
-    such an atom has no normal form and is judged by exact evaluation.  The
-    form is computed once per atom and kept on it; callers share it and must
-    not change it."""
+    == and !=.  The form is computed once per atom and kept on it; callers
+    share it and must not change it."""
     form = getattr(atom, "_form", None)
     if form is None:
         p = _poly_sub(poly_of(atom.left), poly_of(atom.right))
@@ -287,8 +284,5 @@ def canonical_key(tree, reduce=None):
 
 def ac_equal(t1, t2):
     """Sound structural equivalence: True only when both trees canonicalize
-    to the same key; False on any doubt (including arithmetic overflow)."""
-    try:
-        return canonical_key(t1) == canonical_key(t2)
-    except (EvaluationError, TypeError):
-        return False
+    to the same key; TypeError for anything but a ground constraint."""
+    return canonical_key(t1) == canonical_key(t2)

@@ -23,7 +23,7 @@ from cpconftest import (
 )
 from cpconftest import conformity
 from cpconftest.grounding import eval_gexpr, evaluate_ground
-from cpconftest.solver import solve
+from cpconftest.solver import solve, solve_optimal
 
 from conftest import brute_solutions
 
@@ -263,7 +263,8 @@ def test_empty_reference_under_one_and_all():
 @pytest.mark.parametrize("relation", RELATIONS)
 def test_overflow_in_normalization_keeps_verdict(relation):
     # c1's two sides fit in 64 bits for x in 0..1, but their difference has
-    # coefficient 2^63: canonical keys and presolve cannot normalize it
+    # coefficient 2^63: normal forms are exact integers, so canonical keys
+    # and presolve must not read it as 64-bit arithmetic would
     oracle = """
     dvar int x in 0..1;
     dvar int z in 0..3;
@@ -285,8 +286,8 @@ def test_overflow_in_normalization_keeps_verdict(relation):
     # without k2 the program admits x = 1, which c1 rejects
     leaky = program.replace("k2: x * 4611686018427387904 == x * -4611686018427387904", "k2: x >= 0")
     # k1's left side is K or 0 at every point, but its expansion holds the
-    # term -2K*x*y, which overflows: the program has no solution, and an atom
-    # without a normal form must not read as 0 != 0
+    # term -2K*x*y, past 64 bits: the program has no solution, and that term
+    # must not read as 0 != 0
     y_ref = """
     dvar int x in 0..1;
     dvar int y in 0..1;
@@ -304,7 +305,13 @@ def test_overflow_in_normalization_keeps_verdict(relation):
       k2: x != y;
     }
     """
-    for ref, prog in ((oracle, program), (oracle, leaky), (y_ref, y_prog)):
+    # the same expression as an objective and as a count item: its value is
+    # 0 or K, and the solver bounds it through that expansion
+    square = "(x - y) * (x - y) * 6917529027641081856"
+    y_obj = y_ref.replace("minimize x + y", f"minimize {square}")
+    y_count = y_ref.replace("r1: x >= 0", f"k1: count(all (i in 1..1) {square}, 0) == 1")
+    pairs = ((oracle, program), (oracle, leaky), (y_obj, y_obj), (y_ref, y_count), (y_ref, y_prog))
+    for ref, prog in pairs:
         oracle_gm, cput_gm = ground_pair(parse_model(ref), parse_model(prog))
         bounds = (1, 2)
         want = expected(oracle_gm, cput_gm, relation, bounds)
@@ -317,6 +324,9 @@ def test_overflow_in_normalization_keeps_verdict(relation):
     assert want[0] == "NonConf"
     hard = [c.tree for c in cput_gm.constraints]
     assert solve(dict(cput_gm.domains), hard).status == "UNSAT"
+    gm, _ = ground_pair(parse_model(y_obj), parse_model(y_obj))
+    out = solve_optimal(dict(gm.domains), [c.tree for c in gm.constraints], gm.objective)
+    assert (out.status, out.value, out.proven) == ("SAT", 0, True)
 
 
 def test_witness_found_after_a_false_alarm():

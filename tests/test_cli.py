@@ -331,6 +331,15 @@ def test_bench_json_shapes(bench_dir, capsys):
     assert all(s["solve_proven"] for s in payload["scaling"])
 
 
+def test_bench_timeout_zero_overrides_the_manifest(bench_dir, capsys):
+    # a zero budget is a budget, like check's: every row ends Unknown
+    rc = main(["bench", "--manifest", bench_dir, "--timeout", "0", "--json"])
+    assert rc == 1  # the row expects Conf
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["verdict"] for r in payload["runs"]] == ["Unknown"]
+    assert {s["detect_verdict"] for s in payload["scaling"]} == {"Unknown"}
+
+
 def test_bundled_manifest_is_well_formed():
     manifest = load_manifest()
     assert manifest["schema"] == 1

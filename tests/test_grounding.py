@@ -88,7 +88,6 @@ def test_channel_defs_recorded_in_order():
         "d[2,3]",
     ]
     assert all(cd.guard is None for cd in gm.channel_defs)
-    assert gm.base_vids == tuple(gm.space.index[("x", (i,))] for i in (1, 2, 3))
 
 
 def test_extension_derives_auxiliaries():

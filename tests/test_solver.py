@@ -197,12 +197,14 @@ def test_posting_polls_the_deadline(monkeypatch, shape):
 
 
 def test_atom_without_normal_form_is_judged_exactly():
-    # x*2^62 - x*-2^62 has coefficient 2^63: no normal form in 64 bits
+    # x*2^62 - x*-2^62 has coefficient 2^63, past 64 bits: its normal form is
+    # exact and posted as a linear atom like any other
     left, right = Prod((Const(2**62), x)), Prod((Const(-(2**62)), x))
     eq = RelAtom("==", left, right)
     eng = solver.Engine(doms(1, 0, 1), SearchConfig())
     assert eng.post_tree(eq, False)
-    assert [type(p) for p in eng.queues[0]] == [solver.CheckProp]
+    [prop] = eng.queues[0]
+    assert type(prop) is solver.LinProp and prop.coefs == (2**63,)
     assert eng.tree_status(eq) is None
     assert solve(doms(1, 0, 1), [eq]).assignment == {0: 0}
     assert solve(doms(1, 0, 1), [RelAtom("!=", left, right)]).assignment == {0: 1}
@@ -412,9 +414,9 @@ def _reference_keys(hard, reduce):
     for tree in hard:
         for leaf in solver._and_spine(tree):
             if isinstance(leaf, (AllDiffC, AllMinDistC, InverseC, PackC)):
-                keys |= {solver._key(t, reduce) for t in solver._and_spine(expansion(leaf))}
-            keys.add(solver._key(leaf, reduce))
-    return keys - {None}
+                keys |= {canonical_key(t, reduce) for t in solver._and_spine(expansion(leaf))}
+            keys.add(canonical_key(leaf, reduce))
+    return keys
 
 
 def _reference_deletes(tree, keys, reduce):
@@ -426,9 +428,9 @@ def _reference_deletes(tree, keys, reduce):
     if isinstance(tree, AndC):
         if any(_reference_deletes(t, keys, reduce) for t in tree.items):
             return True
-    elif solver._key(tree, reduce) in (TRUE_KEY, FALSE_KEY):
-        return solver._key(tree, reduce) == FALSE_KEY
-    return solver._key(negate(tree), reduce) in keys
+    elif canonical_key(tree, reduce) in (TRUE_KEY, FALSE_KEY):
+        return canonical_key(tree, reduce) == FALSE_KEY
+    return canonical_key(negate(tree), reduce) in keys
 
 
 def _has_global(tree):
@@ -446,9 +448,9 @@ def _lookup_matches_reference(hard, candidates):
     for t in (t for tree in hard for t in solver._and_spine(tree)):
         if not isinstance(t, OrC) and not _has_global(t):
             new = solver._simplify(t, pre.keys, pre.reduce, set(), lambda: None) is FALSE_C
-            own = solver._key(t, None)  # an asserted atom is a tautology by this key only
+            own = canonical_key(t)  # an asserted atom is a tautology by this key only
             want = own == FALSE_KEY or (
-                own not in (None, TRUE_KEY) and solver._key(negate(t), pre.reduce) in old
+                own != TRUE_KEY and canonical_key(negate(t), pre.reduce) in old
             )
             assert new == want, t
             deleted += new
