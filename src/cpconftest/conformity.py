@@ -16,9 +16,10 @@ and asks, for each, whether the other side's solutions can violate it:
 solve D and not(C_i).  D is presolved once per check, so each subproblem
 simplifies only not(C_i), and a C_i that D asserts is refuted before search.
 When C_i mentions variables the solving side does not have, the channeling
-definitions that give them meaning are added to D, and candidate witnesses
-are re-validated by the independent evaluator; false alarms are excluded
-with a disequality cut over the reference variables and the search resumes.
+definitions that give them meaning are added to D (each such D is presolved
+once per check too), and candidate witnesses are re-validated by the
+independent evaluator; false alarms are excluded with a disequality cut
+over the reference variables and the search resumes.
 That re-validation and validate_witness() are one judgement (_judge): the
 candidate is extended through the program's channelings and evaluated on
 both sides, and auxiliaries the channelings leave open are searched for.
@@ -284,7 +285,7 @@ def _genuine_missing(oracle_gm, cput_gm, w, deadline, effort, opts):
 def _run_subproblem(run, direction, label, tree, domains, hard, pre):
     """Solve D and not(C), cutting false alarms, until a genuine witness,
     a refutation or the end of the check's budget.  `hard` holds D's trees
-    and `pre` their presolved state, or None to presolve them in solve()."""
+    and `pre` their presolved state, which other subproblems share."""
     rep = SubReport(label, "reference" if direction == "extra" else "program", "unsat")
     t0 = time.monotonic()
     try:
@@ -324,8 +325,8 @@ def _run_direction(run, direction, extra_atoms):
     """SubReports of one direction's subproblems, up to the first witness:
     one per constraint of the negated side C, plus the synthetic
     domain-membership constraint, each solved against the solving side D
-    plus `extra_atoms`.  Those that pull in no channelings share one
-    presolved state of D."""
+    plus `extra_atoms`.  Those that pull in the same channelings share one
+    presolved state of D and them."""
     oracle_gm, cput_gm = run.oracle_gm, run.cput_gm
     d_gm, c_gm = (cput_gm, oracle_gm) if direction == "extra" else (oracle_gm, cput_gm)
     d_trees = [c.tree for c in d_gm.constraints] + list(extra_atoms)
@@ -341,7 +342,7 @@ def _run_direction(run, direction, extra_atoms):
             v_need = {v for v in ctr_vars(tree) if v not in base_vids}
             aux, chans = _channel_closure(cput_gm, base_vids, v_need)
             domains = _widened_box(oracle_gm, cput_gm, aux)
-        pre = None if chans else run.presolved(d_gm, extra_atoms)
+        pre = run.presolved(d_gm, (*extra_atoms, *chans))
         reports.append(_run_subproblem(run, direction, label, tree, domains, d_trees + chans, pre))
         if reports[-1].status == "witness":
             break

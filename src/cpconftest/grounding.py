@@ -700,7 +700,6 @@ class ChannelDef:
 @dataclass(frozen=True)
 class GroundCtr:
     label: str
-    channeling: bool
     tree: object
 
 
@@ -1034,7 +1033,7 @@ def ground(model, instance, space=None, require_existing=False, deadline=None):
         ctx.label = lc.label
         ctx.channeling = lc.channeling
         tree = lower_ctr(lc.ctr, ctx, {})
-        constraints.append(GroundCtr(lc.label, lc.channeling, tree))
+        constraints.append(GroundCtr(lc.label, tree))
     ctx.label = None
     ctx.channeling = False
     objective = None

@@ -91,7 +91,7 @@ from .grounding import (
     expansion,
 )
 from .ops import rel_holds
-from .transform import FALSE_KEY, TRUE_KEY, canonical_key, is_constant, negate, poly_of, rel_form
+from .transform import FALSE_KEY, TRUE_KEY, _poly_neg, axpy, canonical_key, is_constant, negate, poly_of, rel_form
 
 _BITDOM_SPAN = 1024
 _OR_BRANCH_LIMIT = 64  # choice disjunctions wider than this don't drive branching
@@ -283,6 +283,12 @@ def poly_interval(poly, doms):
 
 def _poly_is_linear(poly):
     return all(len(m) <= 1 for m in poly)
+
+
+def _linear_terms(poly):
+    """(vids, coefs, const) of a linear polynomial."""
+    vids = tuple(m[0] for m in poly if m != ())
+    return vids, tuple(poly[(v,)] for v in vids), poly.get((), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +664,7 @@ class BoundProp(Prop):
         self.poly = poly
         self.linear = _poly_is_linear(poly)
         if self.linear:
-            self.vids = tuple(m[0] for m in poly if m != ())
-            self.coefs = tuple(poly[(v,)] for v in self.vids)
-            self.const = poly.get((), 0)
+            self.vids, self.coefs, self.const = _linear_terms(poly)
 
     def propagate(self, eng):
         if eng.bound is None:
@@ -684,23 +688,11 @@ def _and_spine(tree):
         yield tree
 
 
-def _axpy(p, a, q):
-    """p + a*q, zero terms dropped."""
-    out = dict(p)
-    for m, c in q.items():
-        nc = out.get(m, 0) + a * c
-        if nc == 0:
-            out.pop(m, None)
-        else:
-            out[m] = nc
-    return out
-
-
 def _reduce(p, rows):
     """p with every row pivot substituted out.  A row holds no other row's
     pivot, so each substitution adds only non-pivot monomials."""
     for m in [m for m in p if m in rows]:
-        p = _axpy(p, -p[m], rows[m])
+        p = axpy(p, -p[m], rows[m])
     return p
 
 
@@ -725,8 +717,8 @@ def _echelon(trees, tick):
             if pivot is None:
                 continue
             if p[pivot] == -1:
-                p = {m: -c for m, c in p.items()}
-            rows = {k: _axpy(r, -r[pivot], p) if pivot in r else r for k, r in rows.items()}
+                p = _poly_neg(p)
+            rows = {k: axpy(r, -r[pivot], p) if pivot in r else r for k, r in rows.items()}
             rows[pivot] = p
     return rows
 
@@ -905,7 +897,6 @@ class Engine:
         self.stats = Stats()
         self.bound = None
         self.bound_prop = None
-        self.root_failed = False
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -998,12 +989,8 @@ class Engine:
             op, poly = rel_form(tree)
             if is_constant(poly):
                 return rel_holds(op, poly.get((), 0), 0)
-            if op == "<":  # over the integers, p < 0 is p + 1 <= 0
-                op, poly = "<=", {**poly, (): poly.get((), 0) + 1}
             if _poly_is_linear(poly):
-                vids = tuple(m[0] for m in poly if m != ())
-                coefs = tuple(poly[(v,)] for v in vids)
-                self.register(LinProp(vids, coefs, poly.get((), 0), op))
+                self.register(LinProp(*_linear_terms(poly), op))
             else:
                 self.register(CheckProp(tree, {v for m in poly for v in m}, BOUND))
             return True
@@ -1053,8 +1040,6 @@ class Engine:
             lo, hi = poly_interval(poly, self.doms)
             if op == "<=":
                 return True if hi <= 0 else (False if lo > 0 else None)
-            if op == "<":
-                return True if hi < 0 else (False if lo >= 0 else None)
             if op == "==":
                 return True if lo == hi == 0 else (None if lo <= 0 <= hi else False)
             return False if lo == hi == 0 else (None if lo <= 0 <= hi else True)  # !=
@@ -1137,7 +1122,7 @@ class Engine:
         Returns "SAT" when stopped by on_solution, "UNSAT" when exhausted,
         "RESOURCE_OUT" when a budget tripped.
         """
-        if self.root_failed or not self.propagate():
+        if not self.propagate():
             return "UNSAT"
         frames = []
         failed = False
@@ -1185,9 +1170,9 @@ def _solve(domains, hard, extras, objective, config, first_fail=True):
         tick = _clock(config.deadline)
         try:
             for choice, trees in ((False, pre.hard), (True, extras)):
-                for t in trees:
-                    if not eng.post_tree(t, choice, tick):
-                        eng.root_failed = True
+                if not all(eng.post_tree(t, choice, tick) for t in trees):
+                    status = "UNSAT"  # a failed post refutes the root
+                    break
         except TimeoutError:
             status = "RESOURCE_OUT"
     if not status:

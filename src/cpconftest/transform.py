@@ -12,11 +12,11 @@ canonical_key() maps a tree to a hashable key such that two trees with equal
 keys are logically equivalent.  Arithmetic is expanded into a multivariate
 polynomial normal form, which absorbs commutativity, associativity,
 distribution, identity and annihilator elements in one step.  Relations are
-oriented to {<, <=, ==, !=} with a fixed sign for the two symmetric
-operators.  And/Or trees are flattened, sorted, deduplicated, and common
-factors are pulled out greedily until a fixpoint, which covers the
-distributive laws.  The equivalence is deliberately incomplete: unequal keys
-prove nothing.
+brought to p <= 0, p == 0 or p != 0 (p < 0 is p + 1 <= 0 over the
+integers), with a fixed sign for the two symmetric ones.  And/Or trees are
+flattened, sorted, deduplicated, and common factors are pulled out greedily
+until a fixpoint, which covers the distributive laws.  The equivalence is
+deliberately incomplete: unequal keys prove nothing.
 """
 
 from .grounding import (
@@ -88,25 +88,14 @@ def poly_of(e):
     elif isinstance(e, Sum):
         acc = {}
         for it in e.items:
-            for mono, c in poly_of(it).items():
-                nc = acc.get(mono, 0) + c
-                if nc == 0:
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = nc
+            _add_into(acc, 1, poly_of(it))  # in place: a long sum stays linear
     elif isinstance(e, Prod):
         acc = {(): 1}
         for it in e.items:
             p = poly_of(it)
             nxt = {}
             for m1, c1 in acc.items():
-                for m2, c2 in p.items():
-                    mono = tuple(sorted(m1 + m2))
-                    nc = nxt.get(mono, 0) + c1 * c2
-                    if nc == 0:
-                        nxt.pop(mono, None)
-                    else:
-                        nxt[mono] = nc
+                _add_into(nxt, c1, {tuple(sorted(m1 + m2)): c2 for m2, c2 in p.items()})
             acc = nxt
     else:
         raise TypeError(f"not a ground expression: {e!r}")
@@ -114,39 +103,34 @@ def poly_of(e):
     return acc
 
 
-def _poly_neg(p):
-    return {m: -c for m, c in p.items()}
-
-
-def _poly_sub(p, q):
-    acc = dict(p)
+def _add_into(acc, a, q):
+    """acc += a*q in place, zero terms dropped; the one polynomial update."""
     for m, c in q.items():
-        nc = acc.get(m, 0) - c
+        nc = acc.get(m, 0) + a * c
         if nc == 0:
             acc.pop(m, None)
         else:
             acc[m] = nc
+
+
+def axpy(p, a, q):
+    """A new polynomial equal to p + a*q, zero terms dropped."""
+    acc = dict(p)
+    _add_into(acc, a, q)
     return acc
+
+
+def _poly_neg(p):
+    return {m: -c for m, c in p.items()}
 
 
 def _mono_order(m):
     return (len(m), m)
 
 
-def _poly_key(p):
-    return ("poly",) + tuple(
-        (m, p[m]) for m in sorted(p.keys(), key=_mono_order)
-    )
-
-
-def _leading_coef(p):
-    best = None
-    for m in p:
-        if m == ():
-            continue
-        if best is None or _mono_order(m) > _mono_order(best):
-            best = m
-    return p[best] if best is not None else p.get((), 0)
+def _poly_key(p, sign=1):
+    """The terms of sign*p in monomial order, the leading term last."""
+    return ("poly",) + tuple((m, sign * p[m]) for m in sorted(p, key=_mono_order))
 
 
 def gexpr_key(e):
@@ -166,14 +150,19 @@ def _sorted_keys(keys):
 
 
 def rel_form(atom):
-    """Normal form of a relational atom: (op, poly) for poly op 0, where
-    poly is left - right, negated for > and >=, so that op is one of <, <=,
-    == and !=.  The form is computed once per atom and kept on it; callers
-    share it and must not change it."""
+    """Normal form of a relational atom: (op, poly) for poly op 0, where op
+    is one of <=, == and != and poly is left - right, negated for > and >=,
+    plus 1 for < and >: over the integers, p < 0 is p + 1 <= 0.  This is the
+    one place that knows strict relations.  The form is computed once per
+    atom and kept on it; callers share it and must not change it."""
     form = getattr(atom, "_form", None)
     if form is None:
-        p = _poly_sub(poly_of(atom.left), poly_of(atom.right))
-        form = (MIRROR[atom.op], _poly_neg(p)) if atom.op in (">", ">=") else (atom.op, p)
+        op, p = atom.op, axpy(poly_of(atom.left), -1, poly_of(atom.right))
+        if op in (">", ">="):
+            op, p = MIRROR[op], _poly_neg(p)
+        if op == "<":
+            op, p = "<=", axpy(p, 1, {(): 1})
+        form = (op, p)
         object.__setattr__(atom, "_form", form)  # not a field; the dataclass is frozen
     return form
 
@@ -188,9 +177,10 @@ def _rel_key(atom, reduce):
         p = reduce(p)
     if is_constant(p):
         return TRUE_KEY if rel_holds(op, p.get((), 0), 0) else FALSE_KEY
-    if op in ("==", "!=") and _leading_coef(p) < 0:
-        p = _poly_neg(p)
-    return ("rel", op, _poly_key(p))
+    key = _poly_key(p)
+    if op != "<=" and key[-1][1] < 0:  # == and != take a positive leading term
+        key = _poly_key(p, -1)
+    return ("rel", op, key)
 
 
 def _junction(keys, conj):

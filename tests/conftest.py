@@ -28,6 +28,7 @@ from cpconftest.grounding import (
     CountC,
     InverseC,
     OrC,
+    PackC,
     Prod,
     RelAtom,
     Sum,
@@ -125,10 +126,12 @@ def rand_tree(rng, vids, depth=1):
 
 
 def small_globals():
-    """(domains, tree) pairs of allDifferent, allMinDistance and inverse atoms
-    small enough to enumerate: allDifferent over a repeated variable, gaps
-    <= 0, fewer than two items, and inverse arrays of unequal lengths whose
-    values may fall outside the other's indices."""
+    """(domains, tree) pairs of allDifferent, allMinDistance, inverse, pack
+    and table atoms small enough to enumerate: allDifferent over a repeated
+    variable, gaps <= 0, fewer than two items, inverse arrays of unequal
+    lengths whose values may fall outside the other's indices, pack with a
+    zero and a negative size whose items may land outside every bin or not,
+    and tables over expressions.  Every variable of a pair has one domain."""
     x, y, z = Var(0), Var(1), Var(2)
     cases = [({v: (0, 4) for v in range(3)}, AllDiffC(items)) for items in ((x, x), (x, y, x))]
     cases += [
@@ -139,6 +142,16 @@ def small_globals():
     for f_idx, g_idx in (((), ()), ((1,), (1,)), ((1,), (1, 2)), ((1, 2), (1, 2)), ((1, 2), (2,))):
         f_vids, g_vids = (0, 1)[: len(f_idx)], (2, 3)[: len(g_idx)]
         cases.append(({v: (0, 3) for v in range(4)}, InverseC(f_vids, g_vids, f_idx, g_idx)))
+    # loads first, then assignments; bins -1, 0, 1 hold every value an item
+    # may take, bins 0, 1 do not
+    for loads, assigns, bins in (((0, 1, 2), (3, 4), (-1, 0, 1)), ((0, 1), (2, 3), (0, 1))):
+        for sizes in ((0, -1), (2, -1), (-1, -1)):
+            domains = {v: (-1, 1) for v in loads + assigns}
+            cases.append((domains, PackC(loads, assigns, sizes, bins)))
+    rows = ((0, 0), (1, 2), (2, 1), (3, 4), (4, 0))
+    for items in ((Sum((x, Const(1))), y), (Prod((x, y)), z), (x, Sum((y, z)))):
+        for kind in ("allowed", "forbidden"):
+            cases.append(({v: (0, 2) for v in range(3)}, TableC(kind, items, rows)))
     return cases
 
 

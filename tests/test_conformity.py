@@ -101,6 +101,28 @@ def test_all_equal_sets_is_conf():
     assert "c1" in refuted and "p1" in refuted
 
 
+@pytest.mark.parametrize("relation", ["one", "all"])
+def test_strict_and_non_strict_spellings_are_refuted_by_presolve(relation):
+    # x < y and x + 1 <= y have one normal form, so the negation of either
+    # meets the other's key in presolve: no propagation is left to refute it
+    oracle = """
+    dvar int x in 0..3;
+    dvar int y in 0..3;
+    subject to { c1: x < y; }
+    """
+    cput = """
+    dvar int x in 0..3;
+    dvar int y in 0..3;
+    subject to { k1: x + 1 <= y; }
+    """
+    v = run(oracle, cput, relation)
+    assert v.kind == "Conf"
+    subs = [s for s in v.subreports if s.label in ("c1", "k1")]
+    assert [s.label for s in subs] == (["c1"] if relation == "one" else ["c1", "k1"])
+    for s in subs:
+        assert (s.status, s.solves, s.nodes, s.failures, s.propagations) == ("unsat", 1, 0, 0, 0)
+
+
 def test_each_side_is_presolved_once(monkeypatch):
     # the probe's state of the reference serves the missing direction, and
     # the extra direction's state of the program serves its nonemptiness

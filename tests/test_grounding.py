@@ -595,7 +595,7 @@ def test_join_cuts_guard_evaluations(monkeypatch):
 
 def model_parts(gm):
     """What makes a ground model: GroundModel itself has no ==."""
-    trees = [(c.label, c.channeling, c.tree) for c in gm.constraints]
+    trees = [(c.label, c.tree) for c in gm.constraints]
     return gm.vids, gm.domains, trees, gm.channel_defs, gm.objective, gm.space.keys
 
 

@@ -518,9 +518,12 @@ def test_presolve_refutes_p_fixed_c2(m):
 
 
 def test_random_models_agree_with_brute_force(rng):
-    for _ in range(150):
+    # the last models give one variable a domain too wide for a bitmask
+    for i in range(210):
         n = rng.randint(2, 3)
         domains = {v: (0, rng.randint(1, 3)) for v in range(n)}
+        if i >= 150:
+            domains[0] = (-600, 600)
         trees = [rand_tree(rng, list(range(n))) for _ in range(rng.randint(1, 3))]
         sols = brute_solutions(domains, trees)
         out = solve(domains, trees, config=SearchConfig(node_limit=20000))

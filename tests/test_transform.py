@@ -76,10 +76,14 @@ def test_distribution():
 def test_mirrored_inequalities():
     assert k("<", x, y) == k(">", y, x)
     assert k("<=", x, y) == k(">=", y, x)
+    # a strict relation is its non-strict form over the integers
+    x_plus_1, y_minus_1 = Sum((x, Const(1))), Sum((y, Const(-1)))
+    assert k("<", x, y) == k("<=", x_plus_1, y) == k(">", y, x) == k(">=", y_minus_1, x)
+    assert ac_equal(RelAtom("<", x, y), RelAtom(">=", y_minus_1, x))
 
 
 def test_rel_form_orients_and_checks_overflow():
-    assert rel_form(RelAtom(">", x, y)) == ("<", {(0,): -1, (1,): 1})
+    assert rel_form(RelAtom(">", x, y)) == ("<=", {(0,): -1, (1,): 1, (): 1})
     assert rel_form(RelAtom(">=", x, Const(2))) == ("<=", {(0,): -1, (): 2})
     assert rel_form(RelAtom("!=", x, x)) == ("!=", {})
     # each side fits in 64 bits, their difference's coefficient 2^63 does
