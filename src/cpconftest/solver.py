@@ -15,7 +15,9 @@ pick the smallest domain first (fail-first: Haralick & Elliott, AIJ 1980);
 one that wants any solution takes the first unfixed variable in
 declaration order, since fail-first picks what a bound leaves small (a
 ruler's length) and proves the optimum before it returns a solution.
-A relational atom is posted in its normal form from transform.rel_form.
+A relational atom is posted in its normal form from transform.rel_form; a
+linear one over one variable narrows its domain when posted, and is posted
+as a LinProp (which fails where failures are counted) only if that empties it.
 Engine.tree_status is the one judgement of a tree under the current
 domains: interval evaluation of a normal form, exact evaluation of any
 other atom once its variables are fixed.  Disjunctions use it for their
@@ -31,7 +33,10 @@ TOPLAS 2008): FIX when a variable becomes fixed, BOUND when its min or max
 moves, DOMAIN when any value goes.  Each propagator's output depends only
 on the facts of its class, and all are monotone, so one left asleep is
 already at its fixpoint: every node reaches the same fixpoint as waking on
-every change would, with fewer propagator runs.  Disjunctions run last:
+every change would, with fewer propagator runs.  An entailed propagator
+retires (the same paper's subsumption): it marks itself done, which is
+trailed, and sleeps until backtracking undoes the mark.  BoundProp never
+retires, since the bound it reads changes.  Disjunctions run last:
 they wait in a second queue until every other woken propagator is idle,
 since their unit rule re-evaluates each disjunct.  Domains compute their
 bounds once, when built, since they are read far more often than changed.
@@ -60,8 +65,9 @@ branch and bound on a minimization objective and reports whether optimality
 was proven within the budget.  Both run one body and are fully
 deterministic.  Their budgets are a node limit and a deadline: an absolute
 time.monotonic() value that the caller fixes once (check() at its entry,
-for every solve of the check), read in presolve, while posting and at
-every node, though not in root propagation or while an expansion is built.
+for every solve of the check), read in presolve, while posting, in root
+propagation (once every grounding._POLL_EVERY propagator runs) and at
+every node, though not while an expansion is built.
 """
 
 import time
@@ -254,24 +260,17 @@ def fixed_dom(v):
 # Interval arithmetic over polynomials
 
 
-def _mono_interval(mono, doms):
-    lo = hi = 1
-    for vid in mono:
-        d = doms[vid]
-        a, b = d.min, d.max
-        cands = (lo * a, lo * b, hi * a, hi * b)
-        lo, hi = min(cands), max(cands)
-    return lo, hi
-
-
 def poly_interval(poly, doms):
     lo = hi = 0
     for mono, c in poly.items():
-        if mono == ():
-            lo += c
-            hi += c
-            continue
-        a, b = _mono_interval(mono, doms)
+        a = b = 1  # the monomial's interval: a variable's bounds, products after
+        if mono:
+            d = doms[mono[0]]
+            a, b = d.min, d.max
+            for vid in mono[1:]:
+                d = doms[vid]
+                cands = (a * d.min, a * d.max, b * d.min, b * d.max)
+                a, b = min(cands), max(cands)
         if c >= 0:
             lo += c * a
             hi += c * b
@@ -320,24 +319,41 @@ class Prop:
 
 
 def _lin_le(eng, vids, coefs, const):
-    """Propagate sum(c_i x_i) + const <= 0; False on failure."""
+    """Propagate sum(c_i x_i) + const <= 0.  None on failure, else the
+    maximum of the sum before pruning: at most 0 once it is entailed."""
     doms = eng.doms
     fmin = const
     for vid, c in zip(vids, coefs):
         d = doms[vid]
         fmin += c * d.min if c > 0 else c * d.max
     if fmin > 0:
-        return False
-    slack = -fmin
+        return None
+    slack, fmax = -fmin, fmin
     for vid, c in zip(vids, coefs):
         d = doms[vid]
+        span = c * (d.max - d.min) if c > 0 else c * (d.min - d.max)
         # a term whose whole span fits in the slack prunes nothing
-        if c > 0:
-            if c * (d.max - d.min) > slack and not eng.prune(vid, d.with_max(d.min + slack // c)):
-                return False
-        elif c * (d.min - d.max) > slack and not eng.prune(vid, d.with_min(d.max - slack // -c)):
-            return False
-    return True
+        if span > slack:
+            nd = d.with_max(d.min + slack // c) if c > 0 else d.with_min(d.max - slack // -c)
+            if not eng.prune(vid, nd):
+                return None
+        fmax += span
+    return fmax
+
+
+def _narrow(d, c, const, op):
+    """The values of domain d at which c*x + const op 0 holds, op in {<=, ==,
+    !=}, in exact integers: what a LinProp over x alone leaves at its
+    fixpoint.  None when no value is left."""
+    if op == "<=":
+        return d.with_max(-const // c) if c > 0 else d.with_min(-(const // c))
+    v, r = divmod(-const, c)
+    if op == "!=":
+        return d.remove(v) if r == 0 else d
+    if r:
+        return None
+    d = d.with_min(v)
+    return d.with_max(v) if d is not None else None
 
 
 class LinProp(Prop):
@@ -366,6 +382,7 @@ class LinProp(Prop):
                     return True
                 else:
                     open_i = i
+            eng.set_done(self)  # at most one variable open: decided below
             if open_i < 0:
                 return acc != 0
             c = self.coefs[open_i]
@@ -373,10 +390,11 @@ class LinProp(Prop):
                 vid = self.vids[open_i]
                 return eng.prune(vid, doms[vid].remove(-acc // c))
             return True
-        if not _lin_le(eng, self.vids, self.coefs, self.const):
+        hi = _lin_le(eng, self.vids, self.coefs, self.const)
+        if hi is None or self.op == "==" and _lin_le(eng, self.vids, self.neg, -self.const) is None:
             return False
-        if self.op == "==":
-            return _lin_le(eng, self.vids, self.neg, -self.const)
+        if hi <= 0:  # entailed: for ==, the >= half has then fixed every variable
+            eng.set_done(self)
         return True
 
 
@@ -391,7 +409,10 @@ class CheckProp(Prop):
         self.tree = tree
 
     def propagate(self, eng):
-        return eng.tree_status(self.tree) is not False
+        s = eng.tree_status(self.tree)
+        if s:
+            eng.set_done(self)
+        return s is not False
 
 
 class AllDiffProp(Prop):
@@ -411,6 +432,8 @@ class AllDiffProp(Prop):
                 if v in seen:  # a repeated variable, too, takes its value twice
                     return False
                 seen[v] = None
+        if len(self.vids) - len(seen) <= 1:  # entailed once the open one loses seen
+            eng.set_done(self)
         if not seen:
             return True
         for vid in self.vids:
@@ -457,10 +480,12 @@ class CountProp(Prop):
                         cnt_min += 1
         rlo, rhi = poly_interval(self.rhs_poly, doms)
         op = self.tree.op
-        if op == "!=":
-            if cnt_min == cnt_max and rlo == rhi:
-                return cnt_min != rlo
+        lo, hi = cnt_min - rhi, cnt_max - rlo  # the count less the rhs: entailed?
+        if (hi < 0 or lo > 0) if op == "!=" else rel_holds(op, lo, 0) and rel_holds(op, hi, 0):
+            eng.set_done(self)
             return True
+        if op == "!=":
+            return not cnt_min == cnt_max == rlo == rhi
         lb, ub = None, None
         if op == "==":
             lb, ub = rlo, rhi
@@ -601,6 +626,8 @@ class PackBinProp(Prop):
                 s_max += max(0, sz)
         ld = doms[self.load_vid]
         if self.op == "==":
+            if s_min == s_max:  # the load is fixed below
+                eng.set_done(self)
             nd = ld.with_min(s_min)
             nd = nd.with_max(s_max) if nd is not None else None
             return eng.prune(self.load_vid, nd)
@@ -671,7 +698,7 @@ class BoundProp(Prop):
             return True
         limit = eng.bound - 1
         if self.linear:
-            return _lin_le(eng, self.vids, self.coefs, self.const - limit)
+            return _lin_le(eng, self.vids, self.coefs, self.const - limit) is not None
         lo, _ = poly_interval(self.poly, eng.doms)
         return lo <= limit
 
@@ -930,7 +957,7 @@ class Engine:
         queues = self.queues
         for props in self.watchers[vid][event:]:
             for p in props:
-                if not p.queued:
+                if not (p.queued or p.done):
                     p.queued = True
                     queues[p.late].append(p)
         return True
@@ -989,10 +1016,14 @@ class Engine:
             op, poly = rel_form(tree)
             if is_constant(poly):
                 return rel_holds(op, poly.get((), 0), 0)
-            if _poly_is_linear(poly):
-                self.register(LinProp(*_linear_terms(poly), op))
-            else:
+            if not _poly_is_linear(poly):
                 self.register(CheckProp(tree, {v for m in poly for v in m}, BOUND))
+                return True
+            vids, coefs, const = _linear_terms(poly)
+            nd = _narrow(self.doms[vids[0]], coefs[0], const, op) if len(vids) == 1 else None
+            if nd is not None:
+                return self.prune(vids[0], nd)
+            self.register(LinProp(vids, coefs, const, op))
             return True
         if isinstance(tree, AllDiffC):
             if len(tree.items) < 2:
@@ -1067,15 +1098,17 @@ class Engine:
 
     # -- propagation and search ----------------------------------------------
 
-    def propagate(self):
+    def propagate(self, tick=None):
+        """Run woken propagators to a fixpoint, calling `tick` (as in
+        post_tree) before each run; False on failure."""
         if self.bound_prop is not None and self.bound is not None:
             self.enqueue(self.bound_prop)
         first, last = self.queues
         while first or last:
+            if tick is not None:
+                tick()
             p = first.popleft() if first else last.popleft()
             p.queued = False
-            if p.done:
-                continue
             self.stats.propagations += 1
             if not p.propagate(self):
                 self.clear_queue()
@@ -1122,8 +1155,11 @@ class Engine:
         Returns "SAT" when stopped by on_solution, "UNSAT" when exhausted,
         "RESOURCE_OUT" when a budget tripped.
         """
-        if not self.propagate():
-            return "UNSAT"
+        try:
+            if not self.propagate(_clock(self.config.deadline)):
+                return "UNSAT"
+        except TimeoutError:
+            return "RESOURCE_OUT"
         frames = []
         failed = False
         while True:

@@ -30,6 +30,7 @@ from cpconftest.grounding import (
     ground,
     mk_diff,
 )
+from cpconftest.ops import rel_holds
 from cpconftest.parser import parse_data_file, parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
 from cpconftest.transform import FALSE_KEY, TRUE_KEY, canonical_key, negate
@@ -198,14 +199,18 @@ def test_posting_polls_the_deadline(monkeypatch, shape):
 
 def test_atom_without_normal_form_is_judged_exactly():
     # x*2^62 - x*-2^62 has coefficient 2^63, past 64 bits: its normal form is
-    # exact and posted as a linear atom like any other
+    # exact, and posting it prunes x in exact arithmetic like any atom over
+    # one variable; so does 2^63*x <= 2^63 - 1, which a rounded quotient
+    # ((2^63 - 1) / 2^63 == 1.0 in floating point) would leave at 0..1
     left, right = Prod((Const(2**62), x)), Prod((Const(-(2**62)), x))
     eq = RelAtom("==", left, right)
-    eng = solver.Engine(doms(1, 0, 1), SearchConfig())
-    assert eng.post_tree(eq, False)
-    [prop] = eng.queues[0]
-    assert type(prop) is solver.LinProp and prop.coefs == (2**63,)
-    assert eng.tree_status(eq) is None
+    below = RelAtom("<=", Prod((Const(2**63), x)), Const(2**63 - 1))
+    for atom in (eq, below):
+        eng = solver.Engine(doms(1, 0, 1), SearchConfig())
+        assert eng.tree_status(atom) is None
+        assert eng.post_tree(atom, False)
+        assert not eng.queues[0] and list(eng.doms[0].values()) == [0]
+        assert eng.tree_status(atom) is True
     assert solve(doms(1, 0, 1), [eq]).assignment == {0: 0}
     assert solve(doms(1, 0, 1), [RelAtom("!=", left, right)]).assignment == {0: 1}
 
@@ -648,9 +653,10 @@ def _effort(out):
     return out.status, out.assignment, out.stats.nodes, out.stats.failures
 
 
-def test_event_wakeups_match_waking_on_every_change(rng, monkeypatch):
-    # Problems drawn from the families the other solver tests use: seeded
-    # random systems, the Golomb reference's optimum and conformity subproblems.
+def _effort_runs(rng):
+    """Problems drawn from the families the other solver tests use: seeded
+    random systems, the Golomb reference's optimum and conformity
+    subproblems, each as a call that solves it."""
     runs = []
     for _ in range(150):
         n = rng.randint(2, 3)
@@ -673,7 +679,11 @@ def test_event_wakeups_match_waking_on_every_change(rng, monkeypatch):
         hard = [c.tree for c in cput_gm.constraints]
         extra = negate(ref_gm.constraint("c2").tree)
         runs.append(lambda d=dict(cput_gm.domains), h=hard, e=extra: solve(d, h, [e]))
+    return runs
 
+
+def test_event_wakeups_match_waking_on_every_change(rng, monkeypatch):
+    runs = _effort_runs(rng)
     woken = [run() for run in runs]
     register = solver.Engine.register
 
@@ -687,6 +697,74 @@ def test_event_wakeups_match_waking_on_every_change(rng, monkeypatch):
     assert [_effort(a) for a in woken] == [_effort(b) for b in every]
     # the propagator runs saved; their count also depends on queue order
     assert sum(a.stats.propagations for a in woken) < sum(b.stats.propagations for b in every)
+
+
+def test_each_deduction_once_keeps_the_effort(rng, monkeypatch):
+    # Entailed propagators retire until backtrack, and an atom over one
+    # variable prunes it when posted.  The reference engine does neither:
+    # only disjunctions are ever done, and every linear atom is a LinProp.
+    runs = _effort_runs(rng)
+    once = [run() for run in runs]
+    set_done = solver.Engine.set_done
+    monkeypatch.setattr(
+        solver.Engine, "set_done",
+        lambda eng, prop: set_done(eng, prop) if isinstance(prop, solver.OrProp) else None,
+    )
+    monkeypatch.setattr(solver, "_narrow", lambda *args: None)
+    again = [run() for run in runs]
+    assert [_effort(a) for a in once] == [_effort(b) for b in again]
+    assert all(a.stats.propagations <= b.stats.propagations for a, b in zip(once, again))
+    assert sum(a.stats.propagations for a in once) < sum(b.stats.propagations for b in again)
+
+
+def _one_var_domains():
+    """Bitmask domains over 6 values at two offsets, holes included, and
+    IntDoms (which make_dom builds only for wide spans) with holes at and
+    inside their bounds."""
+    out = [solver.BitDom(offset, mask) for offset in (-3, 1) for mask in range(1, 64)]
+    out += [solver.IntDom.make(-6, 6, holes) for holes in (set(), {-6, 0, 1}, {-2, 3, 6})]
+    return out
+
+
+def test_one_variable_posts_prune_like_their_linprop():
+    # exhaustively over small domains: the values a post keeps are exactly
+    # those satisfying the atom, and exactly those its LinProp keeps at its
+    # fixpoint; an emptied domain posts the LinProp, which fails when run
+    for c in (1, -1, 2, -2, 2**63, -(2**63)):
+        consts = range(-9, 10) if abs(c) < 3 else [k * c + r for k in range(-4, 5) for r in (-1, 0, 1)]
+        for d, const, op in itertools.product(_one_var_domains(), consts, ("<=", "==", "!=")):
+            want = [v for v in d.values() if rel_holds(op, c * v + const, 0)]
+            nd = solver._narrow(d, c, const, op)
+            assert (list(nd.values()) if nd is not None else []) == want, (d, c, const, op)
+            eng = solver.Engine({0: (0, 0)}, SearchConfig())
+            eng.doms[0] = d
+            eng.register(solver.LinProp((0,), (c,), const, op))
+            assert (list(eng.doms[0].values()) if eng.propagate() else []) == want
+            eng = solver.Engine({0: (0, 0)}, SearchConfig())
+            eng.doms[0] = d
+            atom = RelAtom(op, Sum((Prod((Const(c), x)), Const(const))), Const(0))
+            assert eng.post_tree(atom, False)
+            assert bool(eng.queues[0]) == (not want) == (nd is None)
+            assert eng.propagate() == bool(want) and eng.stats.failures == (not want)
+            assert not want or list(eng.doms[0].values()) == want
+
+
+def test_root_propagation_polls_the_deadline(monkeypatch):
+    # a chain of order atoms takes thousands of propagator runs at the root;
+    # with a clock that advances one second per reading and a deadline 1.5 s
+    # away, root propagation reads it before runs 0, 256 and 512 and stops
+    # at the third reading, and the search is out of resources
+    chain = [RelAtom("<", Var(v), Var(v + 1)) for v in range(200)]
+    readings = itertools.count()
+    monkeypatch.setattr(grounding, "time", type("Clock", (), {"monotonic": lambda: next(readings)}))
+    eng = solver.Engine(doms(201, 0, 200), SearchConfig(deadline=1.5))
+    assert all(eng.post_tree(t, False) for t in chain)
+    assert eng.search(lambda a: True) == "RESOURCE_OUT"
+    assert eng.stats.propagations == 2 * grounding._POLL_EVERY and eng.stats.nodes == 0
+    assert next(readings) == 3
+    eng = solver.Engine(doms(201, 0, 200), SearchConfig())
+    assert all(eng.post_tree(t, False) for t in chain)
+    assert eng.search(lambda a: True) == "SAT" and eng.stats.propagations > 4 * grounding._POLL_EVERY
 
 
 def test_tree_status_reads_only_bounds_and_fixedness(rng):
