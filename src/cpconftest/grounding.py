@@ -15,9 +15,12 @@ under an equality guard b.f == e from an index of b's tuple set by field f,
 built once per call, and lower_expr lowers an expression once per ground()
 call and values of the binder names it mentions; both tables go with their
 call.  Ground constraints are relational atoms plus And / Or trees and a
-handful of global atoms (allDifferent, allMinDistance, inverse, table, count,
-pack) that keep enough structure for negation and propagation.  An empty And
-is TRUE, an empty Or is FALSE.
+handful of global atoms (allDifferent, table, count, pack) that keep enough
+structure for propagation or for a complement of their own.  allMinDistance
+and inverse have neither, so they ground to their decompositions in the
+Global Constraint Catalog: a distance disjunction per pair of items, and a
+channeling disjunction per array cell.  An empty And is TRUE, an empty Or is
+FALSE.
 
 Channeling definitions drive extend_assignment: given values for the base
 variables, auxiliary variables are filled in by running the definitions to a
@@ -209,20 +212,6 @@ class AllDiffC:
 
 
 @dataclass(frozen=True)
-class AllMinDistC:
-    items: tuple
-    gap: int
-
-
-@dataclass(frozen=True)
-class InverseC:
-    f_vids: tuple
-    g_vids: tuple
-    f_idx: tuple  # int index of each position in f
-    g_idx: tuple
-
-
-@dataclass(frozen=True)
 class TableC:
     kind: str  # "allowed" | "forbidden"
     items: tuple
@@ -268,13 +257,7 @@ def ctr_vars(tree, out=None):
     elif isinstance(tree, (AndC, OrC)):
         for it in tree.items:
             ctr_vars(it, out)
-    elif isinstance(tree, (AllDiffC, AllMinDistC)):
-        for it in tree.items:
-            gexpr_vars(it, out)
-    elif isinstance(tree, InverseC):
-        out.update(tree.f_vids)
-        out.update(tree.g_vids)
-    elif isinstance(tree, TableC):
+    elif isinstance(tree, (AllDiffC, TableC)):
         for it in tree.items:
             gexpr_vars(it, out)
     elif isinstance(tree, CountC):
@@ -306,23 +289,6 @@ def evaluate_ground(tree, assignment):
     if isinstance(tree, AllDiffC):
         vals = [eval_gexpr(it, assignment) for it in tree.items]
         return len(set(vals)) == len(vals)
-    if isinstance(tree, AllMinDistC):
-        vals = [eval_gexpr(it, assignment) for it in tree.items]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if abs(vals[i] - vals[j]) < tree.gap:
-                    return False
-        return True
-    if isinstance(tree, InverseC):
-        fmap = dict(zip(tree.f_idx, (assignment[v] for v in tree.f_vids)))
-        gmap = dict(zip(tree.g_idx, (assignment[v] for v in tree.g_vids)))
-        for i, fv in fmap.items():
-            if fv not in gmap or gmap[fv] != i:
-                return False
-        for j, gv in gmap.items():
-            if gv not in fmap or fmap[gv] != j:
-                return False
-        return True
     if isinstance(tree, TableC):
         point = tuple(eval_gexpr(it, assignment) for it in tree.items)
         hit = point in set(tree.rows)
@@ -353,44 +319,23 @@ def evaluate_ground(tree, assignment):
 
 # The globals that have no complement of their own kind: negate() complements
 # them through their expansion, and presolve keys that expansion's leaves.
-EXPANDED_GLOBALS = (AllDiffC, AllMinDistC, InverseC, PackC)
+# They stay whole for their propagators (an allDifferent over variables, the
+# load sum of a pack whose items all land in its bins).
+EXPANDED_GLOBALS = (AllDiffC, PackC)
 
 
 def expansion(tree):
     """Rewrite one of EXPANDED_GLOBALS as an And of simpler atoms: pairwise
-    disequalities for allDifferent, pairwise distance disjunctions for
-    allMinDistance, one Or of channeling pairs per cell for inverse, and one
-    PackBinC atom per bin for pack.  The solver also posts it for a global
-    it has no propagator for.  TypeError for any other tree.
+    disequalities for allDifferent and one PackBinC atom per bin for pack.
+    The solver also posts it: for every pack, and for an allDifferent over
+    expressions, which its propagator does not take.  TypeError for any
+    other tree.
     """
     if isinstance(tree, AllDiffC):
         out = []
         for i in range(len(tree.items)):
             for j in range(i + 1, len(tree.items)):
                 out.append(RelAtom("!=", tree.items[i], tree.items[j]))
-        return AndC(tuple(out))
-    if isinstance(tree, AllMinDistC):
-        out = []
-        g = Const(tree.gap)
-        for i in range(len(tree.items)):
-            for j in range(i + 1, len(tree.items)):
-                a, b = tree.items[i], tree.items[j]
-                out.append(OrC((RelAtom(">=", mk_diff(a, b), g), RelAtom(">=", mk_diff(b, a), g))))
-        return AndC(tuple(out))
-    if isinstance(tree, InverseC):
-        out = []
-        for pos, i in enumerate(tree.f_idx):
-            f_i = Var(tree.f_vids[pos])
-            alts = []
-            for qos, j in enumerate(tree.g_idx):
-                alts.append(AndC((RelAtom("==", f_i, Const(j)), RelAtom("==", Var(tree.g_vids[qos]), Const(i)))))
-            out.append(OrC(tuple(alts)))
-        for qos, j in enumerate(tree.g_idx):
-            g_j = Var(tree.g_vids[qos])
-            alts = []
-            for pos, i in enumerate(tree.f_idx):
-                alts.append(AndC((RelAtom("==", g_j, Const(i)), RelAtom("==", Var(tree.f_vids[pos]), Const(j)))))
-            out.append(OrC(tuple(alts)))
         return AndC(tuple(out))
     if isinstance(tree, PackC):
         out = []
@@ -944,12 +889,21 @@ def lower_ctr(ctr, ctx, env):
     if isinstance(ctr, AllDifferentCtr):
         return AllDiffC(tuple(_lower_collection(ctr.coll, ctx, env)))
     if isinstance(ctr, AllMinDistanceCtr):
+        # |a - b| >= gap for every pair i < j: a - b >= gap or b - a >= gap
         gap = _peval(ctr.gap, ctx.instance, env)
-        return AllMinDistC(tuple(_lower_collection(ctr.coll, ctx, env)), gap)
+        items = _lower_collection(ctr.coll, ctx, env)
+        if gap <= 0 or len(items) < 2:
+            return TRUE_C
+        g, out = ctx.share(Const(gap)), []
+        for i, a in enumerate(items):
+            for b in items[i + 1:]:
+                ctx.tick()
+                out.append(OrC((RelAtom(">=", ctx.share(mk_diff(a, b)), g),
+                                RelAtom(">=", ctx.share(mk_diff(b, a)), g))))
+        return AndC(tuple(out))
     if isinstance(ctr, InverseCtr):
-        f_idx, f_vids = _int_array(ctx, ctr.f)
-        g_idx, g_vids = _int_array(ctx, ctr.g)
-        return InverseC(tuple(f_vids), tuple(g_vids), tuple(f_idx), tuple(g_idx))
+        f, g = _int_array(ctx, ctr.f), _int_array(ctx, ctr.g)
+        return AndC(tuple(_inverse_cells(ctx, f, g) + _inverse_cells(ctx, g, f)))
     if isinstance(ctr, TableCtr):
         items = tuple(lower_expr(e, ctx, env) for e in ctr.exprs.items)
         rows = ctx.instance[ctr.table]
@@ -985,6 +939,19 @@ def _lower_collection(coll, ctx, env):
     out = []
     for benv in iter_bindings(ctx.model, ctx.instance, coll.binders, env, coll.guard):
         out.append(lower_expr(coll.elem, ctx, benv))
+    return out
+
+
+def _inverse_cells(ctx, f, g):
+    """One Or per cell i of f, over the indices j of g: f[i] == j and g[j] == i."""
+    out = []
+    for i, f_vid in zip(*f):
+        ctx.tick()
+        f_i, at_i = ctx.share(Var(f_vid)), ctx.share(Const(i))
+        out.append(OrC(tuple(
+            AndC((RelAtom("==", f_i, ctx.share(Const(j))), RelAtom("==", ctx.share(Var(g_vid)), at_i)))
+            for j, g_vid in zip(*g)
+        )))
     return out
 
 

@@ -76,13 +76,11 @@ from dataclasses import dataclass, field
 
 from .grounding import (
     AllDiffC,
-    AllMinDistC,
     AndC,
     Const,
     CountC,
     EXPANDED_GLOBALS,
     FALSE_C,
-    InverseC,
     OrC,
     PackBinC,
     PackC,
@@ -1031,8 +1029,6 @@ class Engine:
             if all(isinstance(it, Var) for it in tree.items):
                 self.register(AllDiffProp(tuple(it.vid for it in tree.items)))
                 return True
-            return self.post_tree(expansion(tree), choice, tick)
-        if isinstance(tree, (AllMinDistC, InverseC)):
             return self.post_tree(expansion(tree), choice, tick)
         if isinstance(tree, TableC):
             self.register(TableProp(tree))

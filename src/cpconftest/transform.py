@@ -3,10 +3,11 @@
 negate() builds the logical complement of a ground constraint tree:
 relational operators flip and De Morgan pushes through And/Or.  Table, count
 and pack-bin atoms have a dedicated complement of the same kind, which keeps
-the structure their propagators use.  Every other global atom is complemented
-through its expansion (allDifferent becomes a disjunction of equalities, a
-pack constraint "some bin load is off", and so on).  The result is again a
-ground constraint tree that the solver can post.
+the structure their propagators use.  allDifferent and pack are complemented
+through their expansion: allDifferent becomes a disjunction of equalities,
+pack "some bin load is off".  allMinDistance and inverse arrive expanded,
+since grounding lowers them to And / Or trees.  The result is again a ground
+constraint tree that the solver can post.
 
 canonical_key() maps a tree to a hashable key such that two trees with equal
 keys are logically equivalent.  Arithmetic is expanded into a multivariate
@@ -21,12 +22,10 @@ deliberately incomplete: unequal keys prove nothing.
 
 from .grounding import (
     AllDiffC,
-    AllMinDistC,
     AndC,
     Const,
     CountC,
     EXPANDED_GLOBALS,
-    InverseC,
     OrC,
     PackBinC,
     PackC,
@@ -233,16 +232,6 @@ def canonical_key(tree, reduce=None):
         if len(tree.items) < 2:
             return TRUE_KEY
         return ("alldiff", _sorted_keys(gexpr_key(it) for it in tree.items))
-    if isinstance(tree, AllMinDistC):
-        if len(tree.items) < 2 or tree.gap <= 0:
-            return TRUE_KEY
-        return (
-            "allmindist",
-            _sorted_keys(gexpr_key(it) for it in tree.items),
-            tree.gap,
-        )
-    if isinstance(tree, InverseC):
-        return ("inverse", tree.f_vids, tree.g_vids, tree.f_idx, tree.g_idx)
     if isinstance(tree, TableC):
         return (
             "table",

@@ -22,11 +22,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from cpconftest.grounding import (
     AllDiffC,
-    AllMinDistC,
     AndC,
     Const,
     CountC,
-    InverseC,
     OrC,
     PackC,
     Prod,
@@ -34,8 +32,11 @@ from cpconftest.grounding import (
     Sum,
     TableC,
     Var,
+    build_instance,
     evaluate_ground,
+    ground,
 )
+from cpconftest.parser import parse_model
 
 # Optimal ruler lengths, frozen from brute_ruler_optimum below.
 RULER_OPT = {2: 1, 3: 3, 4: 6, 5: 11, 6: 17}
@@ -125,23 +126,74 @@ def rand_tree(rng, vids, depth=1):
     return node(tuple(rand_tree(rng, vids, depth - 1) for _ in range(rng.randint(2, 3))))
 
 
+# ---------------------------------------------------------------------------
+# allMinDistance and inverse, defined in plain Python and grounded from source
+
+
+def allmindist_holds(values, gap):
+    """Every pair of values at least gap apart."""
+    return all(abs(a - b) >= gap for a, b in itertools.combinations(values, 2))
+
+
+def inverse_holds(f, g):
+    """f[i] == j exactly when g[j] == i, for all integers i and j, with f and
+    g as {index: value} and a missing cell equal to nothing."""
+    return all(g.get(j) == i for i, j in f.items()) and all(f.get(i) == j for j, i in g.items())
+
+
+ALLMINDIST_SOURCE = """
+int n = ...; int gap = ...; int shift = ...;
+dvar int x[1..3] in 0..4;
+subject to { c: allMinDistance(all (i in 1..n) x[i] + shift * (i - 1) * (3 - i), gap); }
+"""
+
+INVERSE_SOURCE = """
+int fl = ...; int fh = ...; int gl = ...; int gh = ...;
+dvar int f[fl..fh] in 0..3;
+dvar int g[gl..gh] in 0..3;
+subject to { c: inverse(f, g); }
+"""
+
+
+def grounded_globals():
+    """(domains, tree, holds) triples: the ground tree of one allMinDistance
+    or inverse source model, and its plain definition as a predicate on
+    assignments.  allMinDistance has gaps -1..3 over 0 to 3 items, the
+    second item x[2] + 1 in one model; inverse has arrays of unequal lengths
+    whose values may fall outside the other's indices."""
+    out = []
+    model = parse_model(ALLMINDIST_SOURCE)
+    for n, shift in ((0, 0), (1, 0), (2, 0), (3, 0), (3, 1)):
+        for gap in (-1, 0, 1, 2, 3):
+            gm = ground(model, build_instance(model, {"n": n, "gap": gap, "shift": shift}))
+            offsets = (0, shift, 0)[:n]
+
+            def holds(a, vids=gm.vids, offsets=offsets, gap=gap):
+                return allmindist_holds([a[v] + o for v, o in zip(vids, offsets)], gap)
+
+            out.append((gm.domains, gm.constraint("c").tree, holds))
+    model = parse_model(INVERSE_SOURCE)
+    for fl, fh, gl, gh in ((1, 0, 1, 0), (1, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 2), (1, 2, 2, 2)):
+        gm = ground(model, build_instance(model, {"fl": fl, "fh": fh, "gl": gl, "gh": gh}))
+        f = {i: gm.space.index[("f", (i,))] for i in range(fl, fh + 1)}
+        g = {j: gm.space.index[("g", (j,))] for j in range(gl, gh + 1)}
+
+        def holds(a, f=f, g=g):
+            return inverse_holds({i: a[v] for i, v in f.items()}, {j: a[v] for j, v in g.items()})
+
+        out.append((gm.domains, gm.constraint("c").tree, holds))
+    return out
+
+
 def small_globals():
     """(domains, tree) pairs of allDifferent, allMinDistance, inverse, pack
     and table atoms small enough to enumerate: allDifferent over a repeated
-    variable, gaps <= 0, fewer than two items, inverse arrays of unequal
-    lengths whose values may fall outside the other's indices, pack with a
-    zero and a negative size whose items may land outside every bin or not,
-    and tables over expressions.  Every variable of a pair has one domain."""
+    variable, the grounded_globals cases, pack with a zero and a negative
+    size whose items may land outside every bin or not, and tables over
+    expressions.  Every variable of a pair has one domain."""
     x, y, z = Var(0), Var(1), Var(2)
     cases = [({v: (0, 4) for v in range(3)}, AllDiffC(items)) for items in ((x, x), (x, y, x))]
-    cases += [
-        ({v: (0, 4) for v in range(3)}, AllMinDistC(items, gap))
-        for items in ((), (x,), (x, y), (x, y, z), (x, Sum((y, Const(1))), z))
-        for gap in (-1, 0, 1, 2, 3)
-    ]
-    for f_idx, g_idx in (((), ()), ((1,), (1,)), ((1,), (1, 2)), ((1, 2), (1, 2)), ((1, 2), (2,))):
-        f_vids, g_vids = (0, 1)[: len(f_idx)], (2, 3)[: len(g_idx)]
-        cases.append(({v: (0, 3) for v in range(4)}, InverseC(f_vids, g_vids, f_idx, g_idx)))
+    cases += [(domains, tree) for domains, tree, _ in grounded_globals()]
     # loads first, then assignments; bins -1, 0, 1 hold every value an item
     # may take, bins 0, 1 do not
     for loads, assigns, bins in (((0, 1, 2), (3, 4), (-1, 0, 1)), ((0, 1), (2, 3), (0, 1))):

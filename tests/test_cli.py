@@ -102,6 +102,19 @@ def test_check_timeout_exits_two(files):
     assert rc == 2
 
 
+def test_check_node_budget_reads_as_timeout(capsys):
+    # a spent node budget is Unknown (timeout) and exits 2, like --timeout;
+    # the same check without the budget is Conf
+    oracle, program = (str(corpus_path("golomb", f)) for f in ("oracle.cpm", "p_fixed.cpm"))
+    args = ["check", "--oracle", oracle, "--cput", program, "--param", "m=5",
+            "--relation", "best", "--bounds", "11:11"]
+    assert main(args + ["--nodes", "3"]) == 2
+    out = capsys.readouterr().out
+    assert "verdict: Unknown" in out and "reason: timeout" in out
+    assert main(args) == 0
+    assert "verdict: Conf" in capsys.readouterr().out
+
+
 def test_bad_param_exits_three(files, capsys):
     rc = main(
         [

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -7,20 +8,23 @@ from cpconftest import grounding, parse_data, parse_data_file, parse_model, pars
 from cpconftest.corpus import corpus_path
 from cpconftest.errors import EvaluationError, GroundingError, UsageError
 from cpconftest.grounding import (
-    AllMinDistC,
     AndC,
+    Const,
     CountC,
-    InverseC,
+    OrC,
     PackC,
     Prod,
     RelAtom,
     Sum,
+    TRUE_C,
+    Var,
     VarSpace,
     build_instance,
     evaluate_ground,
     gexpr_vars,
     ground,
     iter_bindings,
+    mk_diff,
     parse_var_name,
 )
 from cpconftest.solver import solve
@@ -39,7 +43,7 @@ from cpconftest.syntax import (
     walk_bool,
 )
 
-from conftest import brute_solutions
+from conftest import brute_solutions, grounded_globals
 
 RULER3 = """
 int m = ...;
@@ -292,11 +296,50 @@ def test_allmindistance_grounding():
     )
     gm = ground(m, build_instance(m, {"n": 3, "g": 1}))
     tree = gm.constraint("c").tree
-    assert isinstance(tree, AllMinDistC) and len(tree.items) == 3 and tree.gap == 2
+    # one distance disjunction per pair i < j, in pair order, over one gap
+    xs = [Var(gm.space.index[("x", (i,))]) for i in range(1, 4)]
+    assert tree == AndC(tuple(
+        OrC((RelAtom(">=", mk_diff(a, b), Const(2)), RelAtom(">=", mk_diff(b, a), Const(2))))
+        for a, b in itertools.combinations(xs, 2)
+    ))
+    assert len({id(atom.right) for pair in tree.items for atom in pair.items}) == 1
     a = {gm.space.index[("x", (i,))]: v for i, v in zip(range(1, 4), (0, 4, 2))}
     assert evaluate_ground(tree, a)
     a[gm.space.index[("x", (3,))]] = 3
     assert not evaluate_ground(tree, a)
+    # a gap of at most 0, or fewer than two items, is TRUE_C itself
+    for n, g in ((3, -1), (3, -2), (1, 5), (0, 5)):
+        assert ground(m, build_instance(m, {"n": n, "g": g})).constraint("c").tree is TRUE_C
+
+
+def test_allmindistance_grounding_polls_the_deadline():
+    # n*(n-1)/2 pairs outside any forall: the lowering itself looks at the clock
+    m = parse_model(
+        """
+        int n = ...;
+        dvar int x[1..n] in 0..9;
+        subject to { c: allMinDistance(all (i in 1..n) x[i], 1); }
+        """
+    )
+    n = 40
+    assert n * (n - 1) // 2 > 2 * grounding._POLL_EVERY
+    instance = build_instance(m, {"n": n})
+    with pytest.raises(TimeoutError):
+        ground(m, instance, deadline=time.monotonic() - 1.0)
+    assert len(ground(m, instance, deadline=time.monotonic() + 60.0).constraint("c").tree.items) == 780
+
+
+def test_grounded_globals_agree_with_their_plain_definitions():
+    # evaluate_ground on the lowered trees is the oracle of the brute-force
+    # tests; here it meets the plain-Python definitions on every assignment
+    seen = set()
+    for domains, tree, holds in grounded_globals():
+        vids = sorted(domains)
+        for combo in itertools.product(*(range(lo, hi + 1) for lo, hi in map(domains.get, vids))):
+            a = dict(zip(vids, combo))
+            assert evaluate_ground(tree, a) == holds(a), (tree, a)
+            seen.add(holds(a))
+    assert seen == {True, False}
 
 
 def test_inverse_grounding():
@@ -310,7 +353,19 @@ def test_inverse_grounding():
     )
     gm = ground(m, build_instance(m, {"n": 3}))
     tree = gm.constraint("c").tree
-    assert isinstance(tree, InverseC) and tree.f_idx == tree.g_idx == (1, 2, 3)
+    # one Or per cell of f, then per cell of g: f[i] == j and g[j] == i
+    cell = {(name, i): Var(gm.space.index[(name, (i,))]) for name in "fg" for i in (1, 2, 3)}
+
+    def cells(f, g):
+        return tuple(
+            OrC(tuple(
+                AndC((RelAtom("==", cell[f, i], Const(j)), RelAtom("==", cell[g, j], Const(i))))
+                for j in (1, 2, 3)
+            ))
+            for i in (1, 2, 3)
+        )
+
+    assert tree == AndC(cells("f", "g") + cells("g", "f"))
     f, g = (2, 3, 1), (3, 1, 2)  # g is f's inverse
     a = {gm.space.index[("f", (i,))]: v for i, v in zip(range(1, 4), f)}
     a.update({gm.space.index[("g", (i,))]: v for i, v in zip(range(1, 4), g)})

@@ -9,12 +9,10 @@ from cpconftest.conformity import CheckOptions, check, ground_pair
 from cpconftest.corpus import corpus_path, load_manifest
 from cpconftest.grounding import (
     AllDiffC,
-    AllMinDistC,
     AndC,
     Const,
     CountC,
     FALSE_C,
-    InverseC,
     OrC,
     PackC,
     Prod,
@@ -269,10 +267,18 @@ def test_presolve_refutes_conjunctions_whose_negation_is_asserted():
 
 
 def test_presolve_keys_the_expansion_of_globals():
-    # not(allMinDistance) is an Or of conjunctions, each the negation of one
-    # pair's disjunction in the expansion
-    amd = AllMinDistC((x, y, z), 2)
-    assert presolve([amd]).extras([negate(amd)])[1] == "UNSAT"
+    # not(allDifferent) is an Or of equalities, each the negation of one
+    # pair's disequality in the expansion; not(pack) an Or of one "!=" per
+    # bin, each the negation of that bin's equation.  Keyed whole, neither
+    # global would refute a disjunct.
+    alldiff = AllDiffC((Sum((x, Const(1))), y, Prod((Const(2), z))))
+    pack = PackC((0, 1), (2, 3), (2, 3), (1, 2))
+    for glob in (alldiff, pack):
+        pre = presolve([glob])
+        assert pre.extras([negate(glob)])[1] == "UNSAT"
+        # one disjunct left standing keeps the Or
+        (kept,) = pre.extras([OrC(negate(glob).items + (RelAtom("<", x, y),))])[0]
+        assert kept == RelAtom("<", x, y)
 
 
 def test_presolved_state_is_shared_by_solves():
@@ -418,7 +424,7 @@ def _reference_keys(hard, reduce):
     keys = set()
     for tree in hard:
         for leaf in solver._and_spine(tree):
-            if isinstance(leaf, (AllDiffC, AllMinDistC, InverseC, PackC)):
+            if isinstance(leaf, (AllDiffC, PackC)):
                 keys |= {canonical_key(t, reduce) for t in solver._and_spine(expansion(leaf))}
             keys.add(canonical_key(leaf, reduce))
     return keys
@@ -441,7 +447,7 @@ def _reference_deletes(tree, keys, reduce):
 def _has_global(tree):
     if isinstance(tree, (AndC, OrC)):
         return any(_has_global(t) for t in tree.items)
-    return isinstance(tree, (AllDiffC, AllMinDistC, InverseC, PackC))
+    return isinstance(tree, (AllDiffC, PackC))
 
 
 def _lookup_matches_reference(hard, candidates):
