@@ -31,9 +31,10 @@ variables still undefined, so callers can fall back to search for them.
 import itertools
 import time
 from dataclasses import dataclass
+from math import inf
 
 from .errors import EvaluationError, GroundingError, UsageError
-from .ops import FLIP, add64, check64, div64, mul64, rel_holds
+from .ops import FLIP, MIRROR, add64, check64, div64, mul64, rel_holds
 from .syntax import (
     AllDifferentCtr,
     AllMinDistanceCtr,
@@ -469,7 +470,7 @@ def _domain_values(model, instance, env, dom):
     if isinstance(dom, RangeDom):
         lo = _peval(dom.lo, instance, env)
         hi = _peval(dom.hi, instance, env)
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     p = _param_decl(model, dom.name)
     if p is None:
         raise GroundingError(f"unknown set {dom.name!r}")
@@ -511,6 +512,21 @@ def _join_field(model, dom, conj, name):
     return None
 
 
+# b op c keeps the values of b in c + lo .. c + hi
+_RANGE_CUT = {"<": (-inf, -1), "<=": (-inf, 0), "==": (0, 0), ">=": (0, inf), ">": (1, inf)}
+
+
+def _range_cut(conj, name):
+    """(lo, hi, e) when conj reads name op e, either way round, with op in
+    _RANGE_CUT as (lo, hi) and e free of name; else None."""
+    if isinstance(conj, RelChain) and conj.rel_ops[0] in _RANGE_CUT:
+        (a, b), op = conj.operands, conj.rel_ops[0]
+        for side, e, o in ((a, b, op), (b, a, MIRROR[op])):
+            if side == NameRef(name) and name not in names_in(walk_exprs(e)):
+                return _RANGE_CUT[o] + (e,)
+    return None
+
+
 def iter_bindings(model, instance, binders, env0=None, guard=None):
     """Yield env dicts for all combinations of the binder groups, in order.
 
@@ -521,6 +537,9 @@ def iter_bindings(model, instance, binders, env0=None, guard=None):
     by field f (value -> rows, in set order), and only the rows under e's
     value are enumerated.  The index and its row dicts are shared by every
     binding of the call, so they are read-only, and go when the call ends.
+    A range binder b is narrowed instead by each conjunct b op e (see
+    _range_cut) at the front of its depth's list, when e evaluates; one that
+    raises is left to filter, which raises the same error at the same point.
     """
     pairs = [(nm, g.domain) for g in binders for nm in g.names]
     checks = [[] for _ in range(len(pairs) + 1)]
@@ -531,6 +550,8 @@ def iter_bindings(model, instance, binders, env0=None, guard=None):
             checks[depth].append(conj)
     joins = {k: _join_field(model, dom, checks[k + 1][0], nm)
              for k, (nm, dom) in enumerate(pairs) if checks[k + 1]}
+    cuts = {k: list(itertools.takewhile(bool, (_range_cut(c, nm) for c in checks[k + 1])))
+            for k, (nm, dom) in enumerate(pairs) if isinstance(dom, RangeDom)}
     indexes = {}  # depth -> {field value: rows}, built at the depth's first visit
 
     def rec(k, env):
@@ -541,6 +562,13 @@ def iter_bindings(model, instance, binders, env0=None, guard=None):
         join = joins.get(k)
         if join is None:
             vals, tests = _domain_values(model, instance, env, dom), checks[k + 1]
+            for lo, hi, e in cuts.get(k, ()):
+                try:
+                    c = _peval(e, instance, env)
+                except (GroundingError, EvaluationError):
+                    break
+                vals = range(max(vals.start, c + lo), min(vals.stop, c + hi + 1))  # inf never wins
+                tests = tests[1:]
         else:
             if k not in indexes:
                 index = indexes[k] = {}

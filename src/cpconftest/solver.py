@@ -95,7 +95,7 @@ from .grounding import (
     expansion,
 )
 from .ops import rel_holds
-from .transform import FALSE_KEY, TRUE_KEY, _poly_neg, axpy, canonical_key, is_constant, negate, poly_of, rel_form
+from .transform import FALSE_KEY, TRUE_KEY, _poly_neg, axpy, canonical_key, negate, poly_of, rel_form
 
 _BITDOM_SPAN = 1024
 _OR_BRANCH_LIMIT = 64  # choice disjunctions wider than this don't drive branching
@@ -762,16 +762,17 @@ def _asserted_keys(trees, reduce, tick):
     """Reduced canonical keys of the negations of everything asserted at the
     top level, Or leaves included; a global that negate() complements through
     its expansion gives those of its expansion's top-level leaves instead.  A
-    tree whose own reduced key is among them is false wherever `trees` hold."""
+    tree whose own reduced key is among them is false wherever `trees` hold.
+    `tick` is called once per leaf keyed, expansion leaves included."""
     keys = set()
     for tree in trees:
         for leaf in _and_spine(tree):
-            tick()
             if isinstance(leaf, EXPANDED_GLOBALS):
                 leaves = _and_spine(expansion(leaf))
             else:
                 leaves = (leaf,)
             for t in leaves:
+                tick()
                 keys.add(canonical_key(negate(t), reduce))
     return keys
 
@@ -1012,7 +1013,7 @@ class Engine:
             return True
         if isinstance(tree, RelAtom):
             op, poly = rel_form(tree)
-            if is_constant(poly):
+            if poly.keys() <= {()}:  # a constant
                 return rel_holds(op, poly.get((), 0), 0)
             if not _poly_is_linear(poly):
                 self.register(CheckProp(tree, {v for m in poly for v in m}, BOUND))

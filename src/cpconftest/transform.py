@@ -7,17 +7,19 @@ the structure their propagators use.  allDifferent and pack are complemented
 through their expansion: allDifferent becomes a disjunction of equalities,
 pack "some bin load is off".  allMinDistance and inverse arrive expanded,
 since grounding lowers them to And / Or trees.  The result is again a ground
-constraint tree that the solver can post.
+constraint tree that the solver can post; an atom's complement takes its
+normal form from the atom's kept one (see rel_form), not from its sides.
 
 canonical_key() maps a tree to a hashable key such that two trees with equal
 keys are logically equivalent.  Arithmetic is expanded into a multivariate
 polynomial normal form, which absorbs commutativity, associativity,
 distribution, identity and annihilator elements in one step.  Relations are
 brought to p <= 0, p == 0 or p != 0 (p < 0 is p + 1 <= 0 over the
-integers), with a fixed sign for the two symmetric ones.  And/Or trees are
-flattened, sorted, deduplicated, and common factors are pulled out greedily
-until a fixpoint, which covers the distributive laws.  The equivalence is
-deliberately incomplete: unequal keys prove nothing.
+integers), with a fixed sign for the two symmetric ones, and terms in plain
+monomial order.  And/Or trees are flattened, sorted, deduplicated, and
+common factors are pulled out greedily until a fixpoint, which covers the
+distributive laws.  The equivalence is deliberately incomplete: unequal
+keys prove nothing.
 """
 
 from .grounding import (
@@ -49,7 +51,10 @@ def negate(tree, tick=None):
     if tick is not None:
         tick()
     if isinstance(tree, RelAtom):
-        return RelAtom(FLIP[tree.op], tree.left, tree.right)
+        neg = RelAtom(FLIP[tree.op], tree.left, tree.right)
+        op, p = rel_form(tree)
+        object.__setattr__(neg, "_form", _normal(FLIP[op], p))  # rel_form(neg), from tree's form
+        return neg
     if isinstance(tree, (AndC, OrC)):
         dual = OrC if isinstance(tree, AndC) else AndC
         return dual(tuple(negate(it, tick) for it in tree.items))
@@ -123,13 +128,10 @@ def _poly_neg(p):
     return {m: -c for m, c in p.items()}
 
 
-def _mono_order(m):
-    return (len(m), m)
-
-
-def _poly_key(p, sign=1):
-    """The terms of sign*p in monomial order, the leading term last."""
-    return ("poly",) + tuple((m, sign * p[m]) for m in sorted(p, key=_mono_order))
+def _poly_key(p):
+    """The terms of p in plain monomial order, the leading term last: as
+    monomials are distinct tuples of ints, the sort compares no coefficient."""
+    return ("poly",) + tuple(sorted(p.items()))
 
 
 def gexpr_key(e):
@@ -148,37 +150,37 @@ def _sorted_keys(keys):
     return tuple(sorted(keys, key=repr))
 
 
+def _normal(op, p):
+    """(op, p) for p op 0 with op one of <=, == and !=: p is negated for >
+    and >=, plus 1 for < and >, since over the integers p < 0 is p + 1 <= 0.
+    This is the one place that knows strict relations."""
+    if op in (">", ">="):
+        op, p = MIRROR[op], _poly_neg(p)
+    if op == "<":
+        op, p = "<=", axpy(p, 1, {(): 1})
+    return op, p
+
+
 def rel_form(atom):
-    """Normal form of a relational atom: (op, poly) for poly op 0, where op
-    is one of <=, == and != and poly is left - right, negated for > and >=,
-    plus 1 for < and >: over the integers, p < 0 is p + 1 <= 0.  This is the
-    one place that knows strict relations.  The form is computed once per
-    atom and kept on it; callers share it and must not change it."""
+    """Normal form of a relational atom: _normal of its op and left - right.
+    The form is computed once per atom and kept on it; callers share it and
+    must not change it."""
     form = getattr(atom, "_form", None)
     if form is None:
-        op, p = atom.op, axpy(poly_of(atom.left), -1, poly_of(atom.right))
-        if op in (">", ">="):
-            op, p = MIRROR[op], _poly_neg(p)
-        if op == "<":
-            op, p = "<=", axpy(p, 1, {(): 1})
-        form = (op, p)
+        form = _normal(atom.op, axpy(poly_of(atom.left), -1, poly_of(atom.right)))
         object.__setattr__(atom, "_form", form)  # not a field; the dataclass is frozen
     return form
-
-
-def is_constant(p):
-    return all(m == () for m in p)
 
 
 def _rel_key(atom, reduce):
     op, p = rel_form(atom)
     if reduce is not None:
         p = reduce(p)
-    if is_constant(p):
-        return TRUE_KEY if rel_holds(op, p.get((), 0), 0) else FALSE_KEY
     key = _poly_key(p)
+    if len(key) == 1 or key[-1][0] == ():  # () sorts first: p is a constant
+        return TRUE_KEY if rel_holds(op, p.get((), 0), 0) else FALSE_KEY
     if op != "<=" and key[-1][1] < 0:  # == and != take a positive leading term
-        key = _poly_key(p, -1)
+        key = ("poly",) + tuple((m, -c) for m, c in key[1:])
     return ("rel", op, key)
 
 

@@ -648,6 +648,140 @@ def test_join_cuts_guard_evaluations(monkeypatch):
     assert calls[0] < 60_000
 
 
+# Range binders narrowed by their guards
+
+
+def rel(op, a, b):
+    return RelChain((a, b), (op,))
+
+
+def ref(nm):
+    return NameRef(nm)
+
+
+def plus(e, c):
+    return BinOp("+", e, IntLit(c))
+
+
+def rng_dom(lo, hi):
+    """lo..hi, either end an int or an expression."""
+    return RangeDom(*(IntLit(e) if isinstance(e, int) else e for e in (lo, hi)))
+
+
+ABC = (BinderGroup(("a", "b", "c"), rng_dom(0, NameRef("n"))),)
+AB = (BinderGroup(("a",), rng_dom(-1, 2)), BinderGroup(("b",), rng_dom(0, NameRef("n"))))
+
+# (binder groups, guard): each names a case narrowing must reproduce exactly
+NARROW_CASES = [
+    # every relation, the range binder on either side
+    *((AB, rel(op, ref("b"), ref("a"))) for op in ("<", "<=", ">", ">=", "==")),
+    *((AB, rel(op, plus(ref("a"), 1), ref("b"))) for op in ("<", "<=", ">", ">=", "==")),
+    # chains, and two cuts at one depth followed by a filter
+    (ABC, RelChain((ref("a"), ref("b"), ref("c")), ("<", "<"))),
+    (ABC, RelChain((ref("c"), ref("b"), ref("a")), (">=", ">"))),
+    (ABC, both(rel("<", ref("a"), ref("c")), rel("<", ref("c"), plus(ref("b"), 2)), rel("!=", ref("c"), ref("b")))),
+    # the reference's c2 shape
+    (
+        (BinderGroup(("i", "j", "k", "l"), rng_dom(1, NameRef("n"))),),
+        both(rel("<", ref("i"), ref("j")), rel("<", ref("k"), ref("l")),
+             BoolOp("or", (rel("!=", ref("i"), ref("k")), rel("!=", ref("j"), ref("l"))))),
+    ),
+    # empty ranges: a bound past the range, and a range that is empty itself
+    (AB, rel(">", ref("b"), plus(ref("n"), 3))),
+    ((BinderGroup(("a",), rng_dom(0, 2)), BinderGroup(("b",), rng_dom(3, 1))), rel("<", ref("a"), ref("b"))),
+    # a filter first: the cut behind it filters too
+    (AB, both(rel("!=", ref("b"), IntLit(1)), rel("<", ref("a"), ref("b")))),
+    # bounds that raise: division by zero at a == 0 only, everywhere, and
+    # behind a cut; an unknown name; an overflow
+    (AB, rel("<", ref("b"), BinOp("/", IntLit(6), ref("a")))),
+    (AB, rel(">=", BinOp("/", ref("a"), BinOp("-", ref("n"), ref("n"))), ref("b"))),
+    (AB, both(rel(">", ref("b"), ref("a")), rel("<", ref("b"), BinOp("/", IntLit(6), ref("a"))))),
+    (AB, rel("==", ref("b"), ref("q"))),
+    (AB, rel("<=", ref("b"), BinOp("*", IntLit(2**62), IntLit(4)))),
+]
+
+
+def random_range_case(rng):
+    names = ["a", "b", "c", "d"][: rng.randint(2, 4)]
+    groups = []
+
+    def operand(upto):
+        pick = rng.random()
+        if pick < 0.15:
+            return rng.choice((IntLit(rng.randint(-1, 4)), ref("n")))
+        if pick < 0.2:  # division by zero wherever the divisor reads 0
+            return BinOp("/", IntLit(6), ref(rng.choice(upto)))
+        e = ref(rng.choice(upto))
+        return plus(e, rng.choice((-1, 1))) if pick < 0.35 else e
+
+    for i, nm in enumerate(names):
+        earlier = names[:i]
+        lo = operand(earlier) if earlier and rng.random() < 0.3 else IntLit(rng.randint(-1, 2))
+        hi = rng.choice((IntLit(rng.randint(-1, 4)), ref("n"))) if rng.random() < 0.8 else operand(earlier or ["n"])
+        if groups and rng.random() < 0.3:
+            groups[-1] = BinderGroup(groups[-1].names + (nm,), groups[-1].domain)
+        else:
+            groups.append(BinderGroup((nm,), rng_dom(lo, hi)))
+
+    def conjunct():
+        if rng.random() < 0.1:
+            return BoolNot(conjunct())
+        size = rng.choice((2, 2, 2, 3))
+        ops = tuple(rng.choice(("<", "<=", ">", ">=", "==", "!=")) for _ in range(size - 1))
+        return RelChain(tuple(operand(names) for _ in range(size)), ops)
+
+    conjuncts = tuple(conjunct() for _ in range(rng.randint(1, 4)))
+    return tuple(groups), (conjuncts[0] if len(conjuncts) == 1 else both(*conjuncts))
+
+
+def test_narrowing_enumerates_what_filtering_enumerates(monkeypatch):
+    # the same envs, in the same order, ended by the same error, on fixed
+    # cases over every n and 1,500 seeded random ones; narrowing must also
+    # save guard evaluations, or it never fired
+    calls = counting(monkeypatch, "_peval_bool")
+    errors = narrowed = 0
+    cases = [(binders, guard, n) for binders, guard in NARROW_CASES for n in (-1, 0, 1, 3)]
+    for seed in range(len(cases) + 1500):
+        if seed < len(cases):
+            binders, guard, n = cases[seed]
+        else:
+            rng = random.Random(seed)
+            (binders, guard), n = random_range_case(rng), rng.randint(-1, 4)
+        instance = build_instance(JOIN_MODEL, {"n": n, "s": [], "t": [], "u": []})
+        results, spent = [], []
+        for fn in (iter_bindings, filtering_bindings):
+            calls[0] = 0
+            results.append(outcome(fn, instance, binders, None, guard))
+            spent.append(calls[0])
+        assert results[0] == results[1], (seed, binders, guard, n)
+        errors += results[0][1] is not None
+        narrowed += spent[0] < spent[1]
+    assert errors > 80 and narrowed > 300, (errors, narrowed)
+
+
+def test_narrowing_cuts_guard_evaluations(monkeypatch):
+    # the reference's c2 at m=20 filtered 112,500 guards through its range
+    # binders i < j and k < l; 36,100 of them, one per kept binding, are
+    # left to its disjunction.  Counted at the top level: a guard's parts
+    # are not counted again
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    instance = build_instance(oracle, None, {"m": 20})
+    calls, depth = [0], [0]
+    fn = grounding._peval_bool
+
+    def counted(*args):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return fn(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(grounding, "_peval_bool", counted)
+    ground(oracle, instance)
+    assert calls[0] < 60_000
+
+
 def model_parts(gm):
     """What makes a ground model: GroundModel itself has no ==."""
     trees = [(c.label, c.tree) for c in gm.constraints]

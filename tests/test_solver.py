@@ -160,6 +160,31 @@ def test_presolve_polls_its_deadline(monkeypatch, hard):
         assert len(keyed) <= grounding._POLL_EVERY
 
 
+def test_presolve_polls_inside_expansions(monkeypatch):
+    # one allDifferent over 40 variables is keyed as its 780 pairs; with
+    # time left at presolve's first look at the deadline and none at any
+    # later one, presolve stops within one polling interval of keyed pairs
+    looks = iter([0.0])
+
+    class Clock:
+        @staticmethod
+        def monotonic():
+            return next(looks, 2.0)
+
+    keyed = []
+
+    def counting_key(tree, reduce=None):
+        keyed.append(tree)
+        return canonical_key(tree, reduce)
+
+    monkeypatch.setattr(grounding, "time", Clock)
+    monkeypatch.setattr(solver, "canonical_key", counting_key)
+    alldiff = AllDiffC(tuple(Var(v) for v in range(40)))
+    assert len(expansion(alldiff).items) > 2 * grounding._POLL_EVERY
+    assert presolve([alldiff], deadline=1.0).status == "RESOURCE_OUT"
+    assert 0 < len(keyed) <= grounding._POLL_EVERY
+
+
 @pytest.mark.parametrize("shape", ("atoms", "global"))
 def test_posting_polls_the_deadline(monkeypatch, shape):
     # with the hard constraints presolved beforehand and no time left, a

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cpconftest import conformity, grounding
+from cpconftest import conformity, grounding, solver
 from cpconftest.corpus import corpus_path, load_manifest
 from cpconftest.grounding import (
     AllDiffC,
@@ -23,6 +23,7 @@ from cpconftest.grounding import (
     ctr_vars,
     evaluate_ground,
 )
+from cpconftest.ops import rel_holds
 from cpconftest.parser import parse_data_file, parse_model_file
 from cpconftest.transform import (
     FALSE_KEY,
@@ -35,7 +36,7 @@ from cpconftest.transform import (
     rel_form,
 )
 
-from conftest import all_assignments, rand_tree, small_globals
+from conftest import REL_OPS, all_assignments, rand_expr, rand_tree, small_globals
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -101,6 +102,33 @@ def test_rel_form_is_computed_once_per_atom():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
+def _old_rel_key(atom):
+    """_rel_key as it sorted before: by degree, then monomial, with a
+    second sort for the sign of == and !=."""
+    op, p = rel_form(atom)
+    if all(m == () for m in p):
+        return TRUE_KEY if rel_holds(op, p.get((), 0), 0) else FALSE_KEY
+    order = sorted(p, key=lambda m: (len(m), m))
+    sign = -1 if op != "<=" and p[order[-1]] < 0 else 1
+    return ("rel", op, ("poly",) + tuple((m, sign * p[m]) for m in order))
+
+
+def test_plain_monomial_order_keeps_every_key_equality(rng):
+    # keys sort their terms in plain tuple order: linear keys are laid out
+    # as before, and on atoms with products (powers included) the keys are
+    # equal exactly where the degree-first keys were
+    atoms = [RelAtom(rng.choice(REL_OPS), rand_expr(rng, [0, 1]), rand_expr(rng, [0, 1])) for _ in range(600)]
+    new, old = {}, {}
+    for i, a in enumerate(atoms):
+        new.setdefault(canonical_key(a), []).append(i)
+        old.setdefault(_old_rel_key(a), []).append(i)
+        if all(len(m) <= 1 for m in rel_form(a)[1]):
+            assert canonical_key(a) == _old_rel_key(a)
+    assert sorted(new.values()) == sorted(old.values())
+    products = sum(any(len(m) > 1 for m in rel_form(a)[1]) for a in atoms)
+    assert len(new) < len(atoms) and products > 100, (len(new), products)
+
+
 def _fresh(e):
     """An equal expression of new objects, on which nothing is kept yet."""
     if isinstance(e, Const):
@@ -128,6 +156,34 @@ def _expressions(tree, out):
         if isinstance(e, (Sum, Prod)):
             stack.extend(e.items)
     return out
+
+
+def test_negation_reuses_the_kept_form(rng):
+    # negate() gives an atom's complement the form that rel_form would
+    # compute for it afresh, built from the atom's own kept form: == and !=
+    # share its polynomial, p <= 0 becomes -p + 1 <= 0.  So the complement
+    # keys alike, with and without a presolve reduction, for every relation,
+    # on linear atoms and on atoms with products and powers
+    rows = solver._echelon([RelAtom("==", y, Sum((Prod((Const(2), x)), Const(-1))))], lambda: None)
+    reductions = (None, solver._normal_form(rows))
+    fixed = [
+        (Sum((x, Const(1))), y),
+        (x, Const(1)),  # p = x - 1: the constant leaves x - 1 + 1
+        (Sum((x, Const(1))), Const(0)),  # and x + 1 - 1 for > and <=
+        (Prod((x, x)), Sum((Prod((x, y)), Const(-1)))),
+        (Prod((y, y, x)), Prod((Const(3), z))),
+    ]
+    atoms = [RelAtom(op, a, b) for op in REL_OPS for a, b in fixed]
+    atoms += [RelAtom(rng.choice(REL_OPS), rand_expr(rng, [0, 1, 2]), rand_expr(rng, [0, 1, 2])) for _ in range(400)]
+    for atom in atoms:
+        neg = negate(atom)
+        assert getattr(neg, "_form", None) is not None
+        if atom.op in ("==", "!="):
+            assert rel_form(neg)[1] is rel_form(atom)[1]
+        fresh = RelAtom(neg.op, _fresh(neg.left), _fresh(neg.right))
+        assert rel_form(neg) == rel_form(fresh)
+        for reduce in reductions:
+            assert canonical_key(neg, reduce) == canonical_key(fresh, reduce)
 
 
 def test_poly_of_is_kept_and_equals_a_fresh_expansion(rng):
