@@ -17,15 +17,19 @@ declaration order, since fail-first picks what a bound leaves small (a
 ruler's length) and proves the optimum before it returns a solution.
 A relational atom is posted in its normal form from transform.rel_form; a
 linear one over one variable narrows its domain when posted, and is posted
-as a LinProp (which fails where failures are counted) only if that empties it.
-Engine.tree_status is the one judgement of a tree under the current
-domains: interval evaluation of a normal form, exact evaluation of any
-other atom once its variables are fixed.  Disjunctions use it for their
-unit rule and for branching, through one scan of their disjuncts, and an
-atom the engine can judge but not prune (a nonlinear relation, a count of
-a non-constant value) is posted as a CheckProp that fails once tree_status
-finds it violated.  Normal forms and presolve's row arithmetic are exact
-integers; the models' own 64-bit semantics belong to grounding.
+as a propagator (which fails where failures are counted) only if that
+empties it: a LinProp for `<=` and `==` (both halves from one reading of
+the bounds), a NeProp for `!=` (once at most one variable is open, it
+removes that variable's one forbidden value).  Engine.tree_status is the
+one judgement of a tree under the current domains: interval evaluation of
+a normal form (_status), exact evaluation of any other atom once its
+variables are fixed.  Disjunctions use it for their unit rule and for
+branching, through one scan of their disjuncts, reading a relational
+disjunct's kept (op, poly) directly; an atom the engine can judge but not
+prune (a nonlinear relation, a count of a non-constant value) is posted
+as a CheckProp that fails once tree_status finds it violated.
+Normal forms and presolve's row arithmetic are exact integers; the
+models' own 64-bit semantics belong to grounding.
 
 Propagation wakes a propagator only on the kind of domain change it reads
 (after Schulte & Stuckey, "Efficient constraint propagation engines",
@@ -40,6 +44,8 @@ retires, since the bound it reads changes.  Disjunctions run last:
 they wait in a second queue until every other woken propagator is idle,
 since their unit rule re-evaluates each disjunct.  Domains compute their
 bounds once, when built, since they are read far more often than changed.
+Old domains, watcher lists to pop and retired propagators each have a
+trail of their own, so that backtracking tests no entry for its kind.
 
 Presolve deletes disjuncts whose negation is asserted at the top level,
 directly, as an Or, or as a leaf of a global's expansion (an allDifferent
@@ -131,9 +137,10 @@ class BitDom:
         return 0 <= k and (self.mask >> k) & 1 == 1
 
     def remove(self, v):
-        if not self.contains(v):
+        k = v - self.offset
+        if k < 0 or not (self.mask >> k) & 1:
             return self
-        m = self.mask & ~(1 << (v - self.offset))
+        m = self.mask & ~(1 << k)
         return BitDom(self.offset, m) if m else None
 
     def with_min(self, lo):
@@ -261,10 +268,13 @@ def fixed_dom(v):
 def poly_interval(poly, doms):
     lo = hi = 0
     for mono, c in poly.items():
-        a = b = 1  # the monomial's interval: a variable's bounds, products after
-        if mono:
-            d = doms[mono[0]]
-            a, b = d.min, d.max
+        if not mono:  # the constant
+            lo += c
+            hi += c
+            continue
+        d = doms[mono[0]]
+        a, b = d.min, d.max  # the monomial's interval: a variable's bounds, products after
+        if len(mono) > 1:
             for vid in mono[1:]:
                 d = doms[vid]
                 cands = (a * d.min, a * d.max, b * d.min, b * d.max)
@@ -283,9 +293,17 @@ def _poly_is_linear(poly):
 
 
 def _linear_terms(poly):
-    """(vids, coefs, const) of a linear polynomial."""
-    vids = tuple(m[0] for m in poly if m != ())
-    return vids, tuple(poly[(v,)] for v in vids), poly.get((), 0)
+    """(terms, const) of a linear polynomial, terms as (vid, coef) pairs."""
+    return tuple((m[0], c) for m, c in poly.items() if m), poly.get((), 0)
+
+
+def _status(op, lo, hi):
+    """`f op 0` for f in lo..hi: True = entailed, False = violated, None = unknown."""
+    if op == "<=":
+        return True if hi <= 0 else (False if lo > 0 else None)
+    if op == "==":
+        return True if lo == hi == 0 else (None if lo <= 0 <= hi else False)
+    return False if lo == hi == 0 else (None if lo <= 0 <= hi else True)  # !=
 
 
 # ---------------------------------------------------------------------------
@@ -316,33 +334,41 @@ class Prop:
         raise NotImplementedError
 
 
-def _lin_le(eng, vids, coefs, const):
-    """Propagate sum(c_i x_i) + const <= 0.  None on failure, else the
-    maximum of the sum before pruning: at most 0 once it is entailed."""
+def _lin(eng, terms, const, eq):
+    """Propagate sum(c_i x_i) + const <= 0, and >= 0 too when eq, from one
+    reading of the bounds.  None on failure, else the maximum of the sum
+    before pruning: at most 0 once it is entailed (for ==, the >= half has
+    then fixed every variable)."""
     doms = eng.doms
-    fmin = const
-    for vid, c in zip(vids, coefs):
+    lo = hi = const
+    for vid, c in terms:
         d = doms[vid]
-        fmin += c * d.min if c > 0 else c * d.max
-    if fmin > 0:
+        if c > 0:
+            lo += c * d.min
+            hi += c * d.max
+        else:
+            lo += c * d.max
+            hi += c * d.min
+    if lo > 0 or eq and hi < 0:
         return None
-    slack, fmax = -fmin, fmin
-    for vid, c in zip(vids, coefs):
+    # a term may rise by at most -lo and, for ==, fall by at most hi; one
+    # whose whole span fits in both prunes nothing
+    rise, fall = -lo, hi if eq else hi - lo
+    for vid, c in terms:
         d = doms[vid]
         span = c * (d.max - d.min) if c > 0 else c * (d.min - d.max)
-        # a term whose whole span fits in the slack prunes nothing
-        if span > slack:
-            nd = d.with_max(d.min + slack // c) if c > 0 else d.with_min(d.max - slack // -c)
+        if span > rise or span > fall:
+            nd = (d.with_min(d.max - fall // c).with_max(d.min + rise // c) if c > 0
+                  else d.with_min(d.max - rise // -c).with_max(d.min + fall // -c))
             if not eng.prune(vid, nd):
                 return None
-        fmax += span
-    return fmax
+    return hi
 
 
 def _narrow(d, c, const, op):
     """The values of domain d at which c*x + const op 0 holds, op in {<=, ==,
-    !=}, in exact integers: what a LinProp over x alone leaves at its
-    fixpoint.  None when no value is left."""
+    !=}, in exact integers: what a LinProp or NeProp over x alone leaves at
+    its fixpoint.  None when no value is left."""
     if op == "<=":
         return d.with_max(-const // c) if c > 0 else d.with_min(-(const // c))
     v, r = divmod(-const, c)
@@ -355,45 +381,50 @@ def _narrow(d, c, const, op):
 
 
 class LinProp(Prop):
-    """Linear atom sum(c_i x_i) + const op 0 with op in {<=, ==, !=}."""
+    """Linear atom sum(c_i x_i) + const op 0, op in {<=, ==}, over (vid, c_i) terms."""
 
-    __slots__ = ("vids", "coefs", "const", "op", "neg")
+    __slots__ = ("terms", "const", "eq")
 
-    def __init__(self, vids, coefs, const, op):
-        super().__init__(vids, FIX if op == "!=" else BOUND)
-        self.vids = vids
-        self.coefs = coefs
+    def __init__(self, terms, const, op):
+        super().__init__([vid for vid, _ in terms], BOUND)
+        self.terms = terms
         self.const = const
-        self.op = op
-        self.neg = tuple(-c for c in coefs)  # the >= half of ==
+        self.eq = op == "=="
 
     def propagate(self, eng):
-        if self.op == "!=":
-            doms = eng.doms
-            acc = self.const
-            open_i = -1
-            for i, vid in enumerate(self.vids):
-                d = doms[vid]
-                if d.min == d.max:
-                    acc += self.coefs[i] * d.min
-                elif open_i >= 0:
-                    return True
-                else:
-                    open_i = i
-            eng.set_done(self)  # at most one variable open: decided below
-            if open_i < 0:
-                return acc != 0
-            c = self.coefs[open_i]
-            if acc % c == 0:
-                vid = self.vids[open_i]
-                return eng.prune(vid, doms[vid].remove(-acc // c))
-            return True
-        hi = _lin_le(eng, self.vids, self.coefs, self.const)
-        if hi is None or self.op == "==" and _lin_le(eng, self.vids, self.neg, -self.const) is None:
-            return False
-        if hi <= 0:  # entailed: for ==, the >= half has then fixed every variable
+        hi = _lin(eng, self.terms, self.const, self.eq)
+        if hi is not None and hi <= 0:
             eng.set_done(self)
-        return True
+        return hi is not None
+
+
+class NeProp(Prop):
+    """Linear atom sum(c_i x_i) + const != 0, by forward checking: once at most one
+    variable is open it removes that variable's forbidden value, if any, and retires."""
+
+    __slots__ = ("terms", "const")
+
+    def __init__(self, terms, const):
+        super().__init__([vid for vid, _ in terms], FIX)
+        self.terms = terms
+        self.const = const
+
+    def propagate(self, eng):
+        doms = eng.doms
+        acc, open_c = self.const, 0  # open_c: the coefficient of the one open variable
+        for vid, c in self.terms:
+            d = doms[vid]
+            if d.min == d.max:
+                acc += c * d.min
+            elif open_c:
+                return True
+            else:
+                open_vid, open_c = vid, c
+        eng.set_done(self)
+        if not open_c:
+            return acc != 0
+        v, r = divmod(-acc, open_c)
+        return r != 0 or eng.prune(open_vid, doms[open_vid].remove(v))
 
 
 class CheckProp(Prop):
@@ -439,8 +470,7 @@ class AllDiffProp(Prop):
             if d.fixed:
                 continue
             for v in seen:
-                d2 = doms[vid].remove(v)
-                if not eng.prune(vid, d2):
+                if not eng.prune(vid, doms[vid].remove(v)):
                     return False
         return True
 
@@ -499,23 +529,16 @@ class CountProp(Prop):
             return False
         if lb is not None and cnt_max < lb:
             return False
-        if lb is not None and cnt_max == lb:
-            # every candidate is needed
-            for i, b in enumerate(self.bare):
+        # every candidate is needed, or no further item may take the value
+        # (both only when no candidate is open)
+        need = lb is not None and cnt_max == lb
+        if need or ub is not None and cnt_min == ub:
+            for b in self.bare:
                 if b is None:
                     continue
                 d = doms[b]
                 if not d.fixed and d.contains(v):
-                    if not eng.prune(b, fixed_dom(v)):
-                        return False
-        if ub is not None and cnt_min == ub:
-            # no further item may take the value
-            for i, b in enumerate(self.bare):
-                if b is None:
-                    continue
-                d = doms[b]
-                if not d.fixed and d.contains(v):
-                    if not eng.prune(b, d.remove(v)):
+                    if not eng.prune(b, fixed_dom(v) if need else d.remove(v)):
                         return False
         if isinstance(self.tree.rhs, Var) and op == "==":
             rv = self.tree.rhs.vid
@@ -563,38 +586,30 @@ class TableProp(Prop):
                 if not eng.prune(b, doms[b].restrict(support)):
                     return False
             return True
-        # forbidden
+        # forbidden: a row that every cell matches fails, and one that every
+        # cell but one open variable matches takes that value from it; an
+        # expression cell matches only once it is fixed
         for row in self.rows:
             open_pos = -1
-            match = True
             for p in range(n):
                 b = self.bare[p]
-                d = doms[b] if b is not None else None
-                if b is not None and d.fixed:
-                    if d.value != row[p]:
-                        match = False
-                        break
-                elif b is None:
+                if b is None:
                     lo, hi = poly_interval(self.item_polys[p], doms)
-                    if lo == hi:
-                        if lo != row[p]:
-                            match = False
-                            break
-                    else:
-                        match = False  # can't reason, leave to later wakeups
+                    if not lo == hi == row[p]:
                         break
+                elif doms[b].fixed:
+                    if doms[b].value != row[p]:
+                        break
+                elif open_pos >= 0 or not doms[b].contains(row[p]):
+                    break
                 else:
-                    if open_pos >= 0 or not d.contains(row[p]):
-                        match = False
-                        break
                     open_pos = p
-            if not match:
-                continue
-            if open_pos < 0:
-                return False  # fully matched a forbidden row
-            b = self.bare[open_pos]
-            if not eng.prune(b, doms[b].remove(row[open_pos])):
-                return False
+            else:
+                if open_pos < 0:
+                    return False
+                b = self.bare[open_pos]
+                if not eng.prune(b, doms[b].remove(row[open_pos])):
+                    return False
         return True
 
 
@@ -642,23 +657,34 @@ class OrProp(Prop):
     tries its unresolved disjuncts in order before enumerating variables.
     """
 
-    __slots__ = ("items", "choice")
+    __slots__ = ("items", "forms", "choice")
     late = True
 
     def __init__(self, items, choice):
-        watch = set()
+        watch, forms = set(), []  # the kept (op, poly) of a relational disjunct, else None
         for it in items:
-            ctr_vars(it, watch)
+            if isinstance(it, RelAtom):
+                form = rel_form(it)
+                forms.append(form)
+                watch.update(v for m in form[1] for v in m)
+            else:
+                forms.append(None)
+                ctr_vars(it, watch)
         super().__init__(watch, BOUND)  # tree_status reads bounds and fixedness
         self.items = items
+        self.forms = forms
         self.choice = choice
 
     def open_disjuncts(self, eng, limit):
         """None when a disjunct is entailed, else the disjuncts not yet
         decided, in order, up to limit + 1 of them."""
         out = []
-        for it in self.items:
-            s = eng.tree_status(it)
+        doms = eng.doms
+        for it, form in zip(self.items, self.forms):
+            if form is None:
+                s = eng.tree_status(it)
+            else:
+                s = _status(form[0], *poly_interval(form[1], doms))
             if s is True:
                 return None
             if s is None:
@@ -682,21 +708,21 @@ class OrProp(Prop):
 class BoundProp(Prop):
     """objective <= incumbent - 1, consulted under a mutable bound."""
 
-    __slots__ = ("vids", "coefs", "const", "poly", "linear")
+    __slots__ = ("terms", "const", "poly", "linear")
 
     def __init__(self, poly):
         super().__init__({v for m in poly for v in m}, BOUND)
         self.poly = poly
         self.linear = _poly_is_linear(poly)
         if self.linear:
-            self.vids, self.coefs, self.const = _linear_terms(poly)
+            self.terms, self.const = _linear_terms(poly)
 
     def propagate(self, eng):
         if eng.bound is None:
             return True
         limit = eng.bound - 1
         if self.linear:
-            return _lin_le(eng, self.vids, self.coefs, self.const - limit) is not None
+            return _lin(eng, self.terms, self.const - limit, False) is not None
         lo, _ = poly_interval(self.poly, eng.doms)
         return lo <= limit
 
@@ -913,8 +939,8 @@ class Engine:
         # per variable, one propagator list per event class (FIX, BOUND, DOMAIN)
         self.watchers = {vid: ([], [], []) for vid in self.doms}
         self.choices = []  # choice OrProps, in posting order
-        self.dtrail = []
-        self.strail = []  # watcher lists to pop, and props to mark not done
+        # (vid, old domain), watcher lists to pop, retired propagators
+        self.dtrail, self.wtrail, self.rtrail = [], [], []
         # woken propagators; late ones (disjunctions) wait in the second queue
         # until the first is empty, since their unit rule re-evaluates every
         # disjunct and runs far fewer times once the rest is at its fixpoint
@@ -940,13 +966,14 @@ class Engine:
     def prune(self, vid, nd):
         """Narrow vid's domain to nd and wake the propagators whose event
         class the change belongs to; False when nd is empty."""
-        old = self.doms[vid]
+        doms = self.doms
+        old = doms[vid]
         if nd is old:
             return True
         if nd is None:
             return False
         self.dtrail.append((vid, old))
-        self.doms[vid] = nd
+        doms[vid] = nd
         if nd.min == nd.max:
             event = FIX
         elif nd.min != old.min or nd.max != old.max:
@@ -964,30 +991,28 @@ class Engine:
     def set_done(self, prop):
         if not prop.done:
             prop.done = True
-            self.strail.append(prop)
+            self.rtrail.append(prop)
 
     def register(self, prop):
         for vid in prop.watch:
             props = self.watchers[vid][prop.event]
             props.append(prop)
-            self.strail.append(props)
+            self.wtrail.append(props)
         self.enqueue(prop)
 
     def marks(self):
-        return (len(self.dtrail), len(self.strail), len(self.choices))
+        return len(self.dtrail), len(self.wtrail), len(self.rtrail), len(self.choices)
 
     def restore(self, marks):
-        dmark, smark, cmark = marks
-        while len(self.dtrail) > dmark:
-            vid, old = self.dtrail.pop()
-            self.doms[vid] = old
-        while len(self.strail) > smark:
-            x = self.strail.pop()
-            if isinstance(x, Prop):
-                x.done = False
-            else:
-                x.pop()
-        del self.choices[cmark:]
+        dmark, wmark, rmark, cmark = marks
+        doms, dtrail, wtrail, rtrail = self.doms, self.dtrail, self.wtrail, self.rtrail
+        for vid, old in reversed(dtrail[dmark:]):
+            doms[vid] = old
+        for props in wtrail[wmark:]:
+            props.pop()
+        for prop in rtrail[rmark:]:
+            prop.done = False
+        del dtrail[dmark:], wtrail[wmark:], rtrail[rmark:], self.choices[cmark:]
         self.clear_queue()
 
     # -- posting -------------------------------------------------------------
@@ -1018,11 +1043,11 @@ class Engine:
             if not _poly_is_linear(poly):
                 self.register(CheckProp(tree, {v for m in poly for v in m}, BOUND))
                 return True
-            vids, coefs, const = _linear_terms(poly)
-            nd = _narrow(self.doms[vids[0]], coefs[0], const, op) if len(vids) == 1 else None
+            terms, const = _linear_terms(poly)
+            nd = _narrow(self.doms[terms[0][0]], terms[0][1], const, op) if len(terms) == 1 else None
             if nd is not None:
-                return self.prune(vids[0], nd)
-            self.register(LinProp(vids, coefs, const, op))
+                return self.prune(terms[0][0], nd)
+            self.register(NeProp(terms, const) if op == "!=" else LinProp(terms, const, op))
             return True
         if isinstance(tree, AllDiffC):
             if len(tree.items) < 2:
@@ -1050,9 +1075,7 @@ class Engine:
             if closed:
                 # every item lands in a tracked bin, so loads sum to the total
                 total = sum(tree.sizes)
-                self.register(
-                    LinProp(tree.loads, (1,) * len(tree.loads), -total, "==")
-                )
+                self.register(LinProp(tuple((v, 1) for v in tree.loads), -total, "=="))
             return True
         if isinstance(tree, PackBinC):
             self.register(PackBinProp(tree))
@@ -1065,12 +1088,7 @@ class Engine:
         """True = entailed, False = violated, None = unknown."""
         if isinstance(tree, RelAtom):
             op, poly = rel_form(tree)
-            lo, hi = poly_interval(poly, self.doms)
-            if op == "<=":
-                return True if hi <= 0 else (False if lo > 0 else None)
-            if op == "==":
-                return True if lo == hi == 0 else (None if lo <= 0 <= hi else False)
-            return False if lo == hi == 0 else (None if lo <= 0 <= hi else True)  # !=
+            return _status(op, *poly_interval(poly, self.doms))
         if isinstance(tree, (AndC, OrC)):
             # an And is decided by a False item, an Or by a True one
             decisive = isinstance(tree, OrC)
@@ -1101,17 +1119,21 @@ class Engine:
         if self.bound_prop is not None and self.bound is not None:
             self.enqueue(self.bound_prop)
         first, last = self.queues
-        while first or last:
-            if tick is not None:
-                tick()
-            p = first.popleft() if first else last.popleft()
-            p.queued = False
-            self.stats.propagations += 1
-            if not p.propagate(self):
-                self.clear_queue()
-                self.stats.failures += 1
-                return False
-        return True
+        runs = 0
+        try:
+            while first or last:
+                if tick is not None:
+                    tick()
+                p = first.popleft() if first else last.popleft()
+                p.queued = False
+                runs += 1
+                if not p.propagate(self):
+                    self.clear_queue()
+                    self.stats.failures += 1
+                    return False
+            return True
+        finally:
+            self.stats.propagations += runs
 
     def _pick(self):
         for p in self.choices:

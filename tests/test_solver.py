@@ -33,7 +33,7 @@ from cpconftest.parser import parse_data_file, parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
 from cpconftest.transform import FALSE_KEY, TRUE_KEY, canonical_key, negate
 
-from conftest import brute_min, brute_solutions, rand_expr, rand_tree, small_globals
+from conftest import REL_OPS, brute_min, brute_solutions, rand_expr, rand_tree, small_globals
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -733,7 +733,8 @@ def test_event_wakeups_match_waking_on_every_change(rng, monkeypatch):
 def test_each_deduction_once_keeps_the_effort(rng, monkeypatch):
     # Entailed propagators retire until backtrack, and an atom over one
     # variable prunes it when posted.  The reference engine does neither:
-    # only disjunctions are ever done, and every linear atom is a LinProp.
+    # only disjunctions are ever done, and every linear atom is a LinProp or
+    # a NeProp.
     runs = _effort_runs(rng)
     once = [run() for run in runs]
     set_done = solver.Engine.set_done
@@ -759,8 +760,9 @@ def _one_var_domains():
 
 def test_one_variable_posts_prune_like_their_linprop():
     # exhaustively over small domains: the values a post keeps are exactly
-    # those satisfying the atom, and exactly those its LinProp keeps at its
-    # fixpoint; an emptied domain posts the LinProp, which fails when run
+    # those satisfying the atom, and exactly those its propagator (a NeProp
+    # for !=, else a LinProp) keeps at its fixpoint; an emptied domain posts
+    # the propagator, which fails when run
     for c in (1, -1, 2, -2, 2**63, -(2**63)):
         consts = range(-9, 10) if abs(c) < 3 else [k * c + r for k in range(-4, 5) for r in (-1, 0, 1)]
         for d, const, op in itertools.product(_one_var_domains(), consts, ("<=", "==", "!=")):
@@ -769,7 +771,7 @@ def test_one_variable_posts_prune_like_their_linprop():
             assert (list(nd.values()) if nd is not None else []) == want, (d, c, const, op)
             eng = solver.Engine({0: (0, 0)}, SearchConfig())
             eng.doms[0] = d
-            eng.register(solver.LinProp((0,), (c,), const, op))
+            eng.register(solver.NeProp(((0, c),), const) if op == "!=" else solver.LinProp(((0, c),), const, op))
             assert (list(eng.doms[0].values()) if eng.propagate() else []) == want
             eng = solver.Engine({0: (0, 0)}, SearchConfig())
             eng.doms[0] = d
@@ -778,6 +780,89 @@ def test_one_variable_posts_prune_like_their_linprop():
             assert bool(eng.queues[0]) == (not want) == (nd is None)
             assert eng.propagate() == bool(want) and eng.stats.failures == (not want)
             assert not want or list(eng.doms[0].values()) == want
+
+
+def test_ne_prop_is_forward_checking():
+    # exhaustively over 1-3 variables with fixed values and holes, every
+    # coefficient in +-1..+-3 (some do not divide the rest of the sum) and
+    # constants -6..6: while two variables are open nothing goes; with one
+    # open, the values kept are those at which the sum, tried value by
+    # value, is not 0; with none open, it fails exactly when the sum is 0
+    ds_all = [solver.BitDom(-2, m) for m in (0b00100, 0b01000, 0b10101, 0b01110, 0b11011)]
+    ds_all.append(solver.IntDom.make(-2, 2, {0}))
+    coefs = (1, -1, 2, -2, 3, -3)
+    for n, ds_n in ((1, ds_all), (2, ds_all), (3, ds_all[1:4])):
+        eng = solver.Engine(doms(n), SearchConfig())
+        for ds, cs, const in itertools.product(
+            itertools.product(ds_n, repeat=n), itertools.product(coefs, repeat=n), range(-6, 7)
+        ):
+            eng.doms.update(enumerate(ds))
+            marks = eng.marks()
+            eng.register(solver.NeProp(tuple(enumerate(cs)), const))
+            ok = eng.propagate()
+            open_ = [v for v, d in enumerate(ds) if not d.fixed]
+            want = list(ds)
+            if len(open_) == 1:
+                (i,) = open_
+                rest = const + sum(c * d.value for v, (c, d) in enumerate(zip(cs, ds)) if v != i)
+                kept = [x for x in ds[i].values() if cs[i] * x + rest != 0]
+                assert ok == bool(kept), (ds, cs, const)
+                if ok:
+                    assert list(eng.doms[i].values()) == kept, (ds, cs, const)
+                    want[i] = eng.doms[i]
+            elif not open_:
+                assert ok == (const + sum(c * d.value for c, d in zip(cs, ds)) != 0)
+            else:
+                assert ok
+            assert not ok or [eng.doms[v] for v in range(n)] == want
+            eng.restore(marks)
+
+
+def test_restore_returns_to_each_mark(rng, monkeypatch):
+    # random searches whose disjunctions post atoms, conjunctions and choice
+    # disjunctions by their unit rule and when branched on: at every mark
+    # the domains, the length of every watcher list, the done flag of every
+    # registered propagator and the choices are taken, and restoring that
+    # mark gives each of them back
+    def snapshot(eng):
+        return (
+            dict(eng.doms),
+            {v: tuple(map(len, ws)) for v, ws in eng.watchers.items()},
+            [(p, p.done) for ws in eng.watchers.values() for props in ws for p in props],
+            list(eng.choices),
+        )
+
+    snaps, undone = {}, {"watchers": 0, "retired": 0, "choices": 0}
+    marks, restore = solver.Engine.marks, solver.Engine.restore
+
+    def marks_and_snapshot(eng):
+        m = marks(eng)
+        snaps[m] = snapshot(eng)
+        return m
+
+    def restore_and_compare(eng, m):
+        undone["watchers"] += len(eng.wtrail) > m[1]
+        undone["retired"] += len(eng.rtrail) > m[2]
+        undone["choices"] += len(eng.choices) > m[3]
+        restore(eng, m)
+        assert snapshot(eng) == snaps[m]
+
+    monkeypatch.setattr(solver.Engine, "marks", marks_and_snapshot)
+    monkeypatch.setattr(solver.Engine, "restore", restore_and_compare)
+    for _ in range(150):
+        n = rng.randint(3, 4)
+        vs = [Var(v) for v in range(n)]
+
+        def atom():
+            return RelAtom(rng.choice(REL_OPS), Sum(tuple(_lin(rng, vs))), Const(rng.randint(-3, 3)))
+
+        hard = [OrC(tuple(atom() for _ in range(rng.randint(2, 3)))) for _ in range(rng.randint(1, 3))]
+        hard.append(rand_tree(rng, list(range(n))))
+        choice = OrC(tuple(AndC((atom(), OrC((atom(), atom())))) for _ in range(rng.randint(2, 3))))
+        eng = solver.Engine({v: (0, 3) for v in range(n)}, SearchConfig(node_limit=2000))
+        if all(eng.post_tree(t, False) for t in hard) and eng.post_tree(choice, True):
+            eng.search(lambda a: False)  # every solution: the whole tree
+    assert min(undone.values()) > 100, undone
 
 
 def test_root_propagation_polls_the_deadline(monkeypatch):
