@@ -25,7 +25,8 @@ one judgement of a tree under the current domains: interval evaluation of
 a normal form (_status), exact evaluation of any other atom once its
 variables are fixed.  Disjunctions use it for their unit rule and for
 branching, through one scan of their disjuncts, reading a relational
-disjunct's kept (op, poly) directly; an atom the engine can judge but not
+disjunct's kept (op, poly) directly, a linear one over one variable from
+that variable's bounds alone; an atom the engine can judge but not
 prune (a nonlinear relation, a count of a non-constant value) is posted
 as a CheckProp that fails once tree_status finds it violated.
 Normal forms and presolve's row arithmetic are exact integers; the
@@ -475,10 +476,22 @@ class AllDiffProp(Prop):
         return True
 
 
-class CountProp(Prop):
-    """Count atom whose value is a constant."""
+def _count_bounds(op, rlo, rhi, n):
+    """(lb, ub) on a count of n items that `count op rhs` allows for some
+    rhs in rlo..rhi, op not !=; -1 and n + 1 where it sets no bound.  Read
+    with rhi and rlo swapped, the bounds within which it is entailed."""
+    if op == "==":
+        return rlo, rhi
+    if op in ("<=", "<"):
+        return -1, rhi - (op == "<")
+    return rlo + (op == ">"), n + 1
 
-    __slots__ = ("tree", "item_polys", "value_const", "rhs_poly", "bare")
+
+class CountProp(Prop):
+    """Count atom whose value is a constant.  With a constant right-hand
+    side and op not !=, its bounds on the count are fixed when posted."""
+
+    __slots__ = ("tree", "item_polys", "value_const", "rhs_poly", "bare", "plain", "bounds")
 
     def __init__(self, tree):
         super().__init__(ctr_vars(tree), DOMAIN)
@@ -487,52 +500,50 @@ class CountProp(Prop):
         self.value_const = tree.value.value
         self.rhs_poly = poly_of(tree.rhs)
         self.bare = [it.vid if isinstance(it, Var) else None for it in tree.items]
+        self.plain = None not in self.bare
+        r = self.rhs_poly.get((), 0)
+        const = self.rhs_poly.keys() <= {()} and tree.op != "!="
+        self.bounds = _count_bounds(tree.op, r, r, len(self.bare)) if const else None
 
     def propagate(self, eng):
         doms = eng.doms
         v = self.value_const
         cnt_min = cnt_max = 0
-        for i, p in enumerate(self.item_polys):
-            b = self.bare[i]
-            if b is not None:
+        if self.plain:
+            for b in self.bare:
                 d = doms[b]
-                if d.contains(v):
+                if d.min <= v <= d.max and d.contains(v):
                     cnt_max += 1
-                    if d.fixed:
+                    if d.min == d.max:
                         cnt_min += 1
-            else:
-                lo, hi = poly_interval(p, doms)
-                if lo <= v <= hi:
+        else:
+            for p, b in zip(self.item_polys, self.bare):
+                lo, hi = (doms[b].min, doms[b].max) if b is not None else poly_interval(p, doms)
+                if lo <= v <= hi and (b is None or doms[b].contains(v)):
                     cnt_max += 1
                     if lo == hi:
                         cnt_min += 1
-        rlo, rhi = poly_interval(self.rhs_poly, doms)
         op = self.tree.op
-        lo, hi = cnt_min - rhi, cnt_max - rlo  # the count less the rhs: entailed?
-        if (hi < 0 or lo > 0) if op == "!=" else rel_holds(op, lo, 0) and rel_holds(op, hi, 0):
+        if self.bounds is not None:
+            lb, ub = elb, eub = self.bounds
+        else:
+            rlo, rhi = poly_interval(self.rhs_poly, doms)
+            if op == "!=":
+                if cnt_max < rlo or cnt_min > rhi:  # entailed
+                    eng.set_done(self)
+                    return True
+                return not cnt_min == cnt_max == rlo == rhi
+            n = len(self.bare)
+            (lb, ub), (elb, eub) = _count_bounds(op, rlo, rhi, n), _count_bounds(op, rhi, rlo, n)
+        if elb <= cnt_min and cnt_max <= eub:  # entailed
             eng.set_done(self)
             return True
-        if op == "!=":
-            return not cnt_min == cnt_max == rlo == rhi
-        lb, ub = None, None
-        if op == "==":
-            lb, ub = rlo, rhi
-        elif op == "<=":
-            ub = rhi
-        elif op == "<":
-            ub = rhi - 1
-        elif op == ">=":
-            lb = rlo
-        else:  # >
-            lb = rlo + 1
-        if ub is not None and cnt_min > ub:
-            return False
-        if lb is not None and cnt_max < lb:
+        if cnt_min > ub or cnt_max < lb:
             return False
         # every candidate is needed, or no further item may take the value
         # (both only when no candidate is open)
-        need = lb is not None and cnt_max == lb
-        if need or ub is not None and cnt_min == ub:
+        need = cnt_max == lb
+        if need or cnt_min == ub:
             for b in self.bare:
                 if b is None:
                     continue
@@ -655,18 +666,23 @@ class OrProp(Prop):
 
     When flagged as a choice it also serves as a branch point: the search
     tries its unresolved disjuncts in order before enumerating variables.
+    A linear disjunct over one variable is kept as (vid, c, const, op), judged
+    from that variable's bounds and, as the last live one, pruned directly.
     """
 
     __slots__ = ("items", "forms", "choice")
     late = True
 
     def __init__(self, items, choice):
-        watch, forms = set(), []  # the kept (op, poly) of a relational disjunct, else None
+        watch, forms = set(), []  # per disjunct: that, another relational one's kept (op, poly), or None
         for it in items:
             if isinstance(it, RelAtom):
-                form = rel_form(it)
+                op, poly = form = rel_form(it)
+                vs = [v for m in poly for v in m]
+                if len(vs) == 1:  # one monomial, of degree 1
+                    form = (vs[0], poly[(vs[0],)], poly.get((), 0), op)
                 forms.append(form)
-                watch.update(v for m in form[1] for v in m)
+                watch.update(vs)
             else:
                 forms.append(None)
                 ctr_vars(it, watch)
@@ -676,19 +692,24 @@ class OrProp(Prop):
         self.choice = choice
 
     def open_disjuncts(self, eng, limit):
-        """None when a disjunct is entailed, else the disjuncts not yet
-        decided, in order, up to limit + 1 of them."""
+        """None when a disjunct is entailed, else the indices of the
+        disjuncts not yet decided, in order, up to limit + 1 of them."""
         out = []
         doms = eng.doms
-        for it, form in zip(self.items, self.forms):
+        for i, form in enumerate(self.forms):
             if form is None:
-                s = eng.tree_status(it)
-            else:
+                s = eng.tree_status(self.items[i])
+            elif len(form) == 2:
                 s = _status(form[0], *poly_interval(form[1], doms))
+            else:
+                vid, c, k, op = form
+                d = doms[vid]
+                lo, hi = c * d.min + k, c * d.max + k
+                s = _status(op, lo, hi) if c > 0 else _status(op, hi, lo)
             if s is True:
                 return None
             if s is None:
-                out.append(it)
+                out.append(i)
                 if len(out) > limit:
                     break
         return out
@@ -702,7 +723,12 @@ class OrProp(Prop):
             return len(live) > 1  # none left fails, two or more wait
         # exactly one live disjunct: it must hold
         eng.set_done(self)
-        return eng.post_tree(live[0], self.choice)
+        form = self.forms[live[0]]
+        if form is not None and len(form) == 4:  # as post_tree would, short of an empty domain
+            nd = _narrow(eng.doms[form[0]], *form[1:])
+            if nd is not None:
+                return eng.prune(form[0], nd)
+        return eng.post_tree(self.items[live[0]], self.choice)
 
 
 class BoundProp(Prop):
@@ -1140,7 +1166,7 @@ class Engine:
             if not p.done:
                 live = p.open_disjuncts(self, _OR_BRANCH_LIMIT)
                 if live and len(live) <= _OR_BRANCH_LIMIT:
-                    return [("or", p, d) for d in live]
+                    return [("or", p, p.items[i]) for i in live]
         best = best_size = None
         for vid in self.order:
             d = self.doms[vid]

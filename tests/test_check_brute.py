@@ -380,3 +380,65 @@ def test_auxiliary_channeled_from_an_auxiliary(relation, limit, w_hi):
     point = tuple(v.witness[oracle_gm.space.pretty(x)] for x in xs)
     progs, refs = points(cput_gm), points(oracle_gm)
     assert point in (progs - refs if v.reason == "extra-solution" else refs - progs)
+
+
+def _carseq_constraint(rng, n, k):
+    """A demand count over the classes x, a window count over the option
+    flags s, or an implication between one-variable atoms; counts take any
+    of the six relations and a constant right-hand side."""
+    roll = rng.random()
+    if roll < 0.3:
+        conf = rng.randint(1, k)
+        return f"count(all (i in 1..{n}) x[i], {conf}) {rng.choice(OPS)} {rng.randint(0, n)}"
+    if roll < 0.55:
+        a = rng.randint(1, n - 1)
+        b = rng.randint(a + 1, n)
+        return f"count(all (j in {a}..{b}) s[j], 1) {rng.choice(OPS)} {rng.randint(0, b - a + 1)}"
+    i, j = rng.randint(1, n), rng.randint(1, n)
+    then = rng.choice((
+        f"s[{j}] == {rng.randint(0, 1)}",
+        f"x[{j}] {rng.choice(OPS)} {rng.randint(1, k)}",
+        f"2 * s[{j}] {rng.choice(OPS)} {rng.randint(0, 2)}",
+    ))
+    return f"x[{i}] == {rng.randint(1, k)} => {then}"
+
+
+def carseq_pair(seed):
+    """(reference, program) shaped like car sequencing: slots x[1..n] take a
+    class in 1..k and option flags s[1..n] in 0..1; the program drops,
+    replaces and adds constraints, as random_pair's does."""
+    rng = random.Random(seed)
+    n, k = rng.randint(3, 4), rng.randint(2, 3)
+    ref = [(f"c{c}", _carseq_constraint(rng, n, k), "") for c in range(1, rng.randint(2, 4) + 1)]
+    prog = [(f"k{c}", text, "") for c, (_, text, _) in enumerate(ref, 1)]
+    if rng.random() < 0.4:
+        prog.pop(rng.randrange(len(prog)))
+    if rng.random() < 0.4:
+        i = rng.randrange(len(prog))
+        prog[i] = (prog[i][0], _carseq_constraint(rng, n, k), "")
+    if rng.random() < 0.5:
+        prog.append(("k9", _carseq_constraint(rng, n, k), ""))
+    decls = f"dvar int x[1..{n}] in 1..{k};\ndvar int s[1..{n}] in 0..1;"
+    return (decls, "x[1]", ref), (decls, "x[1]", prog)
+
+
+def test_carseq_shaped_models_match_brute_force():
+    seen = set()
+    for seed in range(200):
+        ref, prog = carseq_pair(seed)
+        oracle_gm, cput_gm = ground_pair(parse_model(render(ref)), parse_model(render(prog)))
+        ref_sols = brute_solutions(
+            {v: oracle_gm.domains[v] for v in oracle_gm.vids},
+            [c.tree for c in oracle_gm.constraints],
+        )
+        if not ref_sols:
+            continue
+        for relation in ("one", "all"):
+            opts = CheckOptions(relation=relation)
+            v = check(parse_model(render(ref)), parse_model(render(prog)), opts=opts)
+            want = expected(oracle_gm, cput_gm, relation, None)
+            assert (v.kind, v.reason) == want, (seed, relation, render(ref), render(prog))
+            seen.add(want)
+            if v.witness is not None:
+                check_witness(oracle_gm, cput_gm, v, None)
+    assert {r for _, r in seen} == {None, "unsatisfiable-program", "extra-solution", "missing-solution"}

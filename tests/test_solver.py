@@ -31,7 +31,7 @@ from cpconftest.grounding import (
 from cpconftest.ops import rel_holds
 from cpconftest.parser import parse_data_file, parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
-from cpconftest.transform import FALSE_KEY, TRUE_KEY, canonical_key, negate
+from cpconftest.transform import FALSE_KEY, TRUE_KEY, canonical_key, negate, rel_form
 
 from conftest import REL_OPS, brute_min, brute_solutions, rand_expr, rand_tree, small_globals
 
@@ -816,6 +816,71 @@ def test_ne_prop_is_forward_checking():
                 assert ok
             assert not ok or [eng.doms[v] for v in range(n)] == want
             eng.restore(marks)
+
+
+def test_one_variable_disjuncts_are_judged_and_forced_like_their_atom():
+    # exhaustively over small domains, coefficients +-1..+-3, constants -6..6
+    # and the normal forms of all six relations: a disjunction keeps a linear
+    # disjunct over one variable as (vid, c, const, op), whose status is the
+    # interval rule's on the atom's form, and as the last live disjunct it
+    # leaves the domain that posting the atom leaves; where no value is left
+    # the fallback posts a propagator that fails, as posting does
+    empties = 0
+    for c, const, rel in itertools.product((1, -1, 2, -2, 3, -3), range(-6, 7), REL_OPS):
+        atom = RelAtom(rel, Sum((Prod((Const(c), x)), Const(const))), Const(0))
+        op, poly = rel_form(atom)
+        assert solver.OrProp((atom,), False).forms == [(0, poly[(0,)], poly.get((), 0), op)]
+        for d in _one_var_domains():
+            eng = solver.Engine({0: (0, 0)}, SearchConfig())
+            eng.doms[0] = d
+            prop = solver.OrProp((atom,), False)
+            live = prop.open_disjuncts(eng, 1)
+            status = True if live is None else (None if live else False)
+            assert status == solver._status(op, *solver.poly_interval(poly, eng.doms)), (d, atom)
+            empties += status is None and solver._narrow(d, poly[(0,)], poly.get((), 0), op) is None
+            eng.register(prop)
+            forced = eng.propagate(), list(eng.doms[0].values()), eng.stats.failures
+            eng = solver.Engine({0: (0, 0)}, SearchConfig())
+            eng.doms[0] = d
+            assert eng.post_tree(atom, False)
+            assert (eng.propagate(), list(eng.doms[0].values()), eng.stats.failures) == forced, (d, atom)
+    assert empties > 0
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_constant_count_bounds_agree_with_the_general_rule(n):
+    # count(items, 1) op r over plain variables with holes, for all six ops:
+    # one run with the constant r gives the return value, done flag and
+    # domains that the same atom gives with a variable fixed to r on the
+    # right; an unfixed right-hand side retires only once every count the
+    # items allow meets every value it has, and never by constant bounds
+    ds_all = [solver.BitDom(0, m) for m in (0b001, 0b010, 0b101, 0b011, 0b110, 0b111)]
+    ds_n = ds_all if n < 4 else ds_all[2:5]
+    rhs_doms = [(r, r) for r in range(-1, n + 2)] + [(r, r + 1) for r in range(-1, n + 1)]
+    items = tuple(Var(v) for v in range(n))
+    runs = retired = 0
+    for ds, op, (rlo, rhi) in itertools.product(itertools.product(ds_n, repeat=n), REL_OPS, rhs_doms):
+        got, props = [], []
+        for rhs in (Const(rlo), Var(n)) if rlo == rhi else (Var(n),):
+            eng = solver.Engine(doms(n + 1), SearchConfig())
+            eng.doms.update(enumerate(ds))
+            eng.doms[n] = solver.make_dom(rlo, rhi)
+            prop = solver.CountProp(CountC(items, Const(1), op, rhs))
+            ok = prop.propagate(eng)
+            got.append((ok, prop.done, [list(d.values()) for d in eng.doms.values()]))
+            props.append(prop)
+        assert props[-1].bounds is None  # a variable right-hand side
+        if rlo == rhi:
+            assert (props[0].bounds is None) == (op == "!=")
+            assert got[0] == got[1], (ds, op, rlo)
+            runs += 1
+            continue
+        if prop.done:
+            fixed = sum(d.min == d.max == 1 for d in ds)
+            open_ = sum(d.min < d.max and d.contains(1) for d in ds)
+            assert all(rel_holds(op, k, r) for k in range(fixed, fixed + open_ + 1) for r in (rlo, rhi))
+            retired += 1
+    assert runs and retired
 
 
 def test_restore_returns_to_each_mark(rng, monkeypatch):
