@@ -5,22 +5,24 @@ set of integer variables (one per array cell), one ground constraint tree per
 source label, an optional objective expression, and the channeling
 definitions extracted from constraints marked @channeling.
 
-Ground expressions are Const / Var / Sum / Prod over int64 with checked
-arithmetic.  Subtraction lowers to Sum(a, Prod(-1, b)); division must fold to
-a constant at grounding time.  Equal ground expressions of one ground() call
-are one object, through a table dropped when the call returns, so what is
-kept on one (transform.poly_of) is computed once per model and lives as long
-as it.  Grounding costs what it keeps: iter_bindings enumerates a binder
-under an equality guard b.f == e from an index of b's tuple set by field f,
-built once per call, and lower_expr lowers an expression once per ground()
-call and values of the binder names it mentions; both tables go with their
+Ground expressions are Const / Var / Sum / Prod over exact integers; a
+literal or a data value outside 64 bits is rejected as input.  Subtraction
+lowers to Sum(a, Prod(-1, b)); division must fold to a constant at grounding
+time.  Equal ground expressions of one ground() call are one object,
+through a table dropped when the call returns, so what is kept on one
+(transform.poly_of) is computed once per model and lives as long as it.
+Grounding costs what it keeps: iter_bindings enumerates a binder under an
+equality guard b.f == e from an index of b's tuple set by field f, built
+once per call, and lower_expr lowers an expression once per ground() call
+and values of the binder names it mentions; both tables go with their
 call.  Ground constraints are relational atoms plus And / Or trees and a
-handful of global atoms (allDifferent, table, count, pack) that keep enough
-structure for propagation or for a complement of their own.  allMinDistance
-and inverse have neither, so they ground to their decompositions in the
-Global Constraint Catalog: a distance disjunction per pair of items, and a
-channeling disjunction per array cell.  An empty And is TRUE, an empty Or is
-FALSE.
+handful of global atoms (table, count, one bin of a pack) that keep enough
+structure for propagation and a complement of their own.  The other globals
+ground to their decompositions in the Global Constraint Catalog:
+allDifferent to a disequality per pair of items, allMinDistance to a
+distance disjunction per pair, inverse to a channeling disjunction per array
+cell and pack to one bin atom per bin; the solver recognises the first and
+the last when they are posted.  An empty And is TRUE, an empty Or is FALSE.
 
 Channeling definitions drive extend_assignment: given values for the base
 variables, auxiliary variables are filled in by running the definitions to a
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from math import inf
 
 from .errors import EvaluationError, GroundingError, UsageError
-from .ops import FLIP, MIRROR, add64, check64, div64, mul64, rel_holds
+from .ops import FLIP, MIRROR, check64, div_trunc, rel_holds
 from .syntax import (
     AllDifferentCtr,
     AllMinDistanceCtr,
@@ -113,7 +115,7 @@ def mk_sum(items):
             rest = (it,)
         for r in rest:
             if isinstance(r, Const):
-                const = add64(const, r.value)
+                const += r.value
             else:
                 flat.append(r)
     if const != 0 or not flat:
@@ -134,7 +136,7 @@ def mk_prod(items):
             rest = (it,)
         for r in rest:
             if isinstance(r, Const):
-                const = mul64(const, r.value)
+                const *= r.value
             else:
                 flat.append(r)
     if const == 0:
@@ -164,12 +166,12 @@ def eval_gexpr(e, assignment):
     if isinstance(e, Sum):
         acc = 0
         for it in e.items:
-            acc = add64(acc, eval_gexpr(it, assignment))
+            acc += eval_gexpr(it, assignment)
         return acc
     if isinstance(e, Prod):
         acc = 1
         for it in e.items:
-            acc = mul64(acc, eval_gexpr(it, assignment))
+            acc *= eval_gexpr(it, assignment)
         return acc
     raise TypeError(f"not a ground expression: {e!r}")
 
@@ -208,11 +210,6 @@ class OrC:
 
 
 @dataclass(frozen=True)
-class AllDiffC:
-    items: tuple  # ground expressions
-
-
-@dataclass(frozen=True)
 class TableC:
     kind: str  # "allowed" | "forbidden"
     items: tuple
@@ -225,14 +222,6 @@ class CountC:
     value: object  # ground expression
     op: str
     rhs: object
-
-
-@dataclass(frozen=True)
-class PackC:
-    loads: tuple  # vids, aligned with bins
-    assigns: tuple  # vids, aligned with sizes
-    sizes: tuple
-    bins: tuple
 
 
 @dataclass(frozen=True)
@@ -258,7 +247,7 @@ def ctr_vars(tree, out=None):
     elif isinstance(tree, (AndC, OrC)):
         for it in tree.items:
             ctr_vars(it, out)
-    elif isinstance(tree, (AllDiffC, TableC)):
+    elif isinstance(tree, TableC):
         for it in tree.items:
             gexpr_vars(it, out)
     elif isinstance(tree, CountC):
@@ -266,9 +255,6 @@ def ctr_vars(tree, out=None):
             gexpr_vars(it, out)
         gexpr_vars(tree.value, out)
         gexpr_vars(tree.rhs, out)
-    elif isinstance(tree, PackC):
-        out.update(tree.loads)
-        out.update(tree.assigns)
     elif isinstance(tree, PackBinC):
         out.add(tree.load_vid)
         out.update(tree.assigns)
@@ -287,9 +273,6 @@ def evaluate_ground(tree, assignment):
         return all(evaluate_ground(it, assignment) for it in tree.items)
     if isinstance(tree, OrC):
         return any(evaluate_ground(it, assignment) for it in tree.items)
-    if isinstance(tree, AllDiffC):
-        vals = [eval_gexpr(it, assignment) for it in tree.items]
-        return len(set(vals)) == len(vals)
     if isinstance(tree, TableC):
         point = tuple(eval_gexpr(it, assignment) for it in tree.items)
         hit = point in set(tree.rows)
@@ -298,16 +281,6 @@ def evaluate_ground(tree, assignment):
         want = eval_gexpr(tree.value, assignment)
         cnt = sum(1 for it in tree.items if eval_gexpr(it, assignment) == want)
         return rel_holds(tree.op, cnt, eval_gexpr(tree.rhs, assignment))
-    if isinstance(tree, PackC):
-        for pos, b in enumerate(tree.bins):
-            got = sum(
-                tree.sizes[i]
-                for i in range(len(tree.assigns))
-                if assignment[tree.assigns[i]] == b
-            )
-            if assignment[tree.loads[pos]] != got:
-                return False
-        return True
     if isinstance(tree, PackBinC):
         got = sum(
             tree.sizes[i]
@@ -316,34 +289,6 @@ def evaluate_ground(tree, assignment):
         )
         return rel_holds(tree.op, assignment[tree.load_vid], got)
     raise TypeError(f"not a ground constraint: {tree!r}")
-
-
-# The globals that have no complement of their own kind: negate() complements
-# them through their expansion, and presolve keys that expansion's leaves.
-# They stay whole for their propagators (an allDifferent over variables, the
-# load sum of a pack whose items all land in its bins).
-EXPANDED_GLOBALS = (AllDiffC, PackC)
-
-
-def expansion(tree):
-    """Rewrite one of EXPANDED_GLOBALS as an And of simpler atoms: pairwise
-    disequalities for allDifferent and one PackBinC atom per bin for pack.
-    The solver also posts it: for every pack, and for an allDifferent over
-    expressions, which its propagator does not take.  TypeError for any
-    other tree.
-    """
-    if isinstance(tree, AllDiffC):
-        out = []
-        for i in range(len(tree.items)):
-            for j in range(i + 1, len(tree.items)):
-                out.append(RelAtom("!=", tree.items[i], tree.items[j]))
-        return AndC(tuple(out))
-    if isinstance(tree, PackC):
-        out = []
-        for pos, b in enumerate(tree.bins):
-            out.append(PackBinC(b, tree.loads[pos], tree.assigns, tree.sizes, "=="))
-        return AndC(tuple(out))
-    raise TypeError(f"no expansion of {tree!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -423,18 +368,17 @@ def _peval(e, instance, env):
             raise GroundingError(f"tuple binder {e.base!r} has no field {e.fieldname!r}")
         return row[e.fieldname]
     if isinstance(e, Neg):
-        v = _peval(e.operand, instance, env)
-        return check64(-v)
+        return -_peval(e.operand, instance, env)
     if isinstance(e, BinOp):
         a = _peval(e.left, instance, env)
         b = _peval(e.right, instance, env)
         if e.op == "+":
-            return add64(a, b)
+            return a + b
         if e.op == "-":
-            return add64(a, -b)
+            return a - b
         if e.op == "*":
-            return mul64(a, b)
-        return div64(a, b)
+            return a * b
+        return div_trunc(a, b)
     raise GroundingError(f"expression must be parameter-only, found {type(e).__name__}")
 
 
@@ -839,7 +783,7 @@ def _lower(e, ctx, env):
         if e.op == "*":
             return mk_prod((a, b))
         if isinstance(a, Const) and isinstance(b, Const):
-            return Const(div64(a.value, b.value))
+            return Const(div_trunc(a.value, b.value))
         raise GroundingError("division must be parameter-only", ctx.label)
     raise GroundingError(f"cannot lower {type(e).__name__}", ctx.label)
 
@@ -915,20 +859,18 @@ def lower_ctr(ctr, ctx, env):
         branch = ctr.then_ctr if _peval_bool(ctr.cond, ctx.instance, env) else ctr.else_ctr
         return lower_ctr(branch, ctx, env)
     if isinstance(ctr, AllDifferentCtr):
-        return AllDiffC(tuple(_lower_collection(ctr.coll, ctx, env)))
+        items = _lower_collection(ctr.coll, ctx, env)
+        return AndC(tuple(RelAtom("!=", a, b) for a, b in _pairs(ctx, items)))
     if isinstance(ctr, AllMinDistanceCtr):
         # |a - b| >= gap for every pair i < j: a - b >= gap or b - a >= gap
         gap = _peval(ctr.gap, ctx.instance, env)
         items = _lower_collection(ctr.coll, ctx, env)
         if gap <= 0 or len(items) < 2:
             return TRUE_C
-        g, out = ctx.share(Const(gap)), []
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                ctx.tick()
-                out.append(OrC((RelAtom(">=", ctx.share(mk_diff(a, b)), g),
-                                RelAtom(">=", ctx.share(mk_diff(b, a)), g))))
-        return AndC(tuple(out))
+        g = ctx.share(Const(gap))
+        return AndC(tuple(OrC((RelAtom(">=", ctx.share(mk_diff(a, b)), g),
+                               RelAtom(">=", ctx.share(mk_diff(b, a)), g)))
+                          for a, b in _pairs(ctx, items)))
     if isinstance(ctr, InverseCtr):
         f, g = _int_array(ctx, ctr.f), _int_array(ctx, ctr.g)
         return AndC(tuple(_inverse_cells(ctx, f, g) + _inverse_cells(ctx, g, f)))
@@ -959,7 +901,8 @@ def lower_ctr(ctr, ctx, env):
             if k not in wmap:
                 raise GroundingError(f"no weight for item {k} in {ctr.weights!r}", ctx.label)
             sizes.append(wmap[k])
-        return PackC(tuple(loads), tuple(assigns), tuple(sizes), tuple(bins))
+        assigns, sizes = tuple(assigns), tuple(sizes)
+        return AndC(tuple(PackBinC(b, load, assigns, sizes, "==") for b, load in zip(bins, loads)))
     raise GroundingError(f"cannot ground {type(ctr).__name__}", ctx.label)
 
 
@@ -968,6 +911,15 @@ def _lower_collection(coll, ctx, env):
     for benv in iter_bindings(ctx.model, ctx.instance, coll.binders, env, coll.guard):
         out.append(lower_expr(coll.elem, ctx, benv))
     return out
+
+
+def _pairs(ctx, items):
+    """Every pair (a, b) of items at positions i < j, in order, with one
+    look at the deadline per pair."""
+    for i, a in enumerate(items):
+        for b in items[i + 1:]:
+            ctx.tick()
+            yield a, b
 
 
 def _inverse_cells(ctx, f, g):

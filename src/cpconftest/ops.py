@@ -1,4 +1,6 @@
-"""Checked 64-bit integer arithmetic and relational-operator tables."""
+"""The 64-bit range of input values, integer division and relational-operator
+tables.  Arithmetic is exact: only a literal or a data or parameter value is
+checked against the 64-bit range, as input validation."""
 
 from .errors import EvaluationError
 
@@ -8,26 +10,16 @@ INT64_MAX = 2**63 - 1
 
 def check64(v):
     if v < INT64_MIN or v > INT64_MAX:
-        raise EvaluationError(f"integer overflow: {v} outside signed 64-bit range")
+        raise EvaluationError(f"integer {v} outside the signed 64-bit range")
     return v
 
 
-def add64(a, b):
-    return check64(a + b)
-
-
-def mul64(a, b):
-    return check64(a * b)
-
-
-def div64(a, b):
+def div_trunc(a, b):
     """Integer division truncating toward zero, like most modeling languages."""
     if b == 0:
         raise EvaluationError("division by zero")
     q = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        q = -q
-    return check64(q)
+    return -q if (a < 0) != (b < 0) else q
 
 
 # Negation of a relational operator.

@@ -29,8 +29,8 @@ disjunct's kept (op, poly) directly, a linear one over one variable from
 that variable's bounds alone; an atom the engine can judge but not
 prune (a nonlinear relation, a count of a non-constant value) is posted
 as a CheckProp that fails once tree_status finds it violated.
-Normal forms and presolve's row arithmetic are exact integers; the
-models' own 64-bit semantics belong to grounding.
+Normal forms and presolve's row arithmetic are exact integers, as the
+models' own evaluation is.
 
 Propagation wakes a propagator only on the kind of domain change it reads
 (after Schulte & Stuckey, "Efficient constraint propagation engines",
@@ -49,14 +49,14 @@ Old domains, watcher lists to pop and retired propagators each have a
 trail of their own, so that backtracking tests no entry for its kind.
 
 Presolve deletes disjuncts whose negation is asserted at the top level,
-directly, as an Or, or as a leaf of a global's expansion (an allDifferent
-pair, say).  It negates each asserted leaf once per state and keeps the
-keys of the negations, so a disjunct (an atom or a conjunction) is refuted
-by looking up its own key; no candidate is negated.  Keys compare atoms
-modulo the linear equalities asserted there (substituting variables out
-with equality rows, as in Andersen & Andersen, "Presolving in linear
-programming", 1995).  The equalities are put in
-reduced row-echelon form once, pivoting on the highest unit-coefficient
+directly, as an Or, or as a leaf of a global's decomposition (an
+allDifferent pair, say).  It negates each asserted leaf once per state and
+keeps the keys of the negations, so a disjunct (an atom or a conjunction)
+is refuted by looking up its own key; no candidate is negated.  Keys
+compare atoms modulo the linear equalities asserted there (substituting
+variables out with equality rows, as in Andersen & Andersen, "Presolving
+in linear programming", 1995).  The equalities are put in reduced
+row-echelon form once, pivoting on the highest unit-coefficient
 variable so that channeled auxiliaries go, and each linear atom is keyed
 with every pivot substituted out: with d[i,j] == x[j] - x[i] asserted, the
 disjunct x[3] - x[2] == x[2] - x[1] meets d[1,2] != d[2,3].  An Or with a
@@ -74,7 +74,14 @@ deterministic.  Their budgets are a node limit and a deadline: an absolute
 time.monotonic() value that the caller fixes once (check() at its entry,
 for every solve of the check), read in presolve, while posting, in root
 propagation (once every grounding._POLL_EVERY propagator runs) and at
-every node, though not while an expansion is built.
+every node.
+
+Posting a conjunction recognises the two decompositions that have a
+stronger propagator than their parts: the disequalities of every pair of
+three or more distinct variables (an allDifferent) register one
+AllDiffProp, and the equations of a pack's bins, over one item list with
+distinct bin keys and loads, add the sum of the loads when every item's
+domain lies in those bins.
 """
 
 import time
@@ -82,15 +89,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .grounding import (
-    AllDiffC,
     AndC,
     Const,
     CountC,
-    EXPANDED_GLOBALS,
     FALSE_C,
     OrC,
     PackBinC,
-    PackC,
     RelAtom,
     TableC,
     TRUE_C,
@@ -99,7 +103,6 @@ from .grounding import (
     ctr_vars,
     eval_gexpr,
     evaluate_ground,
-    expansion,
 )
 from .ops import rel_holds
 from .transform import FALSE_KEY, TRUE_KEY, _poly_neg, axpy, canonical_key, negate, poly_of, rel_form
@@ -446,6 +449,9 @@ class CheckProp(Prop):
 
 
 class AllDiffProp(Prop):
+    """Pairwise distinct variables (see _clique), by forward checking: a
+    fixed value goes from every open variable's domain."""
+
     __slots__ = ("vids",)
 
     def __init__(self, vids):
@@ -459,7 +465,7 @@ class AllDiffProp(Prop):
             d = doms[vid]
             if d.fixed:
                 v = d.value
-                if v in seen:  # a repeated variable, too, takes its value twice
+                if v in seen:
                     return False
                 seen[v] = None
         if len(self.vids) - len(seen) <= 1:  # entailed once the open one loses seen
@@ -474,6 +480,25 @@ class AllDiffProp(Prop):
                 if not eng.prune(vid, doms[vid].remove(v)):
                     return False
         return True
+
+
+def _clique(items):
+    """The variables of a conjunction of x != y atoms over every pair of at
+    least three distinct plain variables, in first-seen order; else None."""
+    if len(items) < 3:
+        return None
+    seen, pairs = {}, set()
+    for it in items:
+        if not (isinstance(it, RelAtom) and it.op == "!="
+                and type(it.left) is Var and type(it.right) is Var):
+            return None
+        a, b = it.left.vid, it.right.vid
+        if a == b:
+            return None
+        seen[a] = seen[b] = None
+        pairs.add((a, b) if a < b else (b, a))
+    n = len(seen)
+    return tuple(seen) if len(pairs) == len(items) == n * (n - 1) // 2 else None
 
 
 def _count_bounds(op, rlo, rhi, n):
@@ -812,20 +837,14 @@ def _normal_form(rows):
 
 def _asserted_keys(trees, reduce, tick):
     """Reduced canonical keys of the negations of everything asserted at the
-    top level, Or leaves included; a global that negate() complements through
-    its expansion gives those of its expansion's top-level leaves instead.  A
-    tree whose own reduced key is among them is false wherever `trees` hold.
-    `tick` is called once per leaf keyed, expansion leaves included."""
+    top level, Or leaves included.  A tree whose own reduced key is among
+    them is false wherever `trees` hold.  `tick` is called once per leaf
+    keyed."""
     keys = set()
     for tree in trees:
         for leaf in _and_spine(tree):
-            if isinstance(leaf, EXPANDED_GLOBALS):
-                leaves = _and_spine(expansion(leaf))
-            else:
-                leaves = (leaf,)
-            for t in leaves:
-                tick()
-                keys.add(canonical_key(negate(t), reduce))
+            tick()
+            keys.add(canonical_key(negate(leaf), reduce))
     return keys
 
 
@@ -1046,13 +1065,20 @@ class Engine:
     def post_tree(self, tree, choice, tick=None):
         """Install propagators for a ground tree; False when trivially unsat.
         `tick` (see grounding._clock), when given, is called once for every
-        tree and subtree posted, the expansions of globals included."""
+        tree and subtree posted, but a recognised allDifferent is one tree."""
         if tick is not None:
             tick()
         if isinstance(tree, AndC):
-            for it in tree.items:
+            items = tree.items
+            vids = _clique(items)
+            if vids is not None:
+                self.register(AllDiffProp(vids))
+                return True
+            for it in items:
                 if not self.post_tree(it, choice, tick):
                     return False
+            if items and isinstance(items[0], PackBinC):
+                self._pack_total(items)
             return True
         if isinstance(tree, OrC):
             if not tree.items:
@@ -1075,13 +1101,6 @@ class Engine:
                 return self.prune(terms[0][0], nd)
             self.register(NeProp(terms, const) if op == "!=" else LinProp(terms, const, op))
             return True
-        if isinstance(tree, AllDiffC):
-            if len(tree.items) < 2:
-                return True
-            if all(isinstance(it, Var) for it in tree.items):
-                self.register(AllDiffProp(tuple(it.vid for it in tree.items)))
-                return True
-            return self.post_tree(expansion(tree), choice, tick)
         if isinstance(tree, TableC):
             self.register(TableProp(tree))
             return True
@@ -1091,22 +1110,24 @@ class Engine:
             else:
                 self.register(CheckProp(tree, ctr_vars(tree), FIX))
             return True
-        if isinstance(tree, PackC):
-            if not self.post_tree(expansion(tree), choice, tick):
-                return False
-            bins = set(tree.bins)
-            closed = all(
-                all(v in bins for v in self.doms[a].values()) for a in tree.assigns
-            )
-            if closed:
-                # every item lands in a tracked bin, so loads sum to the total
-                total = sum(tree.sizes)
-                self.register(LinProp(tuple((v, 1) for v in tree.loads), -total, "=="))
-            return True
         if isinstance(tree, PackBinC):
             self.register(PackBinProp(tree))
             return True
         raise TypeError(f"cannot post {type(tree).__name__}")
+
+    def _pack_total(self, bins):
+        """Register the sum of the loads of a conjunction of == pack bins over
+        one item list, with distinct bin keys and loads, when every item's
+        domain lies in those bins: the loads then sum to the total size."""
+        b0 = bins[0]
+        if not all(isinstance(b, PackBinC) and b.op == "==" and b.assigns == b0.assigns
+                   and b.sizes == b0.sizes for b in bins):
+            return
+        keys = {b.bin_key for b in bins}
+        if len(keys) == len({b.load_vid for b in bins}) == len(bins) and all(
+            all(v in keys for v in self.doms[a].values()) for a in b0.assigns
+        ):
+            self.register(LinProp(tuple((b.load_vid, 1) for b in bins), -sum(b0.sizes), "=="))
 
     # -- status of a tree under current domains -------------------------------
 

@@ -3,12 +3,12 @@
 negate() builds the logical complement of a ground constraint tree:
 relational operators flip and De Morgan pushes through And/Or.  Table, count
 and pack-bin atoms have a dedicated complement of the same kind, which keeps
-the structure their propagators use.  allDifferent and pack are complemented
-through their expansion: allDifferent becomes a disjunction of equalities,
-pack "some bin load is off".  allMinDistance and inverse arrive expanded,
-since grounding lowers them to And / Or trees.  The result is again a ground
-constraint tree that the solver can post; an atom's complement takes its
-normal form from the atom's kept one (see rel_form), not from its sides.
+the structure their propagators use.  The other globals arrive as their
+decompositions, since grounding lowers them to And / Or trees: the
+complement of an allDifferent is a disjunction of equalities, that of a pack
+"some bin load is off".  The result is again a ground constraint tree that
+the solver can post; an atom's complement takes its normal form from the
+atom's kept one (see rel_form), not from its sides.
 
 canonical_key() maps a tree to a hashable key such that two trees with equal
 keys are logically equivalent.  Arithmetic is expanded into a multivariate
@@ -22,22 +22,7 @@ distributive laws.  The equivalence is deliberately incomplete: unequal
 keys prove nothing.
 """
 
-from .grounding import (
-    AllDiffC,
-    AndC,
-    Const,
-    CountC,
-    EXPANDED_GLOBALS,
-    OrC,
-    PackBinC,
-    PackC,
-    Prod,
-    RelAtom,
-    Sum,
-    TableC,
-    Var,
-    expansion,
-)
+from .grounding import AndC, Const, CountC, OrC, PackBinC, Prod, RelAtom, Sum, TableC, Var
 from .ops import FLIP, MIRROR, rel_holds
 
 # ---------------------------------------------------------------------------
@@ -47,7 +32,7 @@ from .ops import FLIP, MIRROR, rel_holds
 def negate(tree, tick=None):
     """Complement of a ground constraint tree; TypeError for anything else.
     `tick` (see grounding._clock), when given, is called once per tree node
-    negated; building a global's expansion does not call it."""
+    negated."""
     if tick is not None:
         tick()
     if isinstance(tree, RelAtom):
@@ -65,8 +50,6 @@ def negate(tree, tick=None):
         return CountC(tree.items, tree.value, FLIP[tree.op], tree.rhs)
     if isinstance(tree, PackBinC):
         return PackBinC(tree.bin_key, tree.load_vid, tree.assigns, tree.sizes, FLIP[tree.op])
-    if isinstance(tree, EXPANDED_GLOBALS):
-        return negate(expansion(tree), tick)
     raise TypeError(f"not a ground constraint: {tree!r}")
 
 
@@ -230,10 +213,6 @@ def canonical_key(tree, reduce=None):
         return _rel_key(tree, reduce)
     if isinstance(tree, (AndC, OrC)):
         return _junction([canonical_key(it, reduce) for it in tree.items], isinstance(tree, AndC))
-    if isinstance(tree, AllDiffC):
-        if len(tree.items) < 2:
-            return TRUE_KEY
-        return ("alldiff", _sorted_keys(gexpr_key(it) for it in tree.items))
     if isinstance(tree, TableC):
         return (
             "table",
@@ -249,8 +228,6 @@ def canonical_key(tree, reduce=None):
             tree.op,
             gexpr_key(tree.rhs),
         )
-    if isinstance(tree, PackC):
-        return ("pack", tree.loads, tree.assigns, tree.sizes, tree.bins)
     if isinstance(tree, PackBinC):
         return (
             "packbin",

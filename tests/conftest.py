@@ -21,12 +21,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 from cpconftest.grounding import (
-    AllDiffC,
     AndC,
     Const,
     CountC,
     OrC,
-    PackC,
+    PackBinC,
     Prod,
     RelAtom,
     Sum,
@@ -101,14 +100,36 @@ def rand_expr(rng, vids, depth=2):
 REL_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
+def alldiff(items):
+    """allDifferent as grounding writes it: items[i] != items[j] for i < j."""
+    return AndC(tuple(RelAtom("!=", a, b) for a, b in itertools.combinations(items, 2)))
+
+
+def pack(loads, assigns, sizes, bins):
+    """pack as grounding writes it: one == bin atom per bin, loads aligned
+    with bins and sizes with the item variables `assigns`."""
+    return AndC(tuple(PackBinC(b, load, assigns, sizes, "==") for b, load in zip(bins, loads)))
+
+
+def rand_pack(rng, vids):
+    """A pack of one to three items over one or two bins among 0..2, its
+    loads distinct variables that may also be items."""
+    loads = tuple(rng.sample(vids, rng.randint(1, min(2, len(vids)))))
+    assigns = tuple(rng.choice(vids) for _ in range(rng.randint(1, 3)))
+    sizes = tuple(rng.randint(-1, 2) for _ in assigns)
+    return pack(loads, assigns, sizes, rng.sample(range(3), len(loads)))
+
+
 def rand_atom(rng, vids):
     roll = rng.random()
     if roll < 0.55:
         return RelAtom(rng.choice(REL_OPS), rand_expr(rng, vids), rand_expr(rng, vids))
     if roll < 0.7 and len(vids) >= 2:
         items = tuple(Var(v) for v in rng.sample(vids, rng.randint(2, min(3, len(vids)))))
-        return AllDiffC(items)
-    if roll < 0.85:
+        return alldiff(items)
+    if roll < 0.8:
+        return rand_pack(rng, vids)
+    if roll < 0.9:
         items = tuple(rand_expr(rng, vids, 1) for _ in range(rng.randint(2, 4)))
         return CountC(items, rand_expr(rng, vids, 0), rng.choice(REL_OPS), rand_expr(rng, vids, 0))
     arity = rng.randint(1, min(3, len(vids)))
@@ -192,14 +213,14 @@ def small_globals():
     size whose items may land outside every bin or not, and tables over
     expressions.  Every variable of a pair has one domain."""
     x, y, z = Var(0), Var(1), Var(2)
-    cases = [({v: (0, 4) for v in range(3)}, AllDiffC(items)) for items in ((x, x), (x, y, x))]
+    cases = [({v: (0, 4) for v in range(3)}, alldiff(items)) for items in ((x, x), (x, y, x))]
     cases += [(domains, tree) for domains, tree, _ in grounded_globals()]
     # loads first, then assignments; bins -1, 0, 1 hold every value an item
     # may take, bins 0, 1 do not
     for loads, assigns, bins in (((0, 1, 2), (3, 4), (-1, 0, 1)), ((0, 1), (2, 3), (0, 1))):
         for sizes in ((0, -1), (2, -1), (-1, -1)):
             domains = {v: (-1, 1) for v in loads + assigns}
-            cases.append((domains, PackC(loads, assigns, sizes, bins)))
+            cases.append((domains, pack(loads, assigns, sizes, bins)))
     rows = ((0, 0), (1, 2), (2, 1), (3, 4), (4, 0))
     for items in ((Sum((x, Const(1))), y), (Prod((x, y)), z), (x, Sum((y, z)))):
         for kind in ("allowed", "forbidden"):

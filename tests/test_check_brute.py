@@ -329,6 +329,81 @@ def test_overflow_in_normalization_keeps_verdict(relation):
     assert (out.status, out.value, out.proven) == ("SAT", 0, True)
 
 
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_verdict_and_validation_agree_past_64_bits(relation):
+    # k1's left side is 2^63 at x = 1, one past the 64-bit range.  Both check
+    # and validate evaluate it exactly: the pair is Conf in both orders, and
+    # validate finds both sides satisfied at every point
+    plain = "dvar int x in 0..1;\nminimize x;\nsubject to {\n  r1: x >= 0;\n}\n"
+    big = plain.replace("r1: x >= 0", "k1: x * 4611686018427387904 + x * 4611686018427387904 >= 0")
+    for ref, prog in ((big, plain), (plain, big)):
+        oracle_gm, cput_gm = ground_pair(parse_model(ref), parse_model(prog))
+        bounds = (0, 1)
+        v = check(parse_model(ref), parse_model(prog), opts=CheckOptions(relation=relation, bounds=bounds))
+        assert (v.kind, v.reason) == expected(oracle_gm, cput_gm, relation, bounds) == ("Conf", None)
+        for x in (0, 1):
+            rep = validate_witness(oracle_gm, cput_gm, {oracle_gm.vids[0]: x})
+            assert (rep.genuine, rep.program_satisfied, rep.reference_satisfied) == (False, True, True)
+
+
+K62 = 2**62
+
+
+def _big_term(rng):
+    """A term over x[1], x[2] whose constants lie near 2^62."""
+    i, j = rng.sample((1, 2), 2)
+    k = K62 + rng.randint(-2, 2)
+    return rng.choice((
+        f"{k} * x[{i}]",
+        f"x[{i}] * {k} + x[{j}] * {k}",
+        f"{k} * x[{i}] - {k} * x[{j}]",
+        f"x[{i}] * x[{j}] * {k}",
+        f"{rng.randint(-3, 3)} * {k}",
+    ))
+
+
+def big_pair(seed):
+    """(reference, program) over x[1..2] in 0..2 whose atoms compare terms
+    with constants near 2^62, so that sums and products leave 64 bits; the
+    program replaces and adds constraints, as random_pair's does."""
+    rng = random.Random(seed)
+
+    def atom():
+        return f"{_big_term(rng)} {rng.choice(OPS)} {_big_term(rng)}"
+
+    ref = [(f"c{k}", atom(), "") for k in range(1, rng.randint(1, 2) + 1)]
+    prog = [(f"k{k}", text, "") for k, (_, text, _) in enumerate(ref, 1)]
+    if rng.random() < 0.5:
+        i = rng.randrange(len(prog))
+        prog[i] = (prog[i][0], atom(), "")
+    if rng.random() < 0.5:
+        prog.append(("k9", atom(), ""))
+    decls = "dvar int x[1..2] in 0..2;"
+    objective = rng.choice(("x[1] + 2 * x[2]", f"{K62} * x[1] + x[2]"))
+    return (decls, objective, ref), (decls, objective, prog)
+
+
+def test_constants_near_2_62_match_brute_force():
+    verdicts = set()
+    for seed in range(120):
+        ref, prog = big_pair(seed)
+        oracle_gm, cput_gm = ground_pair(parse_model(render(ref)), parse_model(render(prog)))
+        ref_sols = brute_solutions(oracle_gm.domains, [c.tree for c in oracle_gm.constraints])
+        if not ref_sols:
+            continue
+        lo = min(eval_gexpr(oracle_gm.objective, r) for r in ref_sols)
+        bounds = (lo, lo + seed % 2)
+        for relation in RELATIONS:
+            opts = CheckOptions(relation=relation, bounds=bounds)
+            v = check(parse_model(render(ref)), parse_model(render(prog)), opts=opts)
+            want = expected(oracle_gm, cput_gm, relation, bounds)
+            assert (v.kind, v.reason) == want, (seed, relation, render(ref), render(prog))
+            verdicts.add(want)
+            if v.witness is not None:
+                check_witness(oracle_gm, cput_gm, v, bounds)
+    assert {r for _, r in verdicts} >= {None, "extra-solution", "missing-solution"}
+
+
 def test_witness_found_after_a_false_alarm():
     # The program rejects only x = 1: k1 rules out z == x and z + 1 == x, and
     # the auxiliary z, which no channeling defines, can dodge both at every

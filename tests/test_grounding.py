@@ -12,7 +12,7 @@ from cpconftest.grounding import (
     Const,
     CountC,
     OrC,
-    PackC,
+    PackBinC,
     Prod,
     RelAtom,
     Sum,
@@ -263,9 +263,10 @@ def test_pack_grounding_aligns_sizes():
     data = parse_data("n = 3; ws = {<1, 5>, <2, 7>, <3, 11>};")
     gm = ground(m, build_instance(m, data))
     tree = gm.constraint("c").tree
-    assert isinstance(tree, PackC)
-    assert tree.sizes == (5, 7, 11)
-    assert tree.bins == (1, 2)
+    # one == atom per bin, over the one item list and its sizes
+    bins = [gm.space.index[("bin", (i,))] for i in range(1, 4)]
+    loads = [gm.space.index[("load", (b,))] for b in (1, 2)]
+    assert tree == AndC(tuple(PackBinC(b, load, tuple(bins), (5, 7, 11), "==") for b, load in zip((1, 2), loads)))
 
 
 def test_count_grounding():
@@ -327,6 +328,53 @@ def test_allmindistance_grounding_polls_the_deadline():
     with pytest.raises(TimeoutError):
         ground(m, instance, deadline=time.monotonic() - 1.0)
     assert len(ground(m, instance, deadline=time.monotonic() + 60.0).constraint("c").tree.items) == 780
+
+
+def test_alldifferent_grounding():
+    m = parse_model(
+        """
+        int n = ...;
+        dvar int x[1..n] in 0..9;
+        subject to { c: allDifferent(all (i in 1..n) x[i]); }
+        """
+    )
+    gm = ground(m, build_instance(m, {"n": 4}))
+    # one disequality per pair i < j, in pair order
+    xs = [Var(gm.space.index[("x", (i,))]) for i in range(1, 5)]
+    assert gm.constraint("c").tree == AndC(tuple(RelAtom("!=", a, b) for a, b in itertools.combinations(xs, 2)))
+    for n in (0, 1):
+        assert ground(m, build_instance(m, {"n": n})).constraint("c").tree == TRUE_C
+
+
+def test_alldifferent_grounding_stops_within_one_poll_interval(monkeypatch):
+    # 200 items make 19,900 pairs.  With time left at grounding's first look
+    # at the deadline and none at any later one, grounding stops at its
+    # second look, with at most one polling interval of pairs built
+    m = parse_model(
+        """
+        int n = ...;
+        dvar int x[1..n] in 0..9;
+        subject to { c: allDifferent(all (i in 1..n) x[i]); }
+        """
+    )
+    instance = build_instance(m, {"n": 200})
+    looks, built = [], []
+
+    class Clock:
+        @staticmethod
+        def monotonic():
+            looks.append(None)
+            return 0.0 if len(looks) == 1 else 2.0
+
+    def counting_atom(*args):
+        built.append(args)
+        return RelAtom(*args)
+
+    monkeypatch.setattr(grounding, "time", Clock)
+    monkeypatch.setattr(grounding, "RelAtom", counting_atom)
+    with pytest.raises(TimeoutError):
+        ground(m, instance, deadline=1.0)
+    assert len(looks) == 2 and 0 < len(built) <= grounding._POLL_EVERY
 
 
 def test_grounded_globals_agree_with_their_plain_definitions():
@@ -426,16 +474,30 @@ def test_index_out_of_range():
         ground(m, build_instance(m, {"n": 2}))
 
 
-def test_overflow_guard():
+def test_arithmetic_is_exact_and_inputs_are_64_bit():
+    # a product past 64 bits grounds to its exact value, and evaluates
+    # exactly; a literal or a data value outside 64 bits is an input error
     m = parse_model(
         """
         int n = ...;
         dvar int x in 0..9;
-        subject to { c: x * n * n >= 0; }
+        subject to {
+          c: x * n * n >= (2 * n * n * n - 1) / n;
+          d: x * n * n != (1 - 2 * n * n * n) / n;
+        }
         """
     )
+    gm = ground(m, build_instance(m, {"n": 2**40}))
+    tree = gm.constraint("c").tree
+    assert tree == RelAtom(">=", Prod((Const(2**80), Var(0))), Const(2**81 - 1))
+    assert evaluate_ground(tree, {0: 2}) and not evaluate_ground(tree, {0: 1})
+    # a quotient is rounded toward zero
+    assert gm.constraint("d").tree.right == Const(1 - 2**81)
     with pytest.raises(EvaluationError, match="64-bit"):
-        ground(m, build_instance(m, {"n": 2**40}))
+        build_instance(m, {"n": 2**63})
+    big = parse_model("dvar int x in 0..9; subject to { c: x <= 9223372036854775808; }")
+    with pytest.raises(EvaluationError, match="64-bit"):
+        ground(big, build_instance(big))
 
 
 def test_parse_var_name():
@@ -569,8 +631,8 @@ JOIN_CASES = [
     ((BinderGroup(("a",), S), BinderGroup(("r",), RANGE)), eq(NameRef("r"), f("a", "i"))),
     # e mentions the binder itself
     ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "i"), BinOp("-", f("b", "j"), f("a", "i")))),
-    # e overflows
-    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "i"), BinOp("*", IntLit(2**62), IntLit(4)))),
+    # e holds a literal past 64 bits
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "i"), BinOp("*", IntLit(2**62), IntLit(2**64)))),
 ]
 
 
@@ -692,12 +754,12 @@ NARROW_CASES = [
     # a filter first: the cut behind it filters too
     (AB, both(rel("!=", ref("b"), IntLit(1)), rel("<", ref("a"), ref("b")))),
     # bounds that raise: division by zero at a == 0 only, everywhere, and
-    # behind a cut; an unknown name; an overflow
+    # behind a cut; an unknown name; a literal past 64 bits
     (AB, rel("<", ref("b"), BinOp("/", IntLit(6), ref("a")))),
     (AB, rel(">=", BinOp("/", ref("a"), BinOp("-", ref("n"), ref("n"))), ref("b"))),
     (AB, both(rel(">", ref("b"), ref("a")), rel("<", ref("b"), BinOp("/", IntLit(6), ref("a"))))),
     (AB, rel("==", ref("b"), ref("q"))),
-    (AB, rel("<=", ref("b"), BinOp("*", IntLit(2**62), IntLit(4)))),
+    (AB, rel("<=", ref("b"), BinOp("*", IntLit(2**62), IntLit(2**64)))),
 ]
 
 

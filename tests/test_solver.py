@@ -8,13 +8,12 @@ from cpconftest import grounding, solver
 from cpconftest.conformity import CheckOptions, check, ground_pair
 from cpconftest.corpus import corpus_path, load_manifest
 from cpconftest.grounding import (
-    AllDiffC,
     AndC,
     Const,
     CountC,
     FALSE_C,
     OrC,
-    PackC,
+    PackBinC,
     Prod,
     RelAtom,
     Sum,
@@ -24,7 +23,6 @@ from cpconftest.grounding import (
     build_instance,
     eval_gexpr,
     evaluate_ground,
-    expansion,
     ground,
     mk_diff,
 )
@@ -33,7 +31,16 @@ from cpconftest.parser import parse_data_file, parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
 from cpconftest.transform import FALSE_KEY, TRUE_KEY, canonical_key, negate, rel_form
 
-from conftest import REL_OPS, brute_min, brute_solutions, rand_expr, rand_tree, small_globals
+from conftest import (
+    REL_OPS,
+    alldiff,
+    brute_min,
+    brute_solutions,
+    pack,
+    rand_expr,
+    rand_tree,
+    small_globals,
+)
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -55,7 +62,7 @@ def test_unsat_simple():
 
 
 def test_alldiff_pigeonhole():
-    out = solve({v: (0, 1) for v in range(3)}, [AllDiffC((x, y, z))])
+    out = solve({v: (0, 1) for v in range(3)}, [alldiff((x, y, z))])
     assert out.status == "UNSAT"
 
 
@@ -76,7 +83,7 @@ def test_table_allowed():
 def test_pack_loads():
     # three items sized 2,3,4 into two bins; loads must track memberships
     domains = {0: (0, 9), 1: (0, 9), 2: (1, 2), 3: (1, 2), 4: (1, 2)}
-    t = PackC((0, 1), (2, 3, 4), (2, 3, 4), (1, 2))
+    t = pack((0, 1), (2, 3, 4), (2, 3, 4), (1, 2))
     out = solve(domains, [t, RelAtom("==", Var(0), Const(5))])
     assert out.status == "SAT"
     a = out.assignment
@@ -98,18 +105,18 @@ def test_optimal_unsat():
 
 
 def test_node_budget_reports_resource_out():
-    trees = [AllDiffC(tuple(Var(v) for v in range(5)))]
+    trees = [alldiff(tuple(Var(v) for v in range(5)))]
     out = solve({v: (0, 3) for v in range(5)}, trees, config=SearchConfig(node_limit=1))
     assert out.status in ("UNSAT", "RESOURCE_OUT")
     big = {v: (0, 9) for v in range(8)}
-    t = [AllDiffC(tuple(Var(v) for v in range(8)))]
+    t = [alldiff(tuple(Var(v) for v in range(8)))]
     out = solve_optimal(big, t, Sum(tuple(Var(v) for v in range(8))),
                         config=SearchConfig(node_limit=5))
     assert out.status == "RESOURCE_OUT" and not out.proven
 
 
 def test_deterministic():
-    trees = [AllDiffC((x, y, z)), RelAtom("<", x, z)]
+    trees = [alldiff((x, y, z)), RelAtom("<", x, z)]
     runs = [solve(doms(3), trees) for _ in range(3)]
     assert all(r.assignment == runs[0].assignment for r in runs)
     assert all(r.stats.nodes == runs[0].stats.nodes for r in runs)
@@ -160,11 +167,15 @@ def test_presolve_polls_its_deadline(monkeypatch, hard):
         assert len(keyed) <= grounding._POLL_EVERY
 
 
-def test_presolve_polls_inside_expansions(monkeypatch):
-    # one allDifferent over 40 variables is keyed as its 780 pairs; with
-    # time left at presolve's first look at the deadline and none at any
-    # later one, presolve stops within one polling interval of keyed pairs
-    looks = iter([0.0])
+def test_presolve_polls_inside_a_ground_alldifferent(monkeypatch):
+    # one allDifferent over 40 variables is one conjunction of 780 pairs,
+    # which presolve reads once for equalities and then keys.  With time
+    # left at each look at the deadline of the first pass (one per
+    # _POLL_EVERY pairs) and none at any later one, presolve stops within
+    # one polling interval of keyed pairs
+    pairs = alldiff(tuple(Var(v) for v in range(40)))
+    assert len(pairs.items) > 2 * grounding._POLL_EVERY
+    looks = iter([0.0] * -(-len(pairs.items) // grounding._POLL_EVERY))
 
     class Clock:
         @staticmethod
@@ -179,9 +190,7 @@ def test_presolve_polls_inside_expansions(monkeypatch):
 
     monkeypatch.setattr(grounding, "time", Clock)
     monkeypatch.setattr(solver, "canonical_key", counting_key)
-    alldiff = AllDiffC(tuple(Var(v) for v in range(40)))
-    assert len(expansion(alldiff).items) > 2 * grounding._POLL_EVERY
-    assert presolve([alldiff], deadline=1.0).status == "RESOURCE_OUT"
+    assert presolve([pairs], deadline=1.0).status == "RESOURCE_OUT"
     assert 0 < len(keyed) <= grounding._POLL_EVERY
 
 
@@ -189,14 +198,13 @@ def test_presolve_polls_inside_expansions(monkeypatch):
 def test_posting_polls_the_deadline(monkeypatch, shape):
     # with the hard constraints presolved beforehand and no time left, a
     # solve stops within one polling interval of posted trees, before root
-    # propagation, also inside the expansion of one global
+    # propagation, also inside one ground allDifferent
     n = 4 * grounding._POLL_EVERY if shape == "atoms" else 40
     if shape == "atoms":
         hard = [AndC(tuple(RelAtom("<=", Var(v), Const(5)) for v in range(n)))]
-        calls = n + 1
-    else:  # posted as its expansion, n*(n-1)/2 disequalities
-        hard = [AllDiffC(tuple(Sum((Var(v), Const(v))) for v in range(n)))]
-        calls = 2 + n * (n - 1) // 2
+    else:  # over expressions, so posted as its n*(n-1)/2 disequalities
+        hard = [alldiff(tuple(Sum((Var(v), Const(v))) for v in range(n)))]
+    calls = 1 + len(hard[0].items)
     pre = presolve(hard)
     posted = []
     post_tree = solver.Engine.post_tree
@@ -256,7 +264,7 @@ def test_presolve_substitutes_definitions():
         RelAtom("==", Var(4), mk_diff(Var(1), Var(0))),
         RelAtom("==", mk_diff(Var(3), Var(2)), Var(5)),
     ]
-    hard = defs + [AllDiffC((Var(4), Var(5)))]
+    hard = defs + [alldiff((Var(4), Var(5)))]
     extras = [OrC((RelAtom("==", mk_diff(Var(1), Var(0)), mk_diff(Var(3), Var(2))),))]
     assert presolve(hard).extras(extras)[1] == "UNSAT"
     domains = {v: (0, 9) for v in range(4)} | {v: (-9, 9) for v in (4, 5)}
@@ -274,8 +282,7 @@ def test_presolve_drops_contradicted_disjuncts():
 
 
 def test_presolve_proves_unsat_via_alldiff_pairs():
-    alldiff = AllDiffC((x, y, z))
-    assert presolve([alldiff]).extras([OrC((RelAtom("==", x, y),))])[1] == "UNSAT"
+    assert presolve([alldiff((x, y, z))]).extras([OrC((RelAtom("==", x, y),))])[1] == "UNSAT"
 
 
 def test_presolve_refutes_conjunctions_whose_negation_is_asserted():
@@ -293,12 +300,10 @@ def test_presolve_refutes_conjunctions_whose_negation_is_asserted():
 
 def test_presolve_keys_the_expansion_of_globals():
     # not(allDifferent) is an Or of equalities, each the negation of one
-    # pair's disequality in the expansion; not(pack) an Or of one "!=" per
-    # bin, each the negation of that bin's equation.  Keyed whole, neither
-    # global would refute a disjunct.
-    alldiff = AllDiffC((Sum((x, Const(1))), y, Prod((Const(2), z))))
-    pack = PackC((0, 1), (2, 3), (2, 3), (1, 2))
-    for glob in (alldiff, pack):
+    # pair's disequality; not(pack) an Or of one "!=" per bin, each the
+    # negation of that bin's equation
+    for glob in (alldiff((Sum((x, Const(1))), y, Prod((Const(2), z)))),
+                 pack((0, 1), (2, 3), (2, 3), (1, 2))):
         pre = presolve([glob])
         assert pre.extras([negate(glob)])[1] == "UNSAT"
         # one disjunct left standing keeps the Or
@@ -362,7 +367,7 @@ def _equality_system(rng):
         atoms.append(RelAtom(op, left, Const(eval_gexpr(left, point) + shift)))
     hard = eqs + atoms
     if rng.random() < 0.3:
-        hard.append(AllDiffC(tuple(rng.sample(vs, 2))))
+        hard.append(alldiff(rng.sample(vs, 2)))
 
     def disguised(atom):
         """not(atom), with k * (an equality's left - right) added to its left."""
@@ -428,7 +433,6 @@ def test_echelon_presolve_is_sound(rng):
         assert brute_solutions(domains, h2) == sols
         assert brute_solutions(domains, h2 + e2) == both
         plain = {canonical_key(t) for t in hard if not isinstance(t, OrC)}
-        plain |= {canonical_key(RelAtom("!=", *t.items)) for t in hard if isinstance(t, AllDiffC)}
         for before, after in zip(hard + extras, h2 + e2):
             if after is TRUE_C:  # dropped as implied
                 assert all(evaluate_ground(before, a) for a in sols)
@@ -445,14 +449,8 @@ def test_echelon_presolve_is_sound(rng):
 
 def _reference_keys(hard, reduce):
     """The asserted keys of the earlier rule: own reduced keys of the
-    top-level leaves and of the expansion leaves of globals."""
-    keys = set()
-    for tree in hard:
-        for leaf in solver._and_spine(tree):
-            if isinstance(leaf, (AllDiffC, PackC)):
-                keys |= {canonical_key(t, reduce) for t in solver._and_spine(expansion(leaf))}
-            keys.add(canonical_key(leaf, reduce))
-    return keys
+    top-level leaves."""
+    return {canonical_key(leaf, reduce) for tree in hard for leaf in solver._and_spine(tree)}
 
 
 def _reference_deletes(tree, keys, reduce):
@@ -469,12 +467,6 @@ def _reference_deletes(tree, keys, reduce):
     return canonical_key(negate(tree), reduce) in keys
 
 
-def _has_global(tree):
-    if isinstance(tree, (AndC, OrC)):
-        return any(_has_global(t) for t in tree.items)
-    return isinstance(tree, (AllDiffC, PackC))
-
-
 def _lookup_matches_reference(hard, candidates):
     """Number of asserted atoms and candidates deleted, after asserting that
     the lookup deletes exactly those that the earlier rule did."""
@@ -482,7 +474,7 @@ def _lookup_matches_reference(hard, candidates):
     old = _reference_keys(hard, pre.reduce)
     deleted = 0
     for t in (t for tree in hard for t in solver._and_spine(tree)):
-        if not isinstance(t, OrC) and not _has_global(t):
+        if not isinstance(t, OrC):
             new = solver._simplify(t, pre.keys, pre.reduce, set(), lambda: None) is FALSE_C
             own = canonical_key(t)  # an asserted atom is a tautology by this key only
             want = own == FALSE_KEY or (
@@ -498,8 +490,8 @@ def _lookup_matches_reference(hard, candidates):
 
 
 def test_lookup_deletes_what_negating_each_candidate_deleted(rng):
-    # the rules agree wherever negate() is an involution on keys, so globals
-    # are kept out of the candidates and out of asserted Ors here
+    # the rules agree wherever negate() is an involution on keys, as it is
+    # on every ground tree, globals included
     deleted = 0
     for _ in range(200):
         vs, hard, extras = _equality_system(rng)
@@ -509,17 +501,16 @@ def test_lookup_deletes_what_negating_each_candidate_deleted(rng):
     # table and count atoms too, and candidates that negate asserted trees
     deleted, vids = 0, [0, 1, 2]
     for _ in range(200):
-        hard = [t for t in (rand_tree(rng, vids) for _ in range(3))
-                if not (isinstance(t, OrC) and _has_global(t))]
+        hard = [rand_tree(rng, vids) for _ in range(3)]
         candidates = [negate(t) for t in hard] + [rand_tree(rng, vids) for _ in range(3)]
-        deleted += _lookup_matches_reference(hard, [c for c in candidates if not _has_global(c)])
+        deleted += _lookup_matches_reference(hard, candidates)
     assert deleted > 300
 
 
 def test_presolve_negates_no_candidate(monkeypatch):
-    # presolve negates each asserted leaf once, an allDifferent through its
-    # expansion, and simplifying the extras negates nothing
-    alldiff, or_ = AllDiffC((x, y, z)), OrC((RelAtom("<", x, y), RelAtom("<", y, z)))
+    # presolve negates each asserted leaf once, an allDifferent pair by
+    # pair, and simplifying the extras negates nothing
+    pairs, or_ = alldiff((x, y, z)), OrC((RelAtom("<", x, y), RelAtom("<", y, z)))
     negated = []
 
     def spy(tree):
@@ -527,8 +518,8 @@ def test_presolve_negates_no_candidate(monkeypatch):
         return negate(tree)
 
     monkeypatch.setattr(solver, "negate", spy)
-    pre = presolve([alldiff, or_])
-    assert negated == list(solver._and_spine(expansion(alldiff))) + [or_]
+    pre = presolve([pairs, or_])
+    assert negated == list(pairs.items) + [or_]
 
     def refuse(tree):
         raise AssertionError(f"negated a candidate: {tree}")
@@ -548,6 +539,118 @@ def test_presolve_refutes_p_fixed_c2(m):
     oracle_gm, p_gm = ground_pair(oracle, program, overrides={"m": m})
     c2 = negate(oracle_gm.constraint("c2").tree)
     assert presolve([c.tree for c in p_gm.constraints]).extras([c2])[1] == "UNSAT"
+
+
+# -- recognised decompositions ---------------------------------------------------
+
+
+def _posting(domains, tree, ok=True):
+    """(engine, propagators registered) after posting one tree, which
+    succeeds or fails as `ok` says."""
+    eng = solver.Engine(domains, SearchConfig())
+    registered = []
+    register = eng.register
+    eng.register = lambda prop: (registered.append(prop), register(prop))
+    assert eng.post_tree(tree, False) == ok
+    return eng, registered
+
+
+def _fixpoint(eng):
+    """Whether propagation succeeds, and then the domains it leaves."""
+    ok = eng.propagate()
+    return ok, ok and {v: list(d.values()) for v, d in eng.doms.items()}
+
+
+def test_recognised_clique_reaches_the_fixpoint_of_its_pairs():
+    # exhaustively over 3 and 4 variables with domains that are nonempty
+    # subsets of 0..3: posting a ground allDifferent registers one
+    # AllDiffProp, and it fails exactly where the pairs posted as NeProps
+    # fail, and prunes exactly what they prune
+    outcomes = set()
+    for n in (3, 4):
+        vs = tuple(Var(v) for v in range(n))
+        pairs = alldiff(vs)
+        for ms in itertools.product(range(1, 16), repeat=n):
+            eng, registered = _posting(doms(n, 0, 3), pairs)
+            assert [type(p) for p in registered] == [solver.AllDiffProp]
+            ref = solver.Engine(doms(n, 0, 3), SearchConfig())
+            for e in (eng, ref):
+                e.doms.update((v, solver.BitDom(0, m)) for v, m in enumerate(ms))
+            for atom in pairs.items:
+                _, poly = rel_form(atom)
+                ref.register(solver.NeProp(solver._linear_terms(poly)[0], 0))
+            got = _fixpoint(eng)
+            assert got == _fixpoint(ref), ms
+            outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+def test_clique_recognition_takes_only_complete_graphs_of_distinct_variables():
+    w = Var(3)
+    posted_whole = [
+        alldiff((x, y, z)),
+        AndC(tuple(reversed(alldiff((x, y, z, w)).items))),  # pairs permuted
+        AndC((RelAtom("!=", y, x), RelAtom("!=", z, x), RelAtom("!=", y, z))),  # mirrored
+    ]
+    for tree, vids in zip(posted_whole, ((0, 1, 2), (2, 3, 1, 0), (1, 0, 2))):
+        _, registered = _posting(doms(4), tree)
+        assert [(type(p), p.vids) for p in registered] == [(solver.AllDiffProp, vids)]
+    pairs = alldiff((x, y, z)).items
+    posted_by_pairs = [
+        AndC(pairs[:2]),  # a missing pair
+        AndC(pairs + (RelAtom("!=", z, y),)),  # a duplicated pair
+        AndC(pairs[:2] + (RelAtom("!=", x, x),)),  # x != x, where y != z should be
+        alldiff((x, y, Sum((z, Const(1))))),  # an expression item
+        alldiff((x, y)),  # two variables
+    ]
+    for tree in posted_by_pairs:
+        # x != x fails when posted, after the atoms before it
+        ok = RelAtom("!=", x, x) not in tree.items
+        _, registered = _posting(doms(4), tree, ok)
+        assert [type(p) for p in registered] == [solver.NeProp] * (len(tree.items) - (not ok)), tree
+
+
+def test_pack_adds_its_load_sum_only_when_every_item_lies_in_its_bins():
+    # loads v0, v1 for bins 1, 2; items v2, v3 of sizes 2, 3
+    def load_sums(item_domain, tree):
+        domains = {0: (0, 9), 1: (0, 9), 2: item_domain, 3: item_domain}
+        _, registered = _posting(domains, tree)
+        assert {type(p) for p in registered} >= {solver.PackBinProp}
+        return [(p.terms, p.const) for p in registered if isinstance(p, solver.LinProp)]
+
+    closed = pack((0, 1), (2, 3), (2, 3), (1, 2))
+    assert load_sums((1, 2), closed) == [(((0, 1), (1, 1)), -5)]
+    assert load_sums((1, 3), closed) == []  # an item may fall outside
+    # every item lies in the bins, but the loads do not sum to the total:
+    # two loads of bin 1, one load of both bins, or bins over other items
+    bins = closed.items
+    repeated_key = AndC((bins[0], PackBinC(1, 1, (2, 3), (2, 3), "==")))
+    repeated_load = AndC((bins[0], PackBinC(2, 0, (2, 3), (2, 3), "==")))
+    other_items = AndC((bins[0], PackBinC(2, 1, (3, 2), (3, 2), "==")))
+    for item_domain, tree in (((1, 1), repeated_key), ((1, 2), repeated_load), ((1, 2), other_items)):
+        assert load_sums(item_domain, tree) == [], tree
+
+
+def test_corpus_globals_post_their_strong_form():
+    # p_fixed's cc5 at m = 6 is one AllDiffProp over its 15 differences,
+    # and carseq cput4's c4 adds the sum of its loads: without either, the
+    # check would still be right, with weaker or slower propagation
+    oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
+    program = parse_model_file(corpus_path("golomb", "p_fixed.cpm"))
+    _, p_gm = ground_pair(oracle, program, overrides={"m": 6})
+    cc5 = presolve([p_gm.constraint("cc5").tree]).hard[0]
+    _, registered = _posting(dict(p_gm.domains), cc5)
+    assert [(type(p), len(p.vids)) for p in registered] == [(solver.AllDiffProp, 15)]
+    ref_gm, cput_gm = ground_pair(
+        parse_model_file(corpus_path("carseq", "oracle.cpm")),
+        parse_model_file(corpus_path("carseq", "cput4.cpm")),
+        parse_data_file(corpus_path("carseq", "slots10.data")),
+    )
+    c4 = presolve([cput_gm.constraint("c4").tree]).hard[0]
+    _, registered = _posting(dict(cput_gm.domains), c4)
+    loads = {cput_gm.space.index[k] for k in cput_gm.space.keys if k[0] == "load"}
+    (total,) = [p for p in registered if isinstance(p, solver.LinProp)]
+    assert {v for v, _ in total.terms} == loads and total.const == -10
 
 
 # -- randomized cross-checks ---------------------------------------------------

@@ -6,14 +6,12 @@ import pytest
 from cpconftest import conformity, grounding, solver
 from cpconftest.corpus import corpus_path, load_manifest
 from cpconftest.grounding import (
-    AllDiffC,
     AndC,
     Const,
     CountC,
     FALSE_C,
     OrC,
     PackBinC,
-    PackC,
     Prod,
     RelAtom,
     Sum,
@@ -36,7 +34,7 @@ from cpconftest.transform import (
     rel_form,
 )
 
-from conftest import REL_OPS, all_assignments, rand_expr, rand_tree, small_globals
+from conftest import REL_OPS, all_assignments, alldiff, pack, rand_expr, rand_tree, small_globals
 
 x, y, z = Var(0), Var(1), Var(2)
 
@@ -148,7 +146,7 @@ def _expressions(tree, out):
             _expressions(it, out)
     elif isinstance(tree, CountC):
         stack = [*tree.items, tree.value, tree.rhs]
-    elif isinstance(tree, (AllDiffC, TableC)):
+    elif isinstance(tree, TableC):
         stack = list(tree.items)
     while stack:
         e = stack.pop()
@@ -304,9 +302,9 @@ def test_negate_conjunction_disjunction():
 
 
 def test_negate_alldiff_shape():
-    r = negate(AllDiffC((x, y, z)))
+    r = negate(alldiff((x, y, z)))
     assert isinstance(r, OrC) and len(r.items) == 3
-    exhaustive_negation_check(AllDiffC((x, y, z)), [0, 1, 2])
+    exhaustive_negation_check(alldiff((x, y, z)), [0, 1, 2])
 
 
 def test_negate_allmindist_and_inverse():
@@ -328,7 +326,7 @@ def test_negate_count_flips_op():
 
 def test_negate_pack_by_bins():
     # loads v0,v1 for bins 1,2; items v2,v3 with sizes 2,3
-    t = PackC((0, 1), (2, 3), (2, 3), (1, 2))
+    t = pack((0, 1), (2, 3), (2, 3), (1, 2))
     r = negate(t)
     assert isinstance(r, OrC)
     assert all(isinstance(b, PackBinC) and b.op == "!=" for b in r.items)
@@ -345,10 +343,8 @@ def test_every_ground_constraint_class_has_a_complement():
         RelAtom: RelAtom("<", Sum((x, y)), z),
         AndC: AndC((RelAtom("<", x, y), RelAtom("!=", y, z))),
         OrC: OrC((RelAtom("==", x, y), RelAtom(">", y, z))),
-        AllDiffC: AllDiffC((x, y, z)),
         TableC: TableC("forbidden", (x, y), ((0, 1), (2, 2))),
         CountC: CountC((x, y), Const(1), "==", z),
-        PackC: PackC((0, 1), (2, 3), (2, 3), (1, 2)),
         PackBinC: PackBinC(2, 0, (1, 2), (1, 2), "=="),
     }
     others = {Const, Var, Sum, Prod, grounding.ChannelDef, grounding.GroundCtr}
