@@ -11,17 +11,21 @@ Exit codes for check: 0 Conf, 1 NonConf, 2 Unknown, 3 usage or input error.
 For validate: 0 genuine, 1 not genuine, 3 error.  For bench: 0 when every
 run gave the verdict, reason and violated label its manifest row expects
 (rows without "expect" always pass), 1 when some run did not, each such row
-named on stderr, 3 on manifest or input errors.
+named on stderr, 3 on manifest or input errors.  Every command exits 4,
+with the traceback on stderr, on an internal error: never a verdict.
 """
 
 import argparse
 import json
 import sys
 import time
+import traceback
+from dataclasses import replace
 from pathlib import Path
 
 from .conformity import (
     CheckOptions,
+    ValidationReport,
     check,
     expand_witness,
     ground_pair,
@@ -65,9 +69,9 @@ def _parse_bounds(text):
         raise CpconfError(f"--bounds {text!r}: bounds must be integers") from None
 
 
-def _options(args, relation=None):
+def _options(args):
     return CheckOptions(
-        relation=relation or getattr(args, "relation", "one"),
+        relation=getattr(args, "relation", "one"),
         time_limit=getattr(args, "timeout", None),
         node_limit=getattr(args, "nodes", None),
         bounds=_parse_bounds(getattr(args, "bounds", None)),
@@ -126,10 +130,17 @@ def _load_witness_file(path):
 
 def _cmd_validate(args):
     oracle, program, data, overrides = _load_inputs(args)
-    oracle_gm, cput_gm = ground_pair(oracle, program, data, overrides)
     raw = _load_witness_file(args.witness)
-    assignment = expand_witness(cput_gm.space, raw)
-    report = validate_witness(oracle_gm, cput_gm, assignment, _options(args))
+    opts = _options(args)
+    deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
+    try:  # the budget counts from here, grounding included
+        oracle_gm, cput_gm = ground_pair(oracle, program, data, overrides, deadline)
+    except TimeoutError:
+        report = ValidationReport(False, notes=("budget exhausted while grounding",))
+    else:
+        if deadline is not None:
+            opts = replace(opts, time_limit=max(0.0, deadline - time.monotonic()))
+        report = validate_witness(oracle_gm, cput_gm, expand_witness(cput_gm.space, raw), opts)
     if args.json:
         payload = {"schema": SCHEMA, "command": "validate"}
         payload.update(report.to_dict())
@@ -314,6 +325,9 @@ def main(argv=None):
     except (CpconfError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except Exception:  # a bug: shown, and kept apart from every verdict's code
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

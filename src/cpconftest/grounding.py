@@ -689,7 +689,6 @@ class _Ctx:
         self.require_existing = require_existing
         self.dvars = {d.name: d for d in model.dvars}
         self.label = None
-        self.channeling = False
         self.channel_defs = []
         self.nodes = {}  # ground expression -> the one object equal to it
         self.lowered = {}  # id(AST node) -> (names it mentions, {their values: lowering})
@@ -797,8 +796,8 @@ def _flip_atom(atom, ctx):
 
 
 def _maybe_channel_def(ctx, guard, atom):
-    """Record var == rhs (under guard) when the atom defines a variable."""
-    if not (ctx.channeling and isinstance(atom, RelAtom) and atom.op == "=="):
+    """Record var == rhs (under guard) when the relational atom defines a variable."""
+    if atom.op != "==":
         return
     left, right = atom.left, atom.right
     if not isinstance(left, Var):
@@ -810,15 +809,18 @@ def _maybe_channel_def(ctx, guard, atom):
     ctx.channel_defs.append(ChannelDef(guard, left.vid, right, ctx.label))
 
 
-def lower_ctr(ctr, ctx, env):
-    """Lower a constraint to its ground tree under the given binder env."""
+def lower_ctr(ctr, ctx, env, channeling=False):
+    """Lower a constraint to its ground tree under the given binder env.
+    Under `channeling` (@channeling), an asserted `var == rhs` is recorded
+    as a channel definition, guarded when it is an implication's right side."""
     if isinstance(ctr, Rel):
         a = lower_expr(ctr.left, ctx, env)
         b = lower_expr(ctr.right, ctx, env)
         if isinstance(a, Const) and isinstance(b, Const):
             return TRUE_C if rel_holds(ctr.op, a.value, b.value) else FALSE_C
         atom = RelAtom(ctr.op, a, b)
-        _maybe_channel_def(ctx, None, atom)
+        if channeling:
+            _maybe_channel_def(ctx, None, atom)
         return atom
     if isinstance(ctr, CountCtr):
         items = tuple(_lower_collection(ctr.coll, ctx, env))
@@ -826,14 +828,11 @@ def lower_ctr(ctr, ctx, env):
         rhs = lower_expr(ctr.rhs, ctx, env)
         return CountC(items, value, ctr.op, rhs)
     if isinstance(ctr, Implies):
-        # the sides are not asserted on their own, keep them out of the
-        # channel tables and record the guarded definition instead
-        was = ctx.channeling
-        ctx.channeling = False
+        # the sides are not asserted on their own: record the guarded
+        # definition instead
         left = lower_ctr(ctr.left, ctx, env)
         right = lower_ctr(ctr.right, ctx, env)
-        ctx.channeling = was
-        if isinstance(right, RelAtom) and left is not FALSE_C:
+        if channeling and isinstance(right, RelAtom) and left is not FALSE_C:
             _maybe_channel_def(ctx, left if left is not TRUE_C else None, right)
         if left is TRUE_C:
             return right
@@ -844,20 +843,17 @@ def lower_ctr(ctr, ctx, env):
         out = []
         for benv in iter_bindings(ctx.model, ctx.instance, ctr.binders, env, ctr.guard):
             ctx.tick()
-            out.append(lower_ctr(ctr.body, ctx, benv))
+            out.append(lower_ctr(ctr.body, ctx, benv, channeling))
         return AndC(tuple(out))
     if isinstance(ctr, OrAgg):
         out = []
-        was = ctx.channeling
-        ctx.channeling = False  # a disjunct is not asserted by itself
         for benv in iter_bindings(ctx.model, ctx.instance, ctr.binders, env, ctr.guard):
             ctx.tick()
-            out.append(lower_ctr(ctr.body, ctx, benv))
-        ctx.channeling = was
+            out.append(lower_ctr(ctr.body, ctx, benv))  # a disjunct is not asserted by itself
         return OrC(tuple(out))
     if isinstance(ctr, IfThenElse):
         branch = ctr.then_ctr if _peval_bool(ctr.cond, ctx.instance, env) else ctr.else_ctr
-        return lower_ctr(branch, ctx, env)
+        return lower_ctr(branch, ctx, env, channeling)
     if isinstance(ctr, AllDifferentCtr):
         items = _lower_collection(ctr.coll, ctx, env)
         return AndC(tuple(RelAtom("!=", a, b) for a, b in _pairs(ctx, items)))
@@ -978,11 +974,8 @@ def ground(model, instance, space=None, require_existing=False, deadline=None):
     constraints = []
     for lc in model.constraints:
         ctx.label = lc.label
-        ctx.channeling = lc.channeling
-        tree = lower_ctr(lc.ctr, ctx, {})
-        constraints.append(GroundCtr(lc.label, tree))
+        constraints.append(GroundCtr(lc.label, lower_ctr(lc.ctr, ctx, {}, lc.channeling)))
     ctx.label = None
-    ctx.channeling = False
     objective = None
     if model.objective is not None:
         objective = lower_expr(model.objective.expr, ctx, {})

@@ -18,10 +18,13 @@ allowedAssignments/forbiddenAssignments and pack.  Binder guards are boolean
 expressions over binders and parameters; comparisons may be chained there
 (a < b < c).  Relations between decision-variable expressions take a single
 comparison operator.  "..." marks data supplied per instance, never inline.
-Comments run from // to end of line.
+Comments run from // to end of line.  The lexer is one regular expression.
 """
 
+import re
+
 from .errors import ParseError
+from .ops import MIRROR
 from .syntax import (
     AllDifferentCtr,
     AllMinDistanceCtr,
@@ -82,9 +85,22 @@ RESERVED = {
     "pack",
 }
 
-_TWO_CHAR = ("==", "!=", "<=", ">=", "=>", "&&", "||", "..")
-_SINGLE = set("{}()[]<>,;:.|@=+-*/!")
 REL_TOKENS = ("==", "!=", "<", "<=", ">", ">=")
+_BOOL_OPS = (("||", "or"), ("&&", "and"))  # loosest first
+_ARITH_OPS = (("+", "-"), ("*", "/"))
+
+# One alternative per token kind, operators longest first.  \w is what
+# str.isalnum() accepts, plus "_"; a name must start with a letter or "_".
+_TOKEN = re.compile(
+    r"""(?P<newline>\n)
+      | (?P<blank>[ \t\r]+)
+      | (?P<comment>//[^\n]*)
+      | (?P<op>\.\.\.|==|!=|<=|>=|=>|&&|\|\||\.\.|[{}()\[\]<>,;:.|@=+\-*/!])
+      | (?P<int>\d+)
+      | (?P<ident>[^\W\d]\w*)
+      | (?P<other>.)""",
+    re.VERBOSE,
+)
 
 
 class Token:
@@ -101,63 +117,19 @@ class Token:
 
 def tokenize(src):
     toks = []
-    i = 0
-    line = 1
-    col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text, i = m.lastgroup, m.group(), m.start()
+        if kind == "newline":
+            line, line_start = line + 1, i + 1
+        elif kind == "other" or kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
+            # a numeral that is not a decimal digit (such as ²) starts no name
+            span = Span(i, i + 1, line, i - line_start + 1)
+            raise ParseError(f"unexpected character {text[0]!r}", span)
+        elif kind not in ("blank", "comment"):
+            toks.append(Token(kind, text, Span(i, m.end(), line, i - line_start + 1)))
     n = len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if src.startswith("//", i):
-            j = src.find("\n", i)
-            if j < 0:
-                j = n
-            col += j - i
-            i = j
-            continue
-        span = Span(i, i + 1, line, col)
-        if src.startswith("...", i):
-            toks.append(Token("op", "...", Span(i, i + 3, line, col)))
-            i += 3
-            col += 3
-            continue
-        two = src[i : i + 2]
-        if two in _TWO_CHAR:
-            toks.append(Token("op", two, Span(i, i + 2, line, col)))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], Span(i, j, line, col)))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(Token("ident", src[i:j], Span(i, j, line, col)))
-            col += j - i
-            i = j
-            continue
-        if c in _SINGLE:
-            toks.append(Token("op", c, span))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", span)
-    toks.append(Token("eof", "", Span(n, n, line, col)))
+    toks.append(Token("eof", "", Span(n, n, line, n - line_start + 1)))
     return toks
 
 
@@ -174,9 +146,6 @@ class _Parser:
 
     def at(self, text):
         return self.peek().text == text and self.peek().kind in ("op", "ident")
-
-    def at_kind(self, kind):
-        return self.peek().kind == kind
 
     def advance(self):
         t = self.toks[self.i]
@@ -201,12 +170,6 @@ class _Parser:
             raise ParseError(f"expected {what}, found {t.text!r}", t.span)
         return self.advance()
 
-    def save(self):
-        return self.i
-
-    def restore(self, mark):
-        self.i = mark
-
     # -- model -------------------------------------------------------------
 
     def parse_model(self):
@@ -219,7 +182,7 @@ class _Parser:
             if t.kind == "eof":
                 raise ParseError("model has no 'subject to' block", t.span)
             if self.at("int"):
-                params.append(self._param_int())
+                params.append(self._external_param(self.advance().span, "int"))
             elif self.at("tuple"):
                 tuple_types.append(self._tuple_type())
             elif self.at("{"):
@@ -258,13 +221,13 @@ class _Parser:
         validate_model(model)
         return model
 
-    def _param_int(self):
-        start = self.expect("int").span
+    def _external_param(self, start, kind):
+        """The tail `name = ... ;` of a parameter whose value is data."""
         name = self.expect_ident("parameter name").text
         self.expect("=")
         self.expect("...")
         self.expect(";")
-        return ParamDecl(name, "int", span=start)
+        return ParamDecl(name, kind, span=start)
 
     def _tuple_type(self):
         start = self.expect("tuple").span
@@ -288,11 +251,7 @@ class _Parser:
         if self.at("int"):
             self.advance()
             self.expect("}")
-            name = self.expect_ident("parameter name").text
-            self.expect("=")
-            self.expect("...")
-            self.expect(";")
-            return ParamDecl(name, "intset", span=start)
+            return self._external_param(start, "intset")
         tname = self.expect_ident("tuple type name").text
         self.expect("}")
         name = self.expect_ident("parameter name").text
@@ -432,8 +391,6 @@ class _Parser:
         left = self._expr()
         op = self._rel_op()
         if self.at("count"):
-            from .ops import MIRROR
-
             coll, value = self._count_head()
             return CountCtr(coll, value, MIRROR[op], left, span=t.span)
         right = self._expr()
@@ -479,57 +436,36 @@ class _Parser:
         return tuple(groups), guard
 
     def _binder_group(self):
-        names = [self.expect_ident("binder name").text]
-        start = self.peek(-1).span if self.i else Span()
-        while self.at(","):
-            # Only part of this group if an "in" follows the name list.
-            mark = self.save()
+        first = self.expect_ident("binder name")
+        names = [first.text]
+        # ", name" joins this group only when "," or "in" follows the name
+        while self.at(",") and self.peek(1).kind == "ident" and self.peek(2).text in (",", "in"):
             self.advance()
-            if self.peek().kind == "ident" and self.peek(1).text in (",", "in"):
-                names.append(self.expect_ident().text)
-            else:
-                self.restore(mark)
-                break
+            names.append(self.advance().text)
         self.expect("in")
-        dom = self._binder_domain()
-        return BinderGroup(tuple(names), dom, span=start)
+        return BinderGroup(tuple(names), self._binder_domain(), span=first.span)
 
     def _binder_domain(self):
-        mark = self.save()
-        try:
-            lo = self._expr()
-            if self.at(".."):
-                self.advance()
-                hi = self._expr()
-                return RangeDom(lo, hi)
-            if isinstance(lo, NameRef):
-                return SetDom(lo.name, span=lo.span)
-            raise ParseError("expected a range or a set name", self.peek().span)
-        except ParseError:
-            self.restore(mark)
-            raise
+        lo = self._expr()
+        if self.at(".."):
+            self.advance()
+            return RangeDom(lo, self._expr())
+        if isinstance(lo, NameRef):
+            return SetDom(lo.name, span=lo.span)
+        raise ParseError("expected a range or a set name", self.peek().span)
 
     # -- boolean expressions -------------------------------------------------
 
-    def _bool_expr(self):
-        items = [self._bool_and()]
-        start = items[0].span
-        while self.at("||"):
+    def _bool_expr(self, level=0):
+        """An n-ary `||` of `&&`s: level 0 is `||`, level 1 `&&`."""
+        if level == len(_BOOL_OPS):
+            return self._bool_unary()
+        tok, op = _BOOL_OPS[level]
+        items = [self._bool_expr(level + 1)]
+        while self.at(tok):
             self.advance()
-            items.append(self._bool_and())
-        if len(items) == 1:
-            return items[0]
-        return BoolOp("or", tuple(items), span=start)
-
-    def _bool_and(self):
-        items = [self._bool_unary()]
-        start = items[0].span
-        while self.at("&&"):
-            self.advance()
-            items.append(self._bool_unary())
-        if len(items) == 1:
-            return items[0]
-        return BoolOp("and", tuple(items), span=start)
+            items.append(self._bool_expr(level + 1))
+        return items[0] if len(items) == 1 else BoolOp(op, tuple(items), span=items[0].span)
 
     def _bool_unary(self):
         if self.at("!"):
@@ -539,14 +475,14 @@ class _Parser:
             # Could be a parenthesised boolean expression or an arithmetic
             # sub-expression starting a comparison chain; try the boolean
             # reading first and fall back.
-            mark = self.save()
+            mark = self.i
             self.advance()
             try:
                 inner = self._bool_expr()
                 self.expect(")")
                 return inner
             except ParseError:
-                self.restore(mark)
+                self.i = mark
         return self._rel_chain()
 
     def _rel_chain(self):
@@ -565,20 +501,14 @@ class _Parser:
 
     # -- arithmetic expressions ----------------------------------------------
 
-    def _expr(self):
-        left = self._term()
-        while self.at("+") or self.at("-"):
+    def _expr(self, level=0):
+        """A left-associative chain: level 0 is `+ -`, level 1 `* /`."""
+        if level == len(_ARITH_OPS):
+            return self._unary()
+        left = self._expr(level + 1)
+        while self.peek().text in _ARITH_OPS[level]:
             op = self.advance().text
-            right = self._term()
-            left = BinOp(op, left, right, span=left.span)
-        return left
-
-    def _term(self):
-        left = self._unary()
-        while self.at("*") or self.at("/"):
-            op = self.advance().text
-            right = self._unary()
-            left = BinOp(op, left, right, span=left.span)
+            left = BinOp(op, left, self._expr(level + 1), span=left.span)
         return left
 
     def _unary(self):
@@ -655,10 +585,10 @@ class _Validator:
     def run(self):
         m = self.model
         for tt in m.tuple_types:
-            self._declare(self.tuple_types, tt.name, tt.span, "tuple type")
+            self._declare(self.tuple_types, tt.name, tt.span)
             self.tuple_types[tt.name] = tt
         for p in m.params:
-            self._declare(self.params, p.name, p.span, "parameter")
+            self._declare(self.params, p.name, p.span)
             if p.kind == "tupleset":
                 if p.tuple_type not in self.tuple_types:
                     raise ParseError(f"unknown tuple type {p.tuple_type!r}", p.span)
@@ -701,7 +631,7 @@ class _Validator:
         if m.objective is not None:
             self._check_expr(m.objective.expr, {}, allow_dvar=True)
 
-    def _declare(self, table, name, span, what):
+    def _declare(self, table, name, span):
         if name in table or name in self.params or name in self.tuple_types:
             raise ParseError(f"duplicate declaration of {name!r}", span)
         if name in RESERVED:
@@ -984,10 +914,9 @@ def parse_data(src: str) -> dict:
     Values are integers, int sets `{1, 2}` or tuple sets `{<1,2>, <3,4>}`.
     Entries may be separated by newlines or semicolons.
     """
-    toks = tokenize(src)
-    p = _Parser(toks)
+    p = _Parser(tokenize(src))
     out = {}
-    while not p.at_kind("eof"):
+    while p.peek().kind != "eof":
         name_tok = p.expect_ident("data entry name")
         if name_tok.text in out:
             raise ParseError(f"duplicate data entry {name_tok.text!r}", name_tok.span)

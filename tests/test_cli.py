@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cpconftest import cli
 from cpconftest.cli import main
 from cpconftest.corpus import corpus_path, load_manifest
 
@@ -155,6 +156,25 @@ def test_bad_bounds_exits_three(files, capsys):
     assert "lo:hi" in capsys.readouterr().err
 
 
+def test_stray_character_exits_three(files, capsys):
+    bad = files["dir"] / "bad.cpm"
+    bad.write_text("dvar int x in 0..²;\nsubject to { c: x >= 0; }\n", encoding="utf-8")
+    rc = main(["check", "--oracle", files["oracle"], "--cput", str(bad)])
+    assert rc == 3
+    assert "1:18: unexpected character '²'" in capsys.readouterr().err
+
+
+def test_internal_error_exits_four_with_its_traceback(files, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(cli, "check", broken)
+    rc = main(["check", "--oracle", files["oracle"], "--cput", files["subset"]])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: broken on purpose" in err
+
+
 def test_jobs_flag_exits_three(files, capsys):
     rc = main(["check", "--oracle", files["oracle"], "--cput", files["subset"], "--jobs", "2"])
     assert rc == 3
@@ -247,6 +267,30 @@ def test_validate_not_genuine_exits_one(files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["command"] == "validate"
     assert payload["genuine"] is False
+
+
+def test_validate_budget_counts_grounding(capsys):
+    golomb = corpus_path("golomb")
+    rc = main(
+        [
+            "validate",
+            "--oracle",
+            str(golomb / "oracle.cpm"),
+            "--cput",
+            str(golomb / "p.cpm"),
+            "--param",
+            "m=8",
+            "--witness",
+            str(corpus_path("witnesses", "golomb_m8_extra.json")),
+            "--timeout",
+            "0",
+            "--json",
+        ]
+    )
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["genuine"] is False
+    assert payload["notes"] == ["budget exhausted while grounding"]
 
 
 def test_validate_bad_witness_exits_three(files, capsys):

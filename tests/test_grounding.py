@@ -94,6 +94,39 @@ def test_channel_defs_recorded_in_order():
     assert all(cd.guard is None for cd in gm.channel_defs)
 
 
+CHANNELED = """
+int n = ...;
+dvar int x[1..2] in 0..3;
+dvar int y[1..2] in 0..9;
+dvar int z in 0..9;
+dvar int w in 0..9;
+subject to {
+  a: z == x[1] + 1;  @channeling
+  b: forall (i in 1..2) x[i] == 1 => y[i] == 5;  @channeling
+  c: if (n > 1) x[1] == 2 => w == 7 else w == 0;  @channeling
+  d: or (i in 1..2) y[i] == x[i];  @channeling
+}
+"""
+
+
+def test_channeling_records_asserted_definitions():
+    m = parse_model(CHANNELED)
+    gm = ground(m, build_instance(m, None, {"n": 2}))
+    x = [Var(gm.space.index[("x", (i,))]) for i in (1, 2)]
+    got = [(gm.space.pretty(cd.vid), cd.guard, cd.label) for cd in gm.channel_defs]
+    # the top-level equality, and each implication's right side guarded by
+    # its left, under forall and under if/else; neither side of => on its
+    # own, and no disjunct of the or
+    assert got == [
+        ("z", None, "a"),
+        ("y[1]", RelAtom("==", x[0], Const(1)), "b"),
+        ("y[2]", RelAtom("==", x[1], Const(1)), "b"),
+        ("w", RelAtom("==", x[0], Const(2)), "c"),
+    ]
+    plain = parse_model(CHANNELED.replace("@channeling", ""))
+    assert not ground(plain, build_instance(plain, None, {"n": 2})).channel_defs
+
+
 def test_extension_derives_auxiliaries():
     gm = ruler3()
     base = {gm.space.index[("x", (i,))]: v for i, v in zip((1, 2, 3), (0, 1, 3))}

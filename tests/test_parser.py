@@ -3,6 +3,7 @@ import pytest
 from cpconftest import parse_data, parse_model, parse_model_file, pretty_print
 from cpconftest.corpus import corpus_path
 from cpconftest.errors import ParseError
+from cpconftest.parser import tokenize
 from cpconftest.syntax import Forall, Implies, Rel, RelChain
 
 CORPUS_MODELS = sorted(str(p) for p in corpus_path().rglob("*.cpm"))
@@ -187,3 +188,40 @@ def test_data_file_values():
 def test_data_duplicate_key():
     with pytest.raises(ParseError, match="duplicate"):
         parse_data("n = 1; n = 2;")
+
+
+# every operator, and integers and names, some of them not ASCII
+LEXEMES = (
+    [("op", t) for t in ("...", "==", "!=", "<=", ">=", "=>", "&&", "||", "..")]
+    + [("op", t) for t in "{}()[]<>,;:.|@=+-*/!"]
+    + [("int", t) for t in ("0", "7", "042", "٣")]
+    + [("ident", t) for t in ("x", "_a1", "int", "subject", "é", "xé٣", "x²")]
+)
+# a separator is never empty, so no two lexemes fuse; a comment ends its line
+SEPARATORS = (" ", "\t", "  \t", "\n", "\r\n", " // note\n", "\t//x<=y\r\n", "\n\n  ")
+
+
+def test_tokens_match_their_source(rng):
+    for _ in range(300):
+        picked = [rng.choice(LEXEMES) for _ in range(rng.randint(0, 25))]
+        parts = [rng.choice(SEPARATORS) if rng.random() < 0.5 else ""]
+        for _kind, text in picked:
+            parts += [text, rng.choice(SEPARATORS)]
+        src = "".join(parts)
+        toks = tokenize(src)
+        assert [(t.kind, t.text) for t in toks] == picked + [("eof", "")]
+        for t in toks:
+            s = t.span
+            assert src[s.start:s.end] == t.text
+            assert s.line == src.count("\n", 0, s.start) + 1
+            assert s.col == s.start - src.rfind("\n", 0, s.start)
+
+
+@pytest.mark.parametrize("ch", ["#", "&", "\f", "²"], ids=["hash", "amp", "formfeed", "superscript"])
+def test_stray_character_raises_at_its_position(ch):
+    src = f"int n = ...;\r\n  dvar int x in 0..{ch};\nsubject to {{ c: x >= 0; }}\n"
+    for read in (tokenize, parse_model):
+        with pytest.raises(ParseError) as e:
+            read(src)
+        assert str(e.value) == f"2:20: unexpected character {ch!r}"
+        assert (e.value.span.start, e.value.span.line, e.value.span.col) == (src.index(ch), 2, 20)
