@@ -11,13 +11,15 @@ lowers to Sum(a, Prod(-1, b)); division must fold to a constant at grounding
 time.  Equal ground expressions of one ground() call are one object,
 through a table dropped when the call returns, so what is kept on one
 (transform.poly_of) is computed once per model and lives as long as it.
-Grounding costs what it keeps: iter_bindings enumerates a binder under an
-equality guard b.f == e from an index of b's tuple set by field f, built
-once per call, and lower_expr lowers an expression once per ground() call
-and values of the binder names it mentions; both tables go with their
-call.  Ground constraints are relational atoms plus And / Or trees and a
-handful of global atoms (table, count, one bin of a pack) that keep enough
-structure for propagation and a complement of their own.  The other globals
+Grounding costs what it keeps.  iter_bindings compiles each guard conjunct
+once per call into a closure, and serves a binder by its access path: the
+rows of a tuple set under equalities b.f == e from an index by those
+fields, or the values of a range under b op e cut to those it allows.
+lower_expr lowers an expression once per ground() call and values of the
+binder names it mentions.  Each table goes with its call.  Ground
+constraints are relational atoms plus And / Or trees and a handful of
+global atoms (table, count, one bin of a pack) that keep enough structure
+for propagation and a complement of their own.  The other globals
 ground to their decompositions in the Global Constraint Catalog:
 allDifferent to a disequality per pair of items, allMinDistance to a
 distance disjunction per pair, inverse to a channeling disjunction per array
@@ -31,12 +33,13 @@ variables still undefined, so callers can fall back to search for them.
 """
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from math import inf
 
 from .errors import EvaluationError, GroundingError, UsageError
-from .ops import FLIP, MIRROR, check64, div_trunc, rel_holds
+from .ops import FLIP, INT64_MAX, INT64_MIN, MIRROR, RELATIONS, check64, div_trunc, rel_holds
 from .syntax import (
     AllDifferentCtr,
     AllMinDistanceCtr,
@@ -344,55 +347,65 @@ def parse_var_name(text):
 # Instance building
 
 
-def _peval(e, instance, env):
-    """Evaluate a parameter-only expression to an int."""
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": div_trunc}
+
+
+def _fail(text):  # a closure that raises when called, not when compiled
+    def raise_(env):
+        raise GroundingError(text)
+    return raise_
+
+
+def _compile(e, instance):
+    """A closure env -> int for a parameter-only expression (names: env first)."""
     if isinstance(e, IntLit):
-        return check64(e.value)
+        v = e.value
+        return (lambda env: v) if INT64_MIN <= v <= INT64_MAX else (lambda env: check64(v))
     if isinstance(e, NameRef):
-        if e.name in env:
-            v = env[e.name]
-            if not isinstance(v, int):
-                raise GroundingError(f"binder {e.name!r} is not an integer")
-            return v
-        if e.name in instance:
-            v = instance[e.name]
-            if not isinstance(v, int):
-                raise GroundingError(f"set parameter {e.name!r} used as an integer")
-            return v
-        raise GroundingError(f"{e.name!r} is not a parameter or binder")
+        def ref(env, name=e.name):
+            v = env[name] if name in env else instance.get(name, ref)
+            if isinstance(v, int):
+                return v
+            raise GroundingError(f"binder {name!r} is not an integer" if name in env else
+                                 f"{name!r} is not a parameter or binder" if v is ref else
+                                 f"set parameter {name!r} used as an integer")
+        return ref
     if isinstance(e, FieldRef):
-        row = env.get(e.base)
-        if not isinstance(row, dict):
-            raise GroundingError(f"{e.base!r} is not a tuple binder")
-        if e.fieldname not in row:
-            raise GroundingError(f"tuple binder {e.base!r} has no field {e.fieldname!r}")
-        return row[e.fieldname]
+        def field(env, base=e.base, fieldname=e.fieldname):
+            row = env.get(base)
+            if isinstance(row, dict) and fieldname in row:
+                return row[fieldname]
+            raise GroundingError(f"tuple binder {base!r} has no field {fieldname!r}"
+                                 if isinstance(row, dict) else f"{base!r} is not a tuple binder")
+        return field
     if isinstance(e, Neg):
-        return -_peval(e.operand, instance, env)
+        f = _compile(e.operand, instance)
+        return lambda env: -f(env)
     if isinstance(e, BinOp):
-        a = _peval(e.left, instance, env)
-        b = _peval(e.right, instance, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return div_trunc(a, b)
-    raise GroundingError(f"expression must be parameter-only, found {type(e).__name__}")
+        op, a, b = _ARITH[e.op], _compile(e.left, instance), _compile(e.right, instance)
+        return lambda env: op(a(env), b(env))
+    return _fail(f"expression must be parameter-only, found {type(e).__name__}")
 
 
-def _peval_bool(b, instance, env):
+def _compile_bool(b, instance):
+    """A closure env -> bool; a chain evaluates all its operands, then compares."""
     if isinstance(b, RelChain):
-        vals = [_peval(e, instance, env) for e in b.operands]
-        return all(rel_holds(op, vals[i], vals[i + 1]) for i, op in enumerate(b.rel_ops))
+        fs, ops = [_compile(e, instance) for e in b.operands], [RELATIONS[op] for op in b.rel_ops]
+        if len(fs) == 2:
+            (x, y), (op,) = fs, ops
+            return lambda env: op(x(env), y(env))
+
+        def chain(env):
+            vals = [f(env) for f in fs]
+            return all(op(u, v) for op, u, v in zip(ops, vals, vals[1:]))
+        return chain
     if isinstance(b, BoolOp):
-        if b.op == "and":
-            return all(_peval_bool(it, instance, env) for it in b.items)
-        return any(_peval_bool(it, instance, env) for it in b.items)
+        fs, quantifier = [_compile_bool(it, instance) for it in b.items], all if b.op == "and" else any
+        return lambda env: quantifier(f(env) for f in fs)
     if isinstance(b, BoolNot):
-        return not _peval_bool(b.item, instance, env)
-    raise GroundingError(f"not a boolean expression: {type(b).__name__}")
+        f = _compile_bool(b.item, instance)
+        return lambda env: not f(env)
+    return _fail(f"not a boolean expression: {type(b).__name__}")
 
 
 def _tuple_fields(model, type_name):
@@ -412,9 +425,7 @@ def _param_decl(model, name):
 def _domain_values(model, instance, env, dom):
     """Values a single binder ranges over, in enumeration order."""
     if isinstance(dom, RangeDom):
-        lo = _peval(dom.lo, instance, env)
-        hi = _peval(dom.hi, instance, env)
-        return range(lo, hi + 1)
+        return range(_compile(dom.lo, instance)(env), _compile(dom.hi, instance)(env) + 1)
     p = _param_decl(model, dom.name)
     if p is None:
         raise GroundingError(f"unknown set {dom.name!r}")
@@ -471,19 +482,54 @@ def _range_cut(conj, name):
     return None
 
 
+def _access_path(model, instance, nm, dom, conjs):
+    """A closure env -> (values of binder nm, n): each value satisfies the
+    first n of conjs, the conjuncts placed at nm's depth, in order."""
+    joins = list(itertools.takewhile(bool, (_join_field(model, dom, c, nm) for c in conjs)))
+    if joins:  # rows by the tuple of their join fields, and by each prefix of it
+        fields, keys, index = [f for f, _ in joins], [_compile(e, instance) for _, e in joins], {}
+
+        def joined(env):
+            if not index:
+                for row in _domain_values(model, instance, env, dom):
+                    for n in range(len(fields) + 1):
+                        index.setdefault(tuple(row[f] for f in fields[:n]), []).append(row)
+            at = ()
+            for key in keys:  # evaluated only if some row matches the keys before it
+                if at not in index:
+                    return (), 0
+                at += (key(env),)
+            return index.get(at, ()), len(keys)
+        return joined
+    if not isinstance(dom, RangeDom):
+        return lambda env: (_domain_values(model, instance, env, dom), 0)
+    lo, hi = _compile(dom.lo, instance), _compile(dom.hi, instance)
+    cuts = [(a, b, _compile(e, instance))
+            for a, b, e in itertools.takewhile(bool, (_range_cut(c, nm) for c in conjs))]
+
+    def narrowed(env):
+        vals = range(lo(env), hi(env) + 1)
+        for n, (a, b, bound) in enumerate(cuts):
+            try:
+                c = bound(env)
+            except (GroundingError, EvaluationError):
+                return vals, n  # left to filter, which raises the same error
+            vals = range(max(vals.start, c + a), min(vals.stop, c + b + 1))  # inf never wins
+        return vals, len(cuts)
+    return narrowed
+
+
 def iter_bindings(model, instance, binders, env0=None, guard=None):
     """Yield env dicts for all combinations of the binder groups, in order.
 
-    A guard is split into conjuncts, each checked as soon as the binders it
-    mentions are bound, so failing combinations are cut before the deeper
-    binders are enumerated.  When the first conjunct at a tuple-set binder
-    b reads b.f == e, the binder is a join: its set is indexed once per call
-    by field f (value -> rows, in set order), and only the rows under e's
-    value are enumerated.  The index and its row dicts are shared by every
-    binding of the call, so they are read-only, and go when the call ends.
-    A range binder b is narrowed instead by each conjunct b op e (see
-    _range_cut) at the front of its depth's list, when e evaluates; one that
-    raises is left to filter, which raises the same error at the same point.
+    A guard is split into conjuncts, each compiled once per call and checked
+    as soon as the binders it mentions are bound.  The access path of a
+    binder b serves the leading conjuncts at its depth: under b.f == e ...
+    (see _join_field), b's tuple set is indexed once per call by those
+    fields, and only the rows under the e's values are enumerated (row dicts
+    are shared, so read-only); under b op e ... (see _range_cut), b's range
+    is cut by each e that evaluates, and one that raises is left to filter,
+    which raises the same error at the same point.  The rest filter.
     """
     pairs = [(nm, g.domain) for g in binders for nm in g.names]
     checks = [[] for _ in range(len(pairs) + 1)]
@@ -492,43 +538,26 @@ def iter_bindings(model, instance, binders, env0=None, guard=None):
             names = names_in(walk_bool(conj))
             depth = max((i + 1 for i, (nm, _) in enumerate(pairs) if nm in names), default=0)
             checks[depth].append(conj)
-    joins = {k: _join_field(model, dom, checks[k + 1][0], nm)
-             for k, (nm, dom) in enumerate(pairs) if checks[k + 1]}
-    cuts = {k: list(itertools.takewhile(bool, (_range_cut(c, nm) for c in checks[k + 1])))
-            for k, (nm, dom) in enumerate(pairs) if isinstance(dom, RangeDom)}
-    indexes = {}  # depth -> {field value: rows}, built at the depth's first visit
+    paths = [_access_path(model, instance, nm, dom, checks[k + 1]) for k, (nm, dom) in enumerate(pairs)]
+    tests = [[_compile_bool(c, instance) for c in cs] for cs in checks]
 
     def rec(k, env):
         if k == len(pairs):
             yield env
             return
-        nm, dom = pairs[k]
-        join = joins.get(k)
-        if join is None:
-            vals, tests = _domain_values(model, instance, env, dom), checks[k + 1]
-            for lo, hi, e in cuts.get(k, ()):
-                try:
-                    c = _peval(e, instance, env)
-                except (GroundingError, EvaluationError):
-                    break
-                vals = range(max(vals.start, c + lo), min(vals.stop, c + hi + 1))  # inf never wins
-                tests = tests[1:]
-        else:
-            if k not in indexes:
-                index = indexes[k] = {}
-                for row in _domain_values(model, instance, env, dom):
-                    index.setdefault(row[join[0]], []).append(row)
-            index = indexes[k]
-            vals = index.get(_peval(join[1], instance, env), ()) if index else ()
-            tests = checks[k + 1][1:]
+        vals, served = paths[k](env)
+        nm, left = pairs[k][0], tests[k + 1][served:]
         for v in vals:
             child = dict(env)
             child[nm] = v
-            if all(_peval_bool(c, instance, child) for c in tests):
+            for test in left:
+                if not test(child):
+                    break
+            else:
                 yield from rec(k + 1, child)
 
     env0 = dict(env0 or {})
-    if all(_peval_bool(c, instance, env0) for c in checks[0]):
+    if all(test(env0) for test in tests[0]):
         yield from rec(0, env0)
 
 
@@ -554,8 +583,9 @@ def build_instance(model, data=None, overrides=None):
             fields = _tuple_fields(model, p.tuple_type)
             rows = []
             seen = set()
+            head = [_compile(e, instance) for e in p.comp.head.items]
             for env in iter_bindings(model, instance, p.comp.binders, guard=p.comp.guard):
-                row = tuple(_peval(e, instance, env) for e in p.comp.head.items)
+                row = tuple(item(env) for item in head)
                 if row not in seen:
                     seen.add(row)
                     rows.append(row)
@@ -727,12 +757,17 @@ def _intern_var(ctx, base, key):
 
 def lower_expr(e, ctx, env):
     """Lower an expression to a shared ground expression, folding constants,
-    once per ground() call and values of the names e mentions (a row: its items)."""
+    once per ground() call and values of the names e mentions (a row: its
+    items).  When they are all int binders at e's first lowering, they are at
+    every one, and one itemgetter reads them."""
     memo = ctx.lowered.get(id(e))
     if memo is None:
-        memo = ctx.lowered[id(e)] = (tuple(names_in(walk_exprs(e))), {})
-    names, table = memo
-    key = tuple(tuple(v.items()) if isinstance(v, dict) else v for v in map(env.get, names))
+        names = tuple(names_in(walk_exprs(e)))
+        ints = names and all(type(env.get(n)) is int for n in names)
+        memo = ctx.lowered[id(e)] = (names, ints and operator.itemgetter(*names), {})
+    names, ints, table = memo
+    key = ints(env) if ints else tuple(tuple(v.items()) if isinstance(v, dict) else v
+                                       for v in map(env.get, names))
     g = table.get(key)
     if g is None:
         g = table[key] = ctx.share(_lower(e, ctx, env))
@@ -752,19 +787,18 @@ def _lower(e, ctx, env):
             if ctx.dvars[e.name].index is not None:
                 raise GroundingError(f"array {e.name!r} used without an index", ctx.label)
             return Var(_intern_var(ctx, e.name, ()))
-        return Const(_peval(e, ctx.instance, env))
-    if isinstance(e, FieldRef):
-        return Const(_peval(e, ctx.instance, env))
+    if isinstance(e, (NameRef, FieldRef)):
+        return Const(_compile(e, ctx.instance)(env))
     if isinstance(e, IndexedRef):
         if e.name not in ctx.dvars:
             raise GroundingError(f"unknown array {e.name!r}", ctx.label)
         if isinstance(e.index, TupleExpr):
-            key = tuple(_peval(it, ctx.instance, env) for it in e.index.items)
+            key = tuple(_compile(it, ctx.instance)(env) for it in e.index.items)
         elif isinstance(e.index, NameRef) and isinstance(env.get(e.index.name), dict):
             # a tuple binder names a whole row; its field values are the key
             key = tuple(env[e.index.name].values())
         else:
-            key = (_peval(e.index, ctx.instance, env),)
+            key = (_compile(e.index, ctx.instance)(env),)
         vid = ctx.space.lookup(e.name, key)
         if vid is None:
             name = f"{e.name}[{','.join(map(str, key))}]"
@@ -852,14 +886,14 @@ def lower_ctr(ctr, ctx, env, channeling=False):
             out.append(lower_ctr(ctr.body, ctx, benv))  # a disjunct is not asserted by itself
         return OrC(tuple(out))
     if isinstance(ctr, IfThenElse):
-        branch = ctr.then_ctr if _peval_bool(ctr.cond, ctx.instance, env) else ctr.else_ctr
+        branch = ctr.then_ctr if _compile_bool(ctr.cond, ctx.instance)(env) else ctr.else_ctr
         return lower_ctr(branch, ctx, env, channeling)
     if isinstance(ctr, AllDifferentCtr):
         items = _lower_collection(ctr.coll, ctx, env)
         return AndC(tuple(RelAtom("!=", a, b) for a, b in _pairs(ctx, items)))
     if isinstance(ctr, AllMinDistanceCtr):
         # |a - b| >= gap for every pair i < j: a - b >= gap or b - a >= gap
-        gap = _peval(ctr.gap, ctx.instance, env)
+        gap = _compile(ctr.gap, ctx.instance)(env)
         items = _lower_collection(ctr.coll, ctx, env)
         if gap <= 0 or len(items) < 2:
             return TRUE_C
@@ -963,8 +997,7 @@ def ground(model, instance, space=None, require_existing=False, deadline=None):
     vids = []
     domains = {}
     for d in model.dvars:
-        lo = _peval(d.lo, instance, {})
-        hi = _peval(d.hi, instance, {})
+        lo, hi = _compile(d.lo, instance)({}), _compile(d.hi, instance)({})
         if lo > hi:
             raise GroundingError(f"empty domain {lo}..{hi} for {d.name!r}")
         for key in _var_keys(ctx, d):

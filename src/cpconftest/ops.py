@@ -2,6 +2,8 @@
 tables.  Arithmetic is exact: only a literal or a data or parameter value is
 checked against the 64-bit range, as input validation."""
 
+import operator
+
 from .errors import EvaluationError
 
 INT64_MIN = -(2**63)
@@ -42,17 +44,10 @@ MIRROR = {
     ">=": "<=",
 }
 
+# The truth of a op b, per relational operator.
+RELATIONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def rel_holds(op, a, b):
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise EvaluationError(f"unknown relational operator {op!r}")
+    return RELATIONS[op](a, b)

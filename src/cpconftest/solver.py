@@ -856,19 +856,21 @@ def _simplify(tree, keys, reduce, seen, tick):
     whose reduced key is in `keys` is FALSE_C.  Of the composite trees only a
     conjunction that is not asserted is looked up whole: an Or's key is an
     Or, which the negation of an asserted leaf almost never is, and keying
-    it costs most on the widest trees."""
+    it costs most on the widest trees.  An asserted allDifferent (see
+    _clique) keeps its seen pairs, so that it still posts as one propagator."""
     if isinstance(tree, (AndC, OrC)):
         conj = isinstance(tree, AndC)
         if conj and seen is None and canonical_key(tree, reduce) in keys:
             return FALSE_C
+        whole = conj and seen is not None and _clique(tree.items) is not None
         unit, zero = (TRUE_C, FALSE_C) if conj else (FALSE_C, TRUE_C)
         parts = []
         for it in tree.items:
             s = _simplify(it, keys, reduce, seen if conj else None, tick)
             if s is zero:
                 return zero
-            if s is not unit:
-                parts.append(s)
+            if s is not unit or whole:  # a pair x != y is TRUE_C only when seen
+                parts.append(it if s is unit else s)
         if len(parts) == 1:
             return parts[0]
         return type(tree)(tuple(parts)) if parts else unit

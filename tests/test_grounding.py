@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cpconftest import grounding, parse_data, parse_data_file, parse_model, parse_model_file
 from cpconftest.corpus import corpus_path
 from cpconftest.errors import EvaluationError, GroundingError, UsageError
+from cpconftest.ops import check64, div_trunc, rel_holds
 from cpconftest.grounding import (
     AndC,
     Const,
@@ -34,8 +36,10 @@ from cpconftest.syntax import (
     BoolNot,
     BoolOp,
     FieldRef,
+    IndexedRef,
     IntLit,
     NameRef,
+    Neg,
     RangeDom,
     RelChain,
     SetDom,
@@ -546,8 +550,8 @@ def test_parse_var_name():
 
 
 def filtering_bindings(model, instance, binders, env0=None, guard=None):
-    """iter_bindings without joins: every value of every binder is filtered
-    through the conjuncts placed at its depth."""
+    """iter_bindings without access paths: every value of every binder is
+    filtered through the conjuncts placed at its depth."""
     pairs = [(nm, g.domain) for g in binders for nm in g.names]
     checks = [[] for _ in range(len(pairs) + 1)]
     if guard is not None:
@@ -556,22 +560,24 @@ def filtering_bindings(model, instance, binders, env0=None, guard=None):
             depth = max((i + 1 for i, (nm, _) in enumerate(pairs) if nm in names), default=0)
             checks[depth].append(conj)
 
-    def holds(c, env):
-        return grounding._peval_bool(c, instance, env)
+    tests = [[grounding._compile_bool(c, instance) for c in cs] for cs in checks]
+    values = {}  # depth -> its binder's values; a set's are the same at every binding
 
     def rec(k, env):
         if k == len(pairs):
             yield env
             return
         nm, dom = pairs[k]
-        for v in grounding._domain_values(model, instance, env, dom):
+        if isinstance(dom, RangeDom) or k not in values:
+            values[k] = grounding._domain_values(model, instance, env, dom)
+        for v in values[k]:
             child = dict(env)
             child[nm] = v
-            if all(holds(c, child) for c in checks[k + 1]):
+            if all(test(child) for test in tests[k + 1]):
                 yield from rec(k + 1, child)
 
     env0 = dict(env0 or {})
-    if all(holds(c, env0) for c in checks[0]):
+    if all(test(env0) for test in tests[0]):
         yield from rec(0, env0)
 
 
@@ -622,12 +628,39 @@ def counting(monkeypatch, name):
     return calls
 
 
+def counting_guards(monkeypatch):
+    """Count the guard evaluations of grounding at the top level: the calls
+    of each closure that grounding._compile_bool returns, but not those
+    made inside another (a condition's parts are compiled through it too)."""
+    calls, depth = [0], [0]
+    compile_bool = grounding._compile_bool
+
+    def compiled(b, instance):
+        test = compile_bool(b, instance)
+
+        def counted(env):
+            calls[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return test(env)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    monkeypatch.setattr(grounding, "_compile_bool", compiled)
+    return calls
+
+
 def f(base, name):
     return FieldRef(base, name)
 
 
 def eq(a, b):
     return RelChain((a, b), ("==",))
+
+
+def rel(op, a, b):
+    return RelChain((a, b), (op,))
 
 
 def both(*items):
@@ -666,6 +699,40 @@ JOIN_CASES = [
     ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "i"), BinOp("-", f("b", "j"), f("a", "i")))),
     # e holds a literal past 64 bits
     ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "i"), BinOp("*", IntLit(2**62), IntLit(2**64)))),
+    # two and three leading equalities: a composite key, then a filter
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), both(eq(f("b", "i"), f("a", "i")), eq(f("a", "j"), f("b", "j")))),
+    (
+        (BinderGroup(("a",), S), BinderGroup(("b",), T)),
+        both(eq(f("b", "j"), f("a", "j")), eq(f("b", "i"), f("a", "i")), eq(f("b", "i"), NameRef("n")),
+             rel("<", f("b", "j"), f("a", "i"))),
+    ),
+    # the cc8 shape: composite keys at two depths behind a range binder
+    (
+        (BinderGroup(("r",), RANGE), BinderGroup(("a", "b", "c"), S)),
+        both(eq(f("a", "i"), NameRef("r")), eq(f("b", "i"), f("a", "j")), eq(f("a", "i"), f("b", "j")),
+             eq(f("c", "j"), f("b", "j")), eq(f("c", "i"), f("a", "i")), rel("<=", f("c", "j"), f("a", "j"))),
+    ),
+    # a key that raises (division by zero where a.j == 0), first and second;
+    # the second is evaluated only when a row matches the first
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "i"), BinOp("/", IntLit(6), f("a", "j")))),
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), both(eq(f("b", "i"), f("a", "i")), eq(f("b", "j"), BinOp("/", NameRef("n"), f("a", "j"))))),
+    # a missing field and a whole row as an integer, as a second key
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), both(eq(f("b", "i"), f("a", "i")), eq(f("b", "j"), f("a", "k")))),
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), both(eq(f("b", "i"), f("a", "i")), eq(f("b", "j"), NameRef("a")))),
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), eq(f("b", "i"), NameRef("a"))),
+    # ! and || over chains, behind a join and alone
+    (
+        (BinderGroup(("a",), S), BinderGroup(("b",), T)),
+        both(eq(f("b", "i"), f("a", "i")), BoolNot(RelChain((f("a", "i"), f("b", "j"), f("a", "j")), ("<=", "<")))),
+    ),
+    (
+        (BinderGroup(("a",), S), BinderGroup(("b",), T)),
+        BoolOp("or", (RelChain((f("b", "i"), f("a", "j"), f("b", "j")), ("<", "!=")), BoolNot(eq(f("a", "i"), f("b", "i"))))),
+    ),
+    # a literal past 64 bits behind a conjunct that no binding passes, and
+    # in a conjunct that every binding reaches
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), both(rel(">", f("a", "i"), IntLit(5)), rel("<", f("b", "j"), IntLit(2**64)))),
+    ((BinderGroup(("a",), S), BinderGroup(("b",), T)), both(eq(f("b", "i"), f("a", "i")), rel("<", f("b", "j"), IntLit(-(2**64))))),
 ]
 
 
@@ -688,6 +755,10 @@ def random_case(rng, outer):
             return f(nm, "k") if nm in rows else f(nm, "i")
         if pick < 0.1:  # a whole row as an int
             return NameRef(nm)
+        if pick < 0.13:  # division by zero wherever the divisor reads 0
+            return BinOp("/", IntLit(6), f(nm, "j") if nm in rows else NameRef(nm))
+        if pick < 0.14:  # a literal past 64 bits
+            return IntLit(rng.choice((2**63, -(2**63) - 1)))
         if pick < 0.2:
             return rng.choice((IntLit(rng.randint(0, 3)), NameRef("n")))
         ref = f(nm, rng.choice(("i", "j"))) if nm in rows else NameRef(nm)
@@ -702,7 +773,13 @@ def random_case(rng, outer):
         ops = tuple(rng.choice(("==", "==", "==", "<", "!=")) for _ in range(size - 1))
         return RelChain(tuple(operand() for _ in range(size)), ops)
 
+    def key():  # b.f == e, a join unless e mentions b
+        nm = rng.choice(sorted(rows - {"o"}) or names)
+        return eq(f(nm, rng.choice(("i", "j"))), operand())
+
     conjuncts = tuple(conjunct() for _ in range(rng.randint(1, 4)))
+    if rng.random() < 0.5:  # leading keys, up to three at one depth
+        conjuncts = tuple(key() for _ in range(rng.randint(1, 3))) + conjuncts
     return tuple(groups), (conjuncts[0] if len(conjuncts) == 1 else both(*conjuncts))
 
 
@@ -710,7 +787,7 @@ def test_joins_enumerate_what_filtering_enumerates(monkeypatch):
     # the same envs, in the same order, ended by the same error, on fixed
     # cases and 1,500 seeded random ones; the join must also save guard
     # evaluations, or it never fired
-    calls = counting(monkeypatch, "_peval_bool")
+    calls = counting_guards(monkeypatch)
     errors = joined = 0
     for seed in range(1500):
         rng = random.Random(seed)
@@ -735,19 +812,17 @@ def test_joins_enumerate_what_filtering_enumerates(monkeypatch):
 
 def test_join_cuts_guard_evaluations(monkeypatch):
     # grounding p at m=16 filtered 429,065 guard evaluations through
-    # cc7/cc8's nested binders over `indexes` before the joins
+    # cc7/cc8's nested binders over `indexes` before the joins, and 49,400
+    # (top level) with a key of each binder's first equality only; the
+    # composite keys of ind1.i == ind2.i && ind1.j == ind3.j ... make 28,456
     program = parse_model_file(corpus_path("golomb", "p.cpm"))
     instance = build_instance(program, None, {"m": 16})
-    calls = counting(monkeypatch, "_peval_bool")
+    calls = counting_guards(monkeypatch)
     ground(program, instance)
-    assert calls[0] < 60_000
+    assert calls[0] < 29_000
 
 
 # Range binders narrowed by their guards
-
-
-def rel(op, a, b):
-    return RelChain((a, b), (op,))
 
 
 def ref(nm):
@@ -833,7 +908,7 @@ def test_narrowing_enumerates_what_filtering_enumerates(monkeypatch):
     # the same envs, in the same order, ended by the same error, on fixed
     # cases over every n and 1,500 seeded random ones; narrowing must also
     # save guard evaluations, or it never fired
-    calls = counting(monkeypatch, "_peval_bool")
+    calls = counting_guards(monkeypatch)
     errors = narrowed = 0
     cases = [(binders, guard, n) for binders, guard in NARROW_CASES for n in (-1, 0, 1, 3)]
     for seed in range(len(cases) + 1500):
@@ -861,20 +936,110 @@ def test_narrowing_cuts_guard_evaluations(monkeypatch):
     # are not counted again
     oracle = parse_model_file(corpus_path("golomb", "oracle.cpm"))
     instance = build_instance(oracle, None, {"m": 20})
-    calls, depth = [0], [0]
-    fn = grounding._peval_bool
-
-    def counted(*args):
-        calls[0] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return fn(*args)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(grounding, "_peval_bool", counted)
+    calls = counting_guards(monkeypatch)
     ground(oracle, instance)
     assert calls[0] < 60_000
+
+
+# Compiled conditions against the interpreter they replace
+
+
+def interpret(e, instance, env):
+    """A parameter-only expression's value, by walking it at every call."""
+    if isinstance(e, IntLit):
+        return check64(e.value)
+    if isinstance(e, NameRef):
+        if e.name in env:
+            v = env[e.name]
+            if not isinstance(v, int):
+                raise GroundingError(f"binder {e.name!r} is not an integer")
+            return v
+        if e.name in instance:
+            v = instance[e.name]
+            if not isinstance(v, int):
+                raise GroundingError(f"set parameter {e.name!r} used as an integer")
+            return v
+        raise GroundingError(f"{e.name!r} is not a parameter or binder")
+    if isinstance(e, FieldRef):
+        row = env.get(e.base)
+        if not isinstance(row, dict):
+            raise GroundingError(f"{e.base!r} is not a tuple binder")
+        if e.fieldname not in row:
+            raise GroundingError(f"tuple binder {e.base!r} has no field {e.fieldname!r}")
+        return row[e.fieldname]
+    if isinstance(e, Neg):
+        return -interpret(e.operand, instance, env)
+    if isinstance(e, BinOp):
+        a, b = interpret(e.left, instance, env), interpret(e.right, instance, env)
+        return {"+": a + b, "-": a - b, "*": a * b}[e.op] if e.op != "/" else div_trunc(a, b)
+    raise GroundingError(f"expression must be parameter-only, found {type(e).__name__}")
+
+
+def interpret_bool(b, instance, env):
+    if isinstance(b, RelChain):
+        vals = [interpret(e, instance, env) for e in b.operands]
+        return all(rel_holds(op, vals[i], vals[i + 1]) for i, op in enumerate(b.rel_ops))
+    if isinstance(b, BoolOp):
+        quantifier = all if b.op == "and" else any
+        return quantifier(interpret_bool(it, instance, env) for it in b.items)
+    if isinstance(b, BoolNot):
+        return not interpret_bool(b.item, instance, env)
+    raise GroundingError(f"not a boolean expression: {type(b).__name__}")
+
+
+def random_condition(rng, depth=0):
+    """A condition over binders a (an int), r (a row <i, j>) and o (unbound),
+    parameters n (an int) and s (a set), with every error the evaluation
+    can raise somewhere in it."""
+
+    def operand(depth):
+        pick = rng.random()
+        if pick < 0.3 and depth < 3:
+            if rng.random() < 0.2:
+                return Neg(operand(depth + 1))
+            return BinOp(rng.choice("+-*/"), operand(depth + 1), operand(depth + 1))
+        if pick < 0.4:
+            return IntLit(rng.choice((0, 1, -2, 2, 2**63 - 1, 2**63 - 1, 2**63, -(2**63) - 1)))
+        if pick < 0.7:
+            return NameRef(rng.choice(("a",) * 6 + ("n",) * 6 + ("r", "s", "o")))
+        if pick < 0.99:
+            return f(rng.choice(("r",) * 12 + ("a", "o")), rng.choice(("i", "j") * 6 + ("k",)))
+        return IndexedRef("x", NameRef("a"))  # not parameter-only
+
+    pick = rng.random()
+    if pick < 0.2 and depth < 3:
+        return BoolOp(rng.choice(("and", "or")), tuple(random_condition(rng, depth + 1) for _ in range(rng.randint(1, 3))))
+    if pick < 0.3 and depth < 3:
+        return BoolNot(random_condition(rng, depth + 1))
+    if pick < 0.31:
+        return IntLit(1)  # not a condition
+    size = rng.choice((2, 2, 3, 4))
+    ops = tuple(rng.choice(("==", "!=", "<", "<=", ">", ">=")) for _ in range(size - 1))
+    return RelChain(tuple(operand(depth) for _ in range(size)), ops)
+
+
+def test_compiled_conditions_agree_with_the_interpreter():
+    # the same value, or the same error at the same env, on 3,000 seeded
+    # random conditions; compiling raises nothing, even for a literal past
+    # 64 bits that no env reaches
+    instance = {"n": 3, "s": (1, 2)}
+    envs = [{"a": a, "r": {"i": i, "j": j}} for a in (-1, 0, 2) for i, j in ((0, 0), (1, 3), (2, -2))]
+
+    def run(fn, env):
+        try:
+            return fn(env)
+        except (GroundingError, EvaluationError) as exc:
+            return type(exc), str(exc)
+
+    outcomes = set()
+    for seed in range(3000):
+        b = random_condition(random.Random(seed))
+        test = grounding._compile_bool(b, instance)
+        for env in envs:
+            got = run(test, env)
+            assert got == run(lambda env: interpret_bool(b, instance, env), env), (seed, b, env)
+            outcomes.add(got if isinstance(got, bool) else re.sub(r"'[^']*'|-?\d+", "_", got[1]))
+    assert len(outcomes) == 11, outcomes  # True, False and each of the nine errors
 
 
 def model_parts(gm):
@@ -883,15 +1048,38 @@ def model_parts(gm):
     return gm.vids, gm.domains, trees, gm.channel_defs, gm.objective, gm.space.keys
 
 
-def corpus_groundings():
+def corpus_inputs():
+    """(model, data, overrides) of the 7 Golomb models at m = 3..12 and the
+    5 car-sequencing models on slots10."""
     for prog in ("oracle", "p", "p_fixed", "cput1", "cput2", "cput3", "cput4"):
         model = parse_model_file(corpus_path("golomb", prog + ".cpm"))
         for m in range(3, 13):
-            yield model, build_instance(model, None, {"m": m})
+            yield model, None, {"m": m}
     data = parse_data_file(corpus_path("carseq", "slots10.data"))
     for prog in ("oracle", "cput1", "cput2", "cput3", "cput4"):
-        model = parse_model_file(corpus_path("carseq", prog + ".cpm"))
-        yield model, build_instance(model, data)
+        yield parse_model_file(corpus_path("carseq", prog + ".cpm")), data, None
+
+
+def corpus_groundings():
+    for model, data, overrides in corpus_inputs():
+        yield model, build_instance(model, data, overrides)
+
+
+def test_ground_models_match_the_filtering_reference(monkeypatch):
+    # the access paths (joins, range cuts) change only what is enumerated to
+    # be filtered: instances and ground models are those of filtering every
+    # binder, on the corpus and on p, cput3 and the reference at m = 16, 20
+    large = [(parse_model_file(corpus_path("golomb", prog + ".cpm")), None, {"m": m})
+             for prog in ("oracle", "p", "cput3") for m in (16, 20)]
+    inputs = list(corpus_inputs()) + large
+
+    def grounded():
+        return [model_parts(ground(model, build_instance(model, data, overrides)))
+                for model, data, overrides in inputs]
+
+    indexed = grounded()
+    monkeypatch.setattr(grounding, "iter_bindings", filtering_bindings)
+    assert len(inputs) == 81 and grounded() == indexed
 
 
 def test_memo_leaves_ground_models_unchanged(monkeypatch):

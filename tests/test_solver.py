@@ -27,7 +27,7 @@ from cpconftest.grounding import (
     mk_diff,
 )
 from cpconftest.ops import rel_holds
-from cpconftest.parser import parse_data_file, parse_model_file
+from cpconftest.parser import parse_data_file, parse_model, parse_model_file
 from cpconftest.solver import SearchConfig, presolve, solve, solve_optimal
 from cpconftest.transform import FALSE_KEY, TRUE_KEY, canonical_key, negate, rel_form
 
@@ -651,6 +651,23 @@ def test_corpus_globals_post_their_strong_form():
     loads = {cput_gm.space.index[k] for k in cput_gm.space.keys if k[0] == "load"}
     (total,) = [p for p in registered if isinstance(p, solver.LinProp)]
     assert {v for v, _ in total.terms} == loads and total.const == -10
+
+
+def test_presolve_keeps_an_asserted_alldifferent_whole():
+    # x[1] != x[2] is asserted before allDifferent(x) repeats it: presolve
+    # keeps the repeated pair inside the allDifferent, which then posts as
+    # one AllDiffProp, not as its pairs
+    model = parse_model(
+        """
+        dvar int x[1..4] in 1..4;
+        subject to { a: x[1] != x[2]; b: allDifferent(all (i in 1..4) x[i]); }
+        """
+    )
+    gm = ground(model, build_instance(model))
+    hard = presolve([c.tree for c in gm.constraints]).hard
+    registered = [p for tree in hard for p in _posting(dict(gm.domains), tree)[1]]
+    assert [type(p) for p in registered] == [solver.NeProp, solver.AllDiffProp]
+    assert registered[1].vids == (0, 1, 2, 3)
 
 
 # -- randomized cross-checks ---------------------------------------------------
