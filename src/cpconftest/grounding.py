@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from math import inf
 
 from .errors import EvaluationError, GroundingError, UsageError
-from .ops import FLIP, INT64_MAX, INT64_MIN, MIRROR, RELATIONS, check64, div_trunc, rel_holds
+from .ops import FLIP, MIRROR, RELATIONS, check64, div_trunc, rel_holds
 from .syntax import (
     AllDifferentCtr,
     AllMinDistanceCtr,
@@ -359,8 +359,7 @@ def _fail(text):  # a closure that raises when called, not when compiled
 def _compile(e, instance):
     """A closure env -> int for a parameter-only expression (names: env first)."""
     if isinstance(e, IntLit):
-        v = e.value
-        return (lambda env: v) if INT64_MIN <= v <= INT64_MAX else (lambda env: check64(v))
+        return lambda env, v=e.value: check64(v)
     if isinstance(e, NameRef):
         def ref(env, name=e.name):
             v = env[name] if name in env else instance.get(name, ref)
@@ -391,7 +390,7 @@ def _compile_bool(b, instance):
     """A closure env -> bool; a chain evaluates all its operands, then compares."""
     if isinstance(b, RelChain):
         fs, ops = [_compile(e, instance) for e in b.operands], [RELATIONS[op] for op in b.rel_ops]
-        if len(fs) == 2:
+        if len(fs) == 2:  # most guards; about a fifth of the Golomb models' grounding
             (x, y), (op,) = fs, ops
             return lambda env: op(x(env), y(env))
 
@@ -422,6 +421,12 @@ def _param_decl(model, name):
     return None
 
 
+class Row(dict):
+    """A tuple binder's value: never written to, so hashed by its items."""
+    def __hash__(self):
+        return hash(tuple(self.items()))
+
+
 def _domain_values(model, instance, env, dom):
     """Values a single binder ranges over, in enumeration order."""
     if isinstance(dom, RangeDom):
@@ -435,7 +440,7 @@ def _domain_values(model, instance, env, dom):
     if p.kind == "intset":
         return list(vals)
     fields = _tuple_fields(model, p.tuple_type)
-    return [dict(zip(fields, row)) for row in vals]
+    return [Row(zip(fields, row)) for row in vals]
 
 
 def _guard_conjuncts(b):
@@ -757,17 +762,12 @@ def _intern_var(ctx, base, key):
 
 def lower_expr(e, ctx, env):
     """Lower an expression to a shared ground expression, folding constants,
-    once per ground() call and values of the names e mentions (a row: its
-    items).  When they are all int binders at e's first lowering, they are at
-    every one, and one itemgetter reads them."""
+    once per ground() call and values of the names e mentions."""
     memo = ctx.lowered.get(id(e))
     if memo is None:
-        names = tuple(names_in(walk_exprs(e)))
-        ints = names and all(type(env.get(n)) is int for n in names)
-        memo = ctx.lowered[id(e)] = (names, ints and operator.itemgetter(*names), {})
-    names, ints, table = memo
-    key = ints(env) if ints else tuple(tuple(v.items()) if isinstance(v, dict) else v
-                                       for v in map(env.get, names))
+        memo = ctx.lowered[id(e)] = (tuple(names_in(walk_exprs(e))), {})
+    names, table = memo
+    key = tuple(map(env.get, names))
     g = table.get(key)
     if g is None:
         g = table[key] = ctx.share(_lower(e, ctx, env))
