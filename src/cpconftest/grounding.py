@@ -64,7 +64,6 @@ from .syntax import (
     TableCtr,
     TupleExpr,
     names_in,
-    walk_bool,
     walk_exprs,
 )
 
@@ -540,7 +539,7 @@ def iter_bindings(model, instance, binders, env0=None, guard=None):
     checks = [[] for _ in range(len(pairs) + 1)]
     if guard is not None:
         for conj in _guard_conjuncts(guard):
-            names = names_in(walk_bool(conj))
+            names = names_in(walk_exprs(conj))
             depth = max((i + 1 for i, (nm, _) in enumerate(pairs) if nm in names), default=0)
             checks[depth].append(conj)
     paths = [_access_path(model, instance, nm, dom, checks[k + 1]) for k, (nm, dom) in enumerate(pairs)]

@@ -14,11 +14,27 @@ The grammar is a small declarative constraint language:
 
 Constraints cover relations, rel => rel implications, forall/or aggregation,
 parameter-only if/else, count, allDifferent, allMinDistance, inverse,
-allowedAssignments/forbiddenAssignments and pack.  Binder guards are boolean
-expressions over binders and parameters; comparisons may be chained there
-(a < b < c).  Relations between decision-variable expressions take a single
-comparison operator.  "..." marks data supplied per instance, never inline.
-Comments run from // to end of line.  The lexer is one regular expression.
+allowedAssignments/forbiddenAssignments and pack.  A relation between
+decision-variable expressions takes a single comparison operator.  "..."
+marks data supplied per instance, never inline.  Comments run from // to end
+of line.  The lexer is one regular expression.
+
+Expressions follow one precedence table, loosest first (_GRAMMAR):
+
+    ||                  n-ary               conditions -> condition
+    &&                  n-ary               conditions -> condition
+    !                   prefix              condition -> condition
+    == != < <= > >=     chain: a < b <= c   arithmetic -> condition
+    + -                 left-associative    arithmetic -> arithmetic
+    * /                 left-associative    arithmetic -> arithmetic
+    -                   prefix              arithmetic -> arithmetic
+    atoms: integer, name, name.field, name[expr], name[<expr, ...>], (expr)
+
+A condition (a binder guard or an if condition) enters the table at its
+top; every other expression enters at + -, so it holds no comparison, and
+the > that closes <i, j> ends the tuple.  Parentheses hold a condition or
+arithmetic where a condition may start, and arithmetic elsewhere.  Brackets
+and prefix operators nest at most MAX_NESTING deep.
 """
 
 import re
@@ -59,7 +75,7 @@ from .syntax import (
     TableCtr,
     TupleExpr,
     TupleTypeDecl,
-    walk_bool,
+    operands,
     walk_exprs,
 )
 
@@ -86,8 +102,37 @@ RESERVED = {
 }
 
 REL_TOKENS = ("==", "!=", "<", "<=", ">", ">=")
-_BOOL_OPS = (("||", "or"), ("&&", "and"))  # loosest first
-_ARITH_OPS = (("+", "-"), ("*", "/"))
+MAX_NESTING = 256  # brackets and prefix operators one expression may nest
+
+
+# The expression grammar of the module docstring: one row of operators per
+# precedence level, loosest first.
+_GRAMMAR = (("||",), ("&&",), ("!",), REL_TOKENS, ("+", "-"), ("*", "/"), ("-",))
+_OR, _AND, _NOT, _REL, _ADD, _MUL, _NEG, _ATOM = range(len(_GRAMMAR) + 1)
+_PREFIX = {_GRAMMAR[lvl][0]: lvl for lvl in (_NOT, _NEG)}
+_INFIX = {op: lvl for lvl, ops in enumerate(_GRAMMAR) if lvl not in _PREFIX.values() for op in ops}
+
+
+def _level(e):
+    """The row of e's operator; atoms bind tightest."""
+    if isinstance(e, BinOp):
+        return _INFIX[e.op]
+    if isinstance(e, BoolOp):
+        return _OR if e.op == "or" else _AND
+    return {RelChain: _REL, BoolNot: _NOT, Neg: _NEG}.get(type(e), _ATOM)
+
+
+def _kind(level):
+    """What the operands of a row are: "bool" for conditions, else "int"."""
+    return "bool" if level < _REL else "int"
+
+
+def _nested(tok, depth):
+    """The depth inside the bracket or prefix operator `tok`."""
+    if depth == MAX_NESTING:
+        raise ParseError(f"expression nested more than {MAX_NESTING} deep", tok.span)
+    return depth + 1
+
 
 # One alternative per token kind, operators longest first.  \w is what
 # str.isalnum() accepts, plus "_"; a name must start with a letter or "_".
@@ -325,7 +370,7 @@ class _Parser:
         if self.at("if"):
             self.advance()
             open_paren = self.expect("(").span
-            cond = self._bool_expr()
+            cond = self._expr(_OR, "bool")
             self.expect(")", context=open_paren)
             then_ctr = self._ctr()
             self.expect("else")
@@ -432,7 +477,7 @@ class _Parser:
         guard = None
         if self.at(":"):
             self.advance()
-            guard = self._bool_expr()
+            guard = self._expr(_OR, "bool")
         return tuple(groups), guard
 
     def _binder_group(self):
@@ -454,90 +499,56 @@ class _Parser:
             return SetDom(lo.name, span=lo.span)
         raise ParseError("expected a range or a set name", self.peek().span)
 
-    # -- boolean expressions -------------------------------------------------
+    # -- expressions -----------------------------------------------------------
 
-    def _bool_expr(self, level=0):
-        """An n-ary `||` of `&&`s: level 0 is `||`, level 1 `&&`."""
-        if level == len(_BOOL_OPS):
-            return self._bool_unary()
-        tok, op = _BOOL_OPS[level]
-        items = [self._bool_expr(level + 1)]
-        while self.at(tok):
+    def _expr(self, level=_ADD, kind="int", depth=0):
+        """One expression of the rows from `level` down, each token read once:
+        a condition ("bool") from _OR, arithmetic ("int") from _ADD, or
+        either (None) inside parentheses that may hold a condition.  `depth`
+        counts the brackets and prefix operators it sits in."""
+        t = self.peek()
+        at = _PREFIX.get(t.text, -1)
+        if at >= level:
             self.advance()
-            items.append(self._bool_expr(level + 1))
-        return items[0] if len(items) == 1 else BoolOp(op, tuple(items), span=items[0].span)
-
-    def _bool_unary(self):
-        if self.at("!"):
-            t = self.advance()
-            return BoolNot(self._bool_unary(), span=t.span)
-        if self.at("("):
-            # Could be a parenthesised boolean expression or an arithmetic
-            # sub-expression starting a comparison chain; try the boolean
-            # reading first and fall back.
-            mark = self.i
+            e = self._expr(at, _kind(at), _nested(t, depth))
+            if at == _NOT:
+                e = BoolNot(e, span=t.span)
+            else:  # a literal takes the sign
+                e = IntLit(-e.value, span=t.span) if isinstance(e, IntLit) else Neg(e, span=t.span)
+        elif t.text == "(":
             self.advance()
-            try:
-                inner = self._bool_expr()
-                self.expect(")")
-                return inner
-            except ParseError:
-                self.i = mark
-        return self._rel_chain()
+            inner = (_ADD, "int") if kind == "int" else (_OR, None)
+            e = self._expr(*inner, _nested(t, depth))
+            self.expect(")", context=t.span)
+        else:
+            e = self._primary(depth)
+        while (at := _INFIX.get(self.peek().text, -1)) >= level:  # one row, its operands
+            _check_kind(e, _kind(at))
+            ops, items = [], [e]
+            while self.peek().text in _GRAMMAR[at]:
+                ops.append(self.advance().text)
+                items.append(self._expr(at + 1, _kind(at), depth))
+            if at < _REL:
+                e = BoolOp("or" if at == _OR else "and", tuple(items), span=e.span)
+            elif at == _REL:
+                e = RelChain(tuple(items), tuple(ops), span=e.span)
+            else:
+                for op, right in zip(ops, items[1:]):
+                    e = BinOp(op, e, right, span=e.span)
+        if kind == "bool":
+            _check_kind(e, kind)
+        return e
 
-    def _rel_chain(self):
-        first = self._expr()
-        operands = [first]
-        rel_ops = []
-        while self.peek().text in REL_TOKENS:
-            rel_ops.append(self.advance().text)
-            operands.append(self._expr())
-        if not rel_ops:
-            raise ParseError(
-                "expected comparison in boolean context", self.peek().span,
-                expected=REL_TOKENS,
-            )
-        return RelChain(tuple(operands), tuple(rel_ops), span=first.span)
-
-    # -- arithmetic expressions ----------------------------------------------
-
-    def _expr(self, level=0):
-        """A left-associative chain: level 0 is `+ -`, level 1 `* /`."""
-        if level == len(_ARITH_OPS):
-            return self._unary()
-        left = self._expr(level + 1)
-        while self.peek().text in _ARITH_OPS[level]:
-            op = self.advance().text
-            left = BinOp(op, left, self._expr(level + 1), span=left.span)
-        return left
-
-    def _unary(self):
-        if self.at("-"):
-            t = self.advance()
-            operand = self._unary()
-            if isinstance(operand, IntLit):
-                return IntLit(-operand.value, span=t.span)
-            return Neg(operand, span=t.span)
-        return self._primary()
-
-    def _primary(self):
+    def _primary(self, depth):
         t = self.peek()
         if t.kind == "int":
             self.advance()
             return IntLit(int(t.text), span=t.span)
-        if self.at("("):
-            open_paren = self.advance().span
-            e = self._expr()
-            self.expect(")", context=open_paren)
-            return e
         if t.kind == "ident":
             self.advance()
             if self.at("["):
-                self.advance()
-                if self.at("<"):
-                    idx = self._tuple_literal()
-                else:
-                    idx = self._expr()
+                depth = _nested(self.advance(), depth)
+                idx = self._tuple_literal(depth) if self.at("<") else self._expr(depth=depth)
                 self.expect("]")
                 return IndexedRef(t.text, idx, span=t.span)
             if self.at(".") and self.peek(1).kind == "ident":
@@ -551,14 +562,24 @@ class _Parser:
             t.span,
         )
 
-    def _tuple_literal(self):
-        start = self.expect("<").span
-        items = [self._expr()]
+    def _tuple_literal(self, depth=0):
+        start = self.expect("<")
+        depth = _nested(start, depth)
+        items = [self._expr(depth=depth)]
         while self.at(","):
             self.advance()
-            items.append(self._expr())
-        self.expect(">", context=start)
-        return TupleExpr(tuple(items), span=start)
+            items.append(self._expr(depth=depth))
+        self.expect(">", context=start.span)
+        return TupleExpr(tuple(items), span=start.span)
+
+
+def _check_kind(e, kind):
+    """A ParseError at e unless it is a condition ("bool") or arithmetic ("int")
+    as `kind` asks."""
+    if kind == "bool" and _level(e) > _REL:
+        raise ParseError("expected comparison in boolean context", e.span, expected=REL_TOKENS)
+    if kind == "int" and _level(e) <= _REL:
+        raise ParseError("expected arithmetic expression, found boolean", e.span)
 
 
 def parse_model(src: str) -> ModelAst:
@@ -653,7 +674,8 @@ class _Validator:
                 if nm in RESERVED:
                     raise ParseError(f"{nm!r} is a reserved word", g.span)
                 scope[nm] = kind
-        self._check_bool_scope(guard, scope)
+        if guard is not None:
+            self._check_expr(guard, scope, allow_dvar=False)
         return scope
 
     def _check_setdom(self, dom):
@@ -667,12 +689,6 @@ class _Validator:
             if p.name == name:
                 return p
         raise ParseError(f"unknown set {name!r}", span)
-
-    def _check_bool_scope(self, guard, scope):
-        if guard is None:
-            return
-        for e in walk_bool(guard):
-            self._check_leaf(e, scope, allow_dvar=False)
 
     def _check_expr(self, expr, scope, allow_dvar):
         for e in walk_exprs(expr):
@@ -731,7 +747,7 @@ class _Validator:
             inner = self._binder_scope(ctr.binders, ctr.guard, scope)
             self._check_ctr(ctr.body, inner)
         elif isinstance(ctr, IfThenElse):
-            self._check_bool_scope(ctr.cond, scope)
+            self._check_expr(ctr.cond, scope, allow_dvar=False)
             self._check_ctr(ctr.then_ctr, scope)
             self._check_ctr(ctr.else_ctr, scope)
         elif isinstance(ctr, AllDifferentCtr):
@@ -771,81 +787,58 @@ def validate_model(model: ModelAst):
 # ---------------------------------------------------------------------------
 # Pretty printer
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def _fmt_expr(e, parent_prec=0, right=False):
+def _fmt(e, level=_OR):
+    """e as source text, in parentheses where it binds looser than `level`.
+    Each operand is printed at the row the parser reads it from, except that
+    && and || keep each other in parentheses and ! keeps its operand in them,
+    as in (a && b) || !(c < d)."""
+    at = _level(e)
     if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, NameRef):
-        return e.name
-    if isinstance(e, FieldRef):
-        return f"{e.base}.{e.fieldname}"
-    if isinstance(e, IndexedRef):
-        if isinstance(e.index, TupleExpr):
-            return f"{e.name}[{_fmt_tuple(e.index)}]"
-        return f"{e.name}[{_fmt_expr(e.index)}]"
-    if isinstance(e, Neg):
-        return f"-{_fmt_expr(e.operand, 3)}"
-    if isinstance(e, BinOp):
-        prec = _PREC[e.op]
-        s = f"{_fmt_expr(e.left, prec)} {e.op} {_fmt_expr(e.right, prec, right=True)}"
-        if prec < parent_prec or (prec == parent_prec and right):
-            return f"({s})"
-        return s
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _fmt_tuple(t):
-    return "<" + ", ".join(_fmt_expr(e) for e in t.items) + ">"
-
-
-def _fmt_bool(b, parent="or"):
-    if isinstance(b, RelChain):
-        parts = [_fmt_expr(b.operands[0])]
-        for op, e in zip(b.rel_ops, b.operands[1:]):
-            parts.append(op)
-            parts.append(_fmt_expr(e))
-        return " ".join(parts)
-    if isinstance(b, BoolNot):
-        return "!(" + _fmt_bool(b.item) + ")"
-    if isinstance(b, BoolOp):
-        joiner = " && " if b.op == "and" else " || "
-        parts = []
-        for it in b.items:
-            s = _fmt_bool(it, parent=b.op)
-            if isinstance(it, BoolOp) and it.op != b.op:
-                s = f"({s})"
-            parts.append(s)
-        s = joiner.join(parts)
-        if b.op == "or" and parent == "and":
-            s = f"({s})"
-        return s
-    raise TypeError(f"not a boolean expression: {b!r}")
+        s = str(e.value)
+    elif isinstance(e, NameRef):
+        s = e.name
+    elif isinstance(e, FieldRef):
+        s = f"{e.base}.{e.fieldname}"
+    elif isinstance(e, IndexedRef):
+        s = f"{e.name}[{_fmt(e.index)}]"
+    elif isinstance(e, TupleExpr):
+        s = "<" + ", ".join([_fmt(it) for it in e.items]) + ">"
+    elif at == _ATOM:
+        raise TypeError(f"not an expression: {e!r}")
+    elif at in _PREFIX.values():
+        s = _GRAMMAR[at][0] + _fmt(operands(e)[0], _ADD if at == _NOT else at)
+    else:
+        items, inner = operands(e), max(at + 1, _NOT)
+        ops = e.rel_ops if at == _REL else (e.op,) if at > _REL else _GRAMMAR[at] * (len(items) - 1)
+        parts = [_fmt(items[0], at if at > _REL else inner)]
+        for op, item in zip(ops, items[1:]):
+            parts += (op, _fmt(item, inner))
+        s = " ".join(parts)
+    return f"({s})" if at < level else s
 
 
 def _fmt_binding(binders, guard):
     s = ", ".join(", ".join(g.names) + " in " + _fmt_binder_dom(g.domain) for g in binders)
-    return s if guard is None else f"{s} : {_fmt_bool(guard)}"
+    return s if guard is None else f"{s} : {_fmt(guard)}"
 
 
 def _fmt_binder_dom(dom):
     if isinstance(dom, RangeDom):
-        return f"{_fmt_expr(dom.lo)}..{_fmt_expr(dom.hi)}"
+        return f"{_fmt(dom.lo)}..{_fmt(dom.hi)}"
     return dom.name
 
 
 def _fmt_collection(c):
-    return f"all({_fmt_binding(c.binders, c.guard)}) {_fmt_expr(c.elem)}"
+    return f"all({_fmt_binding(c.binders, c.guard)}) {_fmt(c.elem)}"
 
 
 def _fmt_ctr(c):
     if isinstance(c, Rel):
-        return f"{_fmt_expr(c.left)} {c.op} {_fmt_expr(c.right)}"
+        return f"{_fmt(c.left)} {c.op} {_fmt(c.right)}"
     if isinstance(c, CountCtr):
         return (
-            f"count({_fmt_collection(c.coll)}, {_fmt_expr(c.value)}) "
-            f"{c.op} {_fmt_expr(c.rhs)}"
+            f"count({_fmt_collection(c.coll)}, {_fmt(c.value)}) "
+            f"{c.op} {_fmt(c.rhs)}"
         )
     if isinstance(c, Implies):
         return f"{_fmt_ctr(c.left)} => {_fmt_ctr(c.right)}"
@@ -854,18 +847,18 @@ def _fmt_ctr(c):
         return f"{kw} ({_fmt_binding(c.binders, c.guard)}) {_fmt_ctr(c.body)}"
     if isinstance(c, IfThenElse):
         return (
-            f"if ({_fmt_bool(c.cond)}) {_fmt_ctr(c.then_ctr)} "
+            f"if ({_fmt(c.cond)}) {_fmt_ctr(c.then_ctr)} "
             f"else {_fmt_ctr(c.else_ctr)}"
         )
     if isinstance(c, AllDifferentCtr):
         return f"allDifferent({_fmt_collection(c.coll)})"
     if isinstance(c, AllMinDistanceCtr):
-        return f"allMinDistance({_fmt_collection(c.coll)}, {_fmt_expr(c.gap)})"
+        return f"allMinDistance({_fmt_collection(c.coll)}, {_fmt(c.gap)})"
     if isinstance(c, InverseCtr):
         return f"inverse({c.f}, {c.g})"
     if isinstance(c, TableCtr):
         name = "allowedAssignments" if c.kind == "allowed" else "forbiddenAssignments"
-        return f"{name}({_fmt_tuple(c.exprs)}, {c.table})"
+        return f"{name}({_fmt(c.exprs)}, {c.table})"
     if isinstance(c, PackCtr):
         return f"pack({c.load}, {c.assign}, {c.weights})"
     raise TypeError(f"not a constraint: {c!r}")
@@ -883,7 +876,7 @@ def pretty_print(model: ModelAst) -> str:
             rhs = "..."
             if p.comp is not None:
                 binding = _fmt_binding(p.comp.binders, p.comp.guard)
-                rhs = f"{{{_fmt_tuple(p.comp.head)} | {binding}}}"
+                rhs = f"{{{_fmt(p.comp.head)} | {binding}}}"
             out.append(f"{{{p.tuple_type}}} {p.name} = {rhs};")
     for tt in model.tuple_types:
         fields = " ".join(f"int {f};" for f in tt.fields)
@@ -892,10 +885,10 @@ def pretty_print(model: ModelAst) -> str:
         idx = ""
         if d.index is not None:
             idx = f"[{_fmt_binder_dom(d.index)}]"
-        dom = f" in {_fmt_expr(d.lo)}..{_fmt_expr(d.hi)}"
+        dom = f" in {_fmt(d.lo)}..{_fmt(d.hi)}"
         out.append(f"dvar int {d.name}{idx}{dom};")
     if model.objective is not None:
-        out.append(f"minimize {_fmt_expr(model.objective.expr)};")
+        out.append(f"minimize {_fmt(model.objective.expr)};")
     out.append("subject to {")
     for lc in model.constraints:
         ann = "  @channeling" if lc.channeling else ""

@@ -324,35 +324,32 @@ class ModelAst:
 # Walks
 
 
+# The sub-expressions of each compound expression node, left to right
+_OPERANDS = {
+    BinOp: lambda e: (e.left, e.right),
+    Neg: lambda e: (e.operand,),
+    IndexedRef: lambda e: (e.index,),
+    TupleExpr: lambda e: e.items,
+    RelChain: lambda e: e.operands,
+    BoolOp: lambda e: e.items,
+    BoolNot: lambda e: (e.item,),
+}
+
+
+def operands(e):
+    """The sub-expressions of e, left to right; () for a name or literal."""
+    f = _OPERANDS.get(type(e))
+    return () if f is None else f(e)
+
+
 def walk_exprs(node):
-    """Yield every arithmetic sub-expression of an expression node."""
-    yield node
-    if isinstance(node, BinOp):
-        yield from walk_exprs(node.left)
-        yield from walk_exprs(node.right)
-    elif isinstance(node, Neg):
-        yield from walk_exprs(node.operand)
-    elif isinstance(node, IndexedRef):
-        if isinstance(node.index, TupleExpr):
-            for it in node.index.items:
-                yield from walk_exprs(it)
-        else:
-            yield from walk_exprs(node.index)
-    elif isinstance(node, TupleExpr):
-        for it in node.items:
-            yield from walk_exprs(it)
-
-
-def walk_bool(node):
-    """Yield every arithmetic sub-expression of a boolean expression node."""
-    if isinstance(node, RelChain):
-        for e in node.operands:
-            yield from walk_exprs(e)
-    elif isinstance(node, BoolOp):
-        for it in node.items:
-            yield from walk_bool(it)
-    elif isinstance(node, BoolNot):
-        yield from walk_bool(node.item)
+    """Yield an expression, arithmetic or boolean, and every sub-expression
+    under it, in preorder; a loop, not a recursion, so any depth walks."""
+    stack = [node]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(operands(e)))
 
 
 def names_in(exprs):

@@ -164,6 +164,18 @@ def test_stray_character_exits_three(files, capsys):
     assert "1:18: unexpected character '²'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side, message", [
+    ("forall (i in 1..3 : (i < 2 &&)) x", "1:66: expected expression, found ')'"),
+    ("(" * 1000 + "x" + ")" * 1000, "1:293: expression nested more than 256 deep"),
+])
+def test_expression_errors_exit_three(files, capsys, side, message):
+    bad = files["dir"] / "bad.cpm"
+    bad.write_text(f"dvar int x in 0..3; subject to {{ c: {side} >= 0; }}\n", encoding="utf-8")
+    rc = main(["check", "--oracle", files["oracle"], "--cput", str(bad)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
 def test_internal_error_exits_four_with_its_traceback(files, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken on purpose")

@@ -44,7 +44,7 @@ from cpconftest.syntax import (
     RelChain,
     SetDom,
     names_in,
-    walk_bool,
+    walk_exprs,
 )
 
 from conftest import brute_solutions, grounded_globals
@@ -556,7 +556,7 @@ def filtering_bindings(model, instance, binders, env0=None, guard=None):
     checks = [[] for _ in range(len(pairs) + 1)]
     if guard is not None:
         for conj in grounding._guard_conjuncts(guard):
-            names = names_in(walk_bool(conj))
+            names = names_in(walk_exprs(conj))
             depth = max((i + 1 for i, (nm, _) in enumerate(pairs) if nm in names), default=0)
             checks[depth].append(conj)
 

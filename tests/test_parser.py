@@ -1,9 +1,9 @@
 import pytest
 
-from cpconftest import parse_data, parse_model, parse_model_file, pretty_print
+from cpconftest import build_instance, ground, parse_data, parse_model, parse_model_file, pretty_print
 from cpconftest.corpus import corpus_path
 from cpconftest.errors import ParseError
-from cpconftest.parser import tokenize
+from cpconftest.parser import MAX_NESTING, REL_TOKENS, _Parser, tokenize
 from cpconftest.syntax import Forall, Implies, Rel, RelChain
 
 CORPUS_MODELS = sorted(str(p) for p in corpus_path().rglob("*.cpm"))
@@ -225,3 +225,138 @@ def test_stray_character_raises_at_its_position(ch):
             read(src)
         assert str(e.value) == f"2:20: unexpected character {ch!r}"
         assert (e.value.span.start, e.value.span.line, e.value.span.col) == (src.index(ch), 2, 20)
+
+
+# ---------------------------------------------------------------------------
+# Expressions: one precedence table, each token read once
+
+
+def guarded(guard):
+    """A model whose one guard, over binders i, j and k, is on line 4."""
+    return (
+        "int n = ...;\ndvar int x[1..n] in 0..9;\nsubject to {\n"
+        f"  c: forall (i, j, k in 1..n : {guard}) x[i] >= 0;\n}}\n"
+    )
+
+
+def error_of(src):
+    with pytest.raises(ParseError) as e:
+        parse_model(src)
+    return e.value
+
+
+def position(src, at):
+    """line:col of offset `at`, as a ParseError writes it."""
+    return f"{src.count(chr(10), 0, at) + 1}:{at - src.rfind(chr(10), 0, at)}"
+
+
+@pytest.mark.parametrize("guard", ["(i < 2 &&)", "!(i <)", "i < 2 && (i > 1 || i +)"])
+def test_guard_error_is_reported_at_the_missing_operand(guard):
+    src = guarded(guard)
+    at = src.index(guard) + len(guard) - 1  # the ) where an operand is missing
+    e = error_of(src)
+    assert str(e) == f"{position(src, at)}: expected expression, found ')'"
+    assert (e.span.start, e.span.line) == (at, 4)
+
+
+@pytest.mark.parametrize("guard, offset, message", [
+    ("i && j < 2", 0, "expected comparison in boolean context"),
+    ("j < 2 || !k", 10, "expected comparison in boolean context"),
+    ("(i + j)", 1, "expected comparison in boolean context"),
+    ("(i < 2) + 1 < 3", 1, "expected arithmetic expression, found boolean"),
+    ("k < 1 || (j < 2) < 3", 10, "expected arithmetic expression, found boolean"),
+])
+def test_kind_error_is_reported_at_the_operand_at_fault(guard, offset, message):
+    src = guarded(guard)
+    at = src.index(guard) + offset
+    e = error_of(src)
+    assert str(e).startswith(f"{position(src, at)}: {message}")
+    assert e.span.start == at
+
+
+@pytest.mark.parametrize("depth", [40, 160])
+def test_each_token_is_read_once(depth, monkeypatch):
+    src = guarded("(" * depth + "i" + ")" * depth + " + 1 < 2 && " + "(" * depth + "j < k" + ")" * depth)
+    calls = []
+    advance = _Parser.advance
+    monkeypatch.setattr(_Parser, "advance", lambda self: calls.append(1) or advance(self))
+    parse_model(src)
+    assert len(calls) == len(tokenize(src)) - 1
+
+
+def random_arith(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.35:
+        return rng.choice(("i", "j", "k", "0", "2", "n"))
+    if r < 0.5:
+        return "-" + random_arith(rng, depth - 1)
+    if r < 0.65:
+        return "(" + random_arith(rng, depth - 1) + ")"
+    return random_arith(rng, depth - 1) + rng.choice((" + ", " - ", " * ", " / ")) + random_arith(rng, depth - 1)
+
+
+def random_condition(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        parts = [random_arith(rng, 2)]
+        for _ in range(rng.choice((1, 1, 2))):
+            parts += [rng.choice(REL_TOKENS), random_arith(rng, 2)]
+        return " ".join(parts)
+    if r < 0.45:
+        return "!" + random_condition(rng, depth - 1)
+    if r < 0.6:
+        return "(" + random_condition(rng, depth - 1) + ")"
+    return random_condition(rng, depth - 1) + rng.choice((" && ", " || ")) + random_condition(rng, depth - 1)
+
+
+def test_printed_guards_parse_back(rng):
+    for _ in range(2000):
+        m = parse_model(guarded(random_condition(rng, 4)))
+        text = pretty_print(m)
+        again = parse_model(text)
+        assert again == m, text
+        assert pretty_print(again) == text
+
+
+def test_printer_parenthesizes_or_inside_and_once():
+    m = parse_model(guarded("i < j && (j != k || i != k)"))
+    assert "i < j && (j != k || i != k)" in pretty_print(m)
+
+
+def related(side):
+    """A model whose one relation, x[1] + side >= 0, is on line 4."""
+    return f"int n = ...;\ndvar int x[1..n] in 0..9; dvar int y in 0..9;\nsubject to {{\n  c: x[1] + {side} >= 0;\n}}\n"
+
+
+# each shape: the model around a nested text, the text at depth d, its opener
+NESTED = {
+    "parentheses in a guard": (guarded, lambda d: "(" * d + "i < 2" + ")" * d, "("),
+    "! in a guard": (guarded, lambda d: "!" * d + "i < 2", "!"),
+    "unary minus in a guard": (guarded, lambda d: "-" * d + "i < 2", "-"),
+    "parentheses in a relation": (related, lambda d: "(" * d + "y" + ")" * d, "("),
+    "unary minus in a relation": (related, lambda d: "-" * d + "y", "-"),
+    "unary minus on a literal": (related, lambda d: "- " * d + "1", "-"),
+    "brackets in a relation": (related, lambda d: "x[" * d + "1" + "]" * d, "["),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_past_the_bound_is_an_input_error(shape):
+    wrap, nest, opener = NESTED[shape]
+    src = wrap(nest(1000))
+    at = src.index(nest(1000)) - 1
+    for _ in range(MAX_NESTING + 1):  # the opener that goes one level too deep
+        at = src.index(opener, at + 1)
+    e = error_of(src)
+    assert str(e) == f"{position(src, at)}: expression nested more than {MAX_NESTING} deep"
+    assert e.span.start == at
+
+
+@pytest.mark.parametrize("shape", sorted(s for s in NESTED if "brackets" not in s))
+def test_nesting_at_the_bound_validates_grounds_and_prints(shape):
+    wrap, nest, _ = NESTED[shape]
+    m = parse_model(wrap(nest(MAX_NESTING)))
+    ground(m, build_instance(m, None, {"n": 3}))
+    text = pretty_print(m)
+    if "!" not in shape:  # pretty_print writes each ! as !( ), two levels
+        assert parse_model(text) == m
