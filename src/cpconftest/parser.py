@@ -111,6 +111,8 @@ _GRAMMAR = (("||",), ("&&",), ("!",), REL_TOKENS, ("+", "-"), ("*", "/"), ("-",)
 _OR, _AND, _NOT, _REL, _ADD, _MUL, _NEG, _ATOM = range(len(_GRAMMAR) + 1)
 _PREFIX = {_GRAMMAR[lvl][0]: lvl for lvl in (_NOT, _NEG)}
 _INFIX = {op: lvl for lvl, ops in enumerate(_GRAMMAR) if lvl not in _PREFIX.values() for op in ops}
+_NODE_LEVEL = {BoolNot: _NOT, RelChain: _REL, Neg: _NEG}
+_KIND = ("bool",) * _REL + ("int",) * (_ATOM - _REL)  # what the operands of each row are
 
 
 def _level(e):
@@ -119,12 +121,7 @@ def _level(e):
         return _INFIX[e.op]
     if isinstance(e, BoolOp):
         return _OR if e.op == "or" else _AND
-    return {RelChain: _REL, BoolNot: _NOT, Neg: _NEG}.get(type(e), _ATOM)
-
-
-def _kind(level):
-    """What the operands of a row are: "bool" for conditions, else "int"."""
-    return "bool" if level < _REL else "int"
+    return _NODE_LEVEL.get(type(e), _ATOM)
 
 
 def _nested(tok, depth):
@@ -505,42 +502,50 @@ class _Parser:
         """One expression of the rows from `level` down, each token read once:
         a condition ("bool") from _OR, arithmetic ("int") from _ADD, or
         either (None) inside parentheses that may hold a condition.  `depth`
-        counts the brackets and prefix operators it sits in."""
+        counts the brackets and prefix operators it sits in.  Infix operands
+        wait in `rows`, one (row, ops, items) per open row, tightest last, so
+        only brackets and prefix operators recurse: two frames a level."""
+        rows, operand = [], (level, kind)
+        while True:
+            e = self._operand(*operand, depth)
+            at = _INFIX.get(self.peek().text, -1)
+            while rows and rows[-1][0] > at:  # rows tighter than the next operator end at e
+                row, ops, items = rows.pop()
+                items.append(_check_kind(e, _KIND[row]))
+                if row < _REL:
+                    e = BoolOp("or" if row == _OR else "and", tuple(items), span=items[0].span)
+                elif row == _REL:
+                    e = RelChain(tuple(items), tuple(ops), span=items[0].span)
+                else:  # + - * / fold to the left
+                    e = items[0]
+                    for op, right in zip(ops, items[1:]):
+                        e = BinOp(op, e, right, span=e.span)
+            if at < level:
+                return _check_kind(e, kind)
+            if not rows or rows[-1][0] < at:
+                rows.append((at, [], []))
+            rows[-1][1].append(self.advance().text)
+            rows[-1][2].append(_check_kind(e, _KIND[at]))
+            operand = (at + 1, _KIND[at])
+
+    def _operand(self, level, kind, depth):
+        """A prefix operator of a row from `level` down with its operand, a
+        parenthesized expression, or an atom."""
         t = self.peek()
         at = _PREFIX.get(t.text, -1)
         if at >= level:
             self.advance()
-            e = self._expr(at, _kind(at), _nested(t, depth))
+            e = self._expr(at, _KIND[at], _nested(t, depth))
             if at == _NOT:
-                e = BoolNot(e, span=t.span)
-            else:  # a literal takes the sign
-                e = IntLit(-e.value, span=t.span) if isinstance(e, IntLit) else Neg(e, span=t.span)
-        elif t.text == "(":
+                return BoolNot(e, span=t.span)
+            # a literal takes the sign
+            return IntLit(-e.value, span=t.span) if isinstance(e, IntLit) else Neg(e, span=t.span)
+        if t.text == "(":
             self.advance()
             inner = (_ADD, "int") if kind == "int" else (_OR, None)
             e = self._expr(*inner, _nested(t, depth))
             self.expect(")", context=t.span)
-        else:
-            e = self._primary(depth)
-        while (at := _INFIX.get(self.peek().text, -1)) >= level:  # one row, its operands
-            _check_kind(e, _kind(at))
-            ops, items = [], [e]
-            while self.peek().text in _GRAMMAR[at]:
-                ops.append(self.advance().text)
-                items.append(self._expr(at + 1, _kind(at), depth))
-            if at < _REL:
-                e = BoolOp("or" if at == _OR else "and", tuple(items), span=e.span)
-            elif at == _REL:
-                e = RelChain(tuple(items), tuple(ops), span=e.span)
-            else:
-                for op, right in zip(ops, items[1:]):
-                    e = BinOp(op, e, right, span=e.span)
-        if kind == "bool":
-            _check_kind(e, kind)
-        return e
-
-    def _primary(self, depth):
-        t = self.peek()
+            return e
         if t.kind == "int":
             self.advance()
             return IntLit(int(t.text), span=t.span)
@@ -574,12 +579,13 @@ class _Parser:
 
 
 def _check_kind(e, kind):
-    """A ParseError at e unless it is a condition ("bool") or arithmetic ("int")
-    as `kind` asks."""
+    """e, if it is a condition ("bool") or arithmetic ("int") as `kind` asks
+    (None takes either); else a ParseError at e."""
     if kind == "bool" and _level(e) > _REL:
         raise ParseError("expected comparison in boolean context", e.span, expected=REL_TOKENS)
     if kind == "int" and _level(e) <= _REL:
         raise ParseError("expected arithmetic expression, found boolean", e.span)
+    return e
 
 
 def parse_model(src: str) -> ModelAst:

@@ -337,6 +337,7 @@ NESTED = {
     "unary minus in a relation": (related, lambda d: "-" * d + "y", "-"),
     "unary minus on a literal": (related, lambda d: "- " * d + "1", "-"),
     "brackets in a relation": (related, lambda d: "x[" * d + "1" + "]" * d, "["),
+    "brackets after operators in a relation": (related, lambda d: "x[1 + 1 * " * d + "1" + "]" * d, "["),
 }
 
 
