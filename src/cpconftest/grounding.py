@@ -26,6 +26,11 @@ distance disjunction per pair, inverse to a channeling disjunction per array
 cell and pack to one bin atom per bin; the solver recognises the first and
 the last when they are posted.  An empty And is TRUE, an empty Or is FALSE.
 
+_lower lowers the nodes that can name a decision variable (a scalar dvar,
+an array cell, unary minus, + - * /); _compile reads every other node, a
+literal, binder, parameter or field.  An error raised while a constraint is
+grounded names it: ground() puts the constraint's label in front.
+
 Channeling definitions drive extend_assignment: given values for the base
 variables, auxiliary variables are filled in by running the definitions to a
 fixpoint in declaration order (first writer wins).  It also returns the
@@ -397,9 +402,17 @@ def _compile_bool(b, instance):
             vals = [f(env) for f in fs]
             return all(op(u, v) for op, u, v in zip(ops, vals, vals[1:]))
         return chain
-    if isinstance(b, BoolOp):
-        fs, quantifier = [_compile_bool(it, instance) for it in b.items], all if b.op == "and" else any
-        return lambda env: quantifier(f(env) for f in fs)
+    if isinstance(b, BoolOp):  # loops, one frame a level, so a guard nested MAX_NESTING deep grounds
+        fs, stop = [], b.op == "or"  # stop: an item value that decides the whole
+        for it in b.items:
+            fs.append(_compile_bool(it, instance))
+
+        def decide(env):
+            for f in fs:
+                if f(env) == stop:
+                    return stop
+            return not stop
+        return decide
     if isinstance(b, BoolNot):
         f = _compile_bool(b.item, instance)
         return lambda env: not f(env)
@@ -584,16 +597,9 @@ def build_instance(model, data=None, overrides=None):
         if p.kind == "tupleset" and p.comp is not None:
             if p.name in merged:
                 raise GroundingError(f"parameter {p.name!r} is computed, not data")
-            fields = _tuple_fields(model, p.tuple_type)
-            rows = []
-            seen = set()
             head = [_compile(e, instance) for e in p.comp.head.items]
-            for env in iter_bindings(model, instance, p.comp.binders, guard=p.comp.guard):
-                row = tuple(item(env) for item in head)
-                if row not in seen:
-                    seen.add(row)
-                    rows.append(row)
-            instance[p.name] = tuple(rows)
+            bindings = iter_bindings(model, instance, p.comp.binders, guard=p.comp.guard)
+            instance[p.name] = tuple(dict.fromkeys(tuple(item(env) for item in head) for env in bindings))
             continue
         if p.name not in merged:
             raise GroundingError(f"parameter {p.name!r} has no value")
@@ -605,20 +611,11 @@ def build_instance(model, data=None, overrides=None):
         elif p.kind == "intset":
             if not isinstance(v, list) or any(not isinstance(x, int) for x in v):
                 raise GroundingError(f"parameter {p.name!r} expects a set of integers")
-            seen = set()
-            vals = []
-            for x in v:
-                check64(x)
-                if x not in seen:
-                    seen.add(x)
-                    vals.append(x)
-            instance[p.name] = tuple(vals)
+            instance[p.name] = tuple(dict.fromkeys(map(check64, v)))
         else:
             fields = _tuple_fields(model, p.tuple_type)
             if not isinstance(v, list) or any(not isinstance(x, tuple) for x in v):
                 raise GroundingError(f"parameter {p.name!r} expects a set of tuples")
-            seen = set()
-            rows = []
             for row in v:
                 if len(row) != len(fields):
                     raise GroundingError(
@@ -627,10 +624,7 @@ def build_instance(model, data=None, overrides=None):
                     )
                 for x in row:
                     check64(x)
-                if row not in seen:
-                    seen.add(row)
-                    rows.append(row)
-            instance[p.name] = tuple(rows)
+            instance[p.name] = tuple(dict.fromkeys(v))
     return instance
 
 
@@ -722,7 +716,6 @@ class _Ctx:
         self.space = space
         self.require_existing = require_existing
         self.dvars = {d.name: d for d in model.dvars}
-        self.label = None
         self.channel_defs = []
         self.nodes = {}  # ground expression -> the one object equal to it
         self.lowered = {}  # id(AST node) -> (names it mentions, {their values: lowering})
@@ -774,23 +767,14 @@ def lower_expr(e, ctx, env):
 
 
 def _lower(e, ctx, env):
-    if isinstance(e, IntLit):
-        return Const(check64(e.value))
-    if isinstance(e, NameRef):
-        if e.name in env:
-            v = env[e.name]
-            if not isinstance(v, int):
-                raise GroundingError(f"binder {e.name!r} is not an integer", ctx.label)
-            return Const(v)
-        if e.name in ctx.dvars:
-            if ctx.dvars[e.name].index is not None:
-                raise GroundingError(f"array {e.name!r} used without an index", ctx.label)
-            return Var(_intern_var(ctx, e.name, ()))
-    if isinstance(e, (NameRef, FieldRef)):
-        return Const(_compile(e, ctx.instance)(env))
+    """The nodes that can name a decision variable; _compile reads the rest."""
+    if isinstance(e, NameRef) and e.name not in env and e.name in ctx.dvars:
+        if ctx.dvars[e.name].index is not None:
+            raise GroundingError(f"array {e.name!r} used without an index")
+        return Var(_intern_var(ctx, e.name, ()))
     if isinstance(e, IndexedRef):
         if e.name not in ctx.dvars:
-            raise GroundingError(f"unknown array {e.name!r}", ctx.label)
+            raise GroundingError(f"unknown array {e.name!r}")
         if isinstance(e.index, TupleExpr):
             key = tuple(_compile(it, ctx.instance)(env) for it in e.index.items)
         elif isinstance(e.index, NameRef) and isinstance(env.get(e.index.name), dict):
@@ -801,7 +785,7 @@ def _lower(e, ctx, env):
         vid = ctx.space.lookup(e.name, key)
         if vid is None:
             name = f"{e.name}[{','.join(map(str, key))}]"
-            raise GroundingError(f"index out of range: {name}", ctx.label)
+            raise GroundingError(f"index out of range: {name}")
         return Var(vid)
     if isinstance(e, Neg):
         return mk_prod((Const(-1), _lower(e.operand, ctx, env)))
@@ -816,20 +800,21 @@ def _lower(e, ctx, env):
             return mk_prod((a, b))
         if isinstance(a, Const) and isinstance(b, Const):
             return Const(div_trunc(a.value, b.value))
-        raise GroundingError("division must be parameter-only", ctx.label)
-    raise GroundingError(f"cannot lower {type(e).__name__}", ctx.label)
+        raise GroundingError("division must be parameter-only")
+    return Const(_compile(e, ctx.instance)(env))
 
 
-def _flip_atom(atom, ctx):
+def _flip_atom(atom):
     if isinstance(atom, RelAtom):
         return RelAtom(FLIP[atom.op], atom.left, atom.right)
     if isinstance(atom, CountC):
         return CountC(atom.items, atom.value, FLIP[atom.op], atom.rhs)
-    raise GroundingError("only relations can appear around =>", ctx.label)
+    raise GroundingError("only relations can appear around =>")
 
 
-def _maybe_channel_def(ctx, guard, atom):
-    """Record var == rhs (under guard) when the relational atom defines a variable."""
+def _maybe_channel_def(ctx, guard, atom, label):
+    """Record var == rhs (under guard) for constraint `label` when the
+    relational atom defines a variable."""
     if atom.op != "==":
         return
     left, right = atom.left, atom.right
@@ -839,13 +824,14 @@ def _maybe_channel_def(ctx, guard, atom):
         return
     if left.vid in gexpr_vars(right):
         return
-    ctx.channel_defs.append(ChannelDef(guard, left.vid, right, ctx.label))
+    ctx.channel_defs.append(ChannelDef(guard, left.vid, right, label))
 
 
-def lower_ctr(ctr, ctx, env, channeling=False):
+def lower_ctr(ctr, ctx, env, channeling=None):
     """Lower a constraint to its ground tree under the given binder env.
-    Under `channeling` (@channeling), an asserted `var == rhs` is recorded
-    as a channel definition, guarded when it is an implication's right side."""
+    Under `channeling`, the label of a constraint marked @channeling, an
+    asserted `var == rhs` is recorded as a channel definition of that
+    label, guarded when it is an implication's right side."""
     if isinstance(ctr, Rel):
         a = lower_expr(ctr.left, ctx, env)
         b = lower_expr(ctr.right, ctx, env)
@@ -853,7 +839,7 @@ def lower_ctr(ctr, ctx, env, channeling=False):
             return TRUE_C if rel_holds(ctr.op, a.value, b.value) else FALSE_C
         atom = RelAtom(ctr.op, a, b)
         if channeling:
-            _maybe_channel_def(ctx, None, atom)
+            _maybe_channel_def(ctx, None, atom, channeling)
         return atom
     if isinstance(ctr, CountCtr):
         items = tuple(_lower_collection(ctr.coll, ctx, env))
@@ -866,24 +852,19 @@ def lower_ctr(ctr, ctx, env, channeling=False):
         left = lower_ctr(ctr.left, ctx, env)
         right = lower_ctr(ctr.right, ctx, env)
         if channeling and isinstance(right, RelAtom) and left is not FALSE_C:
-            _maybe_channel_def(ctx, left if left is not TRUE_C else None, right)
+            _maybe_channel_def(ctx, left if left is not TRUE_C else None, right, channeling)
         if left is TRUE_C:
             return right
         if left is FALSE_C:
             return TRUE_C
-        return OrC((_flip_atom(left, ctx), right))
-    if isinstance(ctr, Forall):
+        return OrC((_flip_atom(left), right))
+    if isinstance(ctr, (Forall, OrAgg)):
+        forall = isinstance(ctr, Forall)  # a disjunct is not asserted by itself
         out = []
         for benv in iter_bindings(ctx.model, ctx.instance, ctr.binders, env, ctr.guard):
             ctx.tick()
-            out.append(lower_ctr(ctr.body, ctx, benv, channeling))
-        return AndC(tuple(out))
-    if isinstance(ctr, OrAgg):
-        out = []
-        for benv in iter_bindings(ctx.model, ctx.instance, ctr.binders, env, ctr.guard):
-            ctx.tick()
-            out.append(lower_ctr(ctr.body, ctx, benv))  # a disjunct is not asserted by itself
-        return OrC(tuple(out))
+            out.append(lower_ctr(ctr.body, ctx, benv, channeling if forall else None))
+        return (AndC if forall else OrC)(tuple(out))
     if isinstance(ctr, IfThenElse):
         branch = ctr.then_ctr if _compile_bool(ctr.cond, ctx.instance)(env) else ctr.else_ctr
         return lower_ctr(branch, ctx, env, channeling)
@@ -908,11 +889,8 @@ def lower_ctr(ctr, ctx, env, channeling=False):
         rows = ctx.instance[ctr.table]
         for row in rows:
             if len(row) != len(items):
-                raise GroundingError(
-                    f"table {ctr.table!r} rows have arity {len(row)}, "
-                    f"constraint uses {len(items)}",
-                    ctx.label,
-                )
+                raise GroundingError(f"table {ctr.table!r} rows have arity {len(row)}, "
+                                     f"constraint uses {len(items)}")
         return TableC(ctr.kind, items, tuple(rows))
     if isinstance(ctr, PackCtr):
         bins, loads = _int_array(ctx, ctr.load)
@@ -921,18 +899,16 @@ def lower_ctr(ctr, ctx, env, channeling=False):
         wmap = {}
         for row in weight_rows:
             if len(row) != 2:
-                raise GroundingError(
-                    f"weight set {ctr.weights!r} must hold <item, size> pairs", ctx.label
-                )
+                raise GroundingError(f"weight set {ctr.weights!r} must hold <item, size> pairs")
             wmap.setdefault(row[0], row[1])
         sizes = []
         for k in item_keys:
             if k not in wmap:
-                raise GroundingError(f"no weight for item {k} in {ctr.weights!r}", ctx.label)
+                raise GroundingError(f"no weight for item {k} in {ctr.weights!r}")
             sizes.append(wmap[k])
         assigns, sizes = tuple(assigns), tuple(sizes)
         return AndC(tuple(PackBinC(b, load, assigns, sizes, "==") for b, load in zip(bins, loads)))
-    raise GroundingError(f"cannot ground {type(ctr).__name__}", ctx.label)
+    raise GroundingError(f"cannot ground {type(ctr).__name__}")
 
 
 def _lower_collection(coll, ctx, env):
@@ -968,16 +944,16 @@ def _int_array(ctx, name):
     """Keys and vids of a one-dimensional, int-indexed dvar array."""
     d = ctx.dvars.get(name)
     if d is None or d.index is None:
-        raise GroundingError(f"{name!r} is not a dvar array", ctx.label)
+        raise GroundingError(f"{name!r} is not a dvar array")
     keys = _var_keys(ctx, d)
     idx = []
     vids = []
     for key in keys:
         if len(key) != 1:
-            raise GroundingError(f"array {name!r} must be indexed by integers", ctx.label)
+            raise GroundingError(f"array {name!r} must be indexed by integers")
         vid = ctx.space.lookup(name, key)
         if vid is None:
-            raise GroundingError(f"array {name!r} cell missing", ctx.label)
+            raise GroundingError(f"array {name!r} cell missing")
         idx.append(key[0])
         vids.append(vid)
     return idx, vids
@@ -1005,9 +981,11 @@ def ground(model, instance, space=None, require_existing=False, deadline=None):
             domains[vid] = (lo, hi)
     constraints = []
     for lc in model.constraints:
-        ctx.label = lc.label
-        constraints.append(GroundCtr(lc.label, lower_ctr(lc.ctr, ctx, {}, lc.channeling)))
-    ctx.label = None
+        try:
+            tree = lower_ctr(lc.ctr, ctx, {}, lc.label if lc.channeling else None)
+        except GroundingError as exc:  # named by the constraint it came from
+            raise GroundingError(str(exc), lc.label) from exc
+        constraints.append(GroundCtr(lc.label, tree))
     objective = None
     if model.objective is not None:
         objective = lower_expr(model.objective.expr, ctx, {})

@@ -795,9 +795,8 @@ def validate_model(model: ModelAst):
 
 def _fmt(e, level=_OR):
     """e as source text, in parentheses where it binds looser than `level`.
-    Each operand is printed at the row the parser reads it from, except that
-    && and || keep each other in parentheses and ! keeps its operand in them,
-    as in (a && b) || !(c < d)."""
+    Each operand is printed at the row the parser reads it from, so only
+    precedence puts parentheses, as in a && b || !c < d && (e || f)."""
     at = _level(e)
     if isinstance(e, IntLit):
         s = str(e.value)
@@ -812,9 +811,9 @@ def _fmt(e, level=_OR):
     elif at == _ATOM:
         raise TypeError(f"not an expression: {e!r}")
     elif at in _PREFIX.values():
-        s = _GRAMMAR[at][0] + _fmt(operands(e)[0], _ADD if at == _NOT else at)
+        s = _GRAMMAR[at][0] + _fmt(operands(e)[0], at)
     else:
-        items, inner = operands(e), max(at + 1, _NOT)
+        items, inner = operands(e), at + 1
         ops = e.rel_ops if at == _REL else (e.op,) if at > _REL else _GRAMMAR[at] * (len(items) - 1)
         parts = [_fmt(items[0], at if at > _REL else inner)]
         for op, item in zip(ops, items[1:]):

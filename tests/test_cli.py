@@ -322,6 +322,35 @@ def test_validate_bad_witness_exits_three(files, capsys):
     assert "unknown array" in capsys.readouterr().err
 
 
+TUPLE_BINDER = """
+tuple P { int a; int b; }
+{P} s = ...;
+dvar int x[1..3] in 0..9;
+subject to { c: forall (r in s) x[r + 1] >= 0; }
+"""
+
+# (the arguments after the command, with {oracle}, {witness}, {model} and
+# {data} filled in; the command; the one line written to stderr)
+INPUT_ERRORS = [
+    ("--oracle {oracle} --cput {oracle} --param m", "check", "error: --param wants name=value, got 'm'"),
+    ("--oracle {oracle} --cput {oracle} --relation bounds --bounds a:b", "check",
+     "error: --bounds 'a:b': bounds must be integers"),
+    ("--oracle {oracle} --cput {oracle} --witness {witness}", "validate",
+     "error: witness file must hold a JSON object of name/value pairs"),
+    ("--oracle {model} --cput {model} --data {data}", "check", "error: c: binder 'r' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("args, command, line", INPUT_ERRORS, ids=[line for _, _, line in INPUT_ERRORS])
+def test_each_input_error_exits_three_with_its_message(files, capsys, args, command, line):
+    model, data = files["dir"] / "binder.cpm", files["dir"] / "binder.data"
+    model.write_text(TUPLE_BINDER, encoding="utf-8")
+    data.write_text("s = {<1, 2>};\n", encoding="utf-8")
+    paths = {"oracle": files["oracle"], "witness": witness_file(files["dir"], [1, 2]), "model": model, "data": data}
+    assert main([command] + args.format(**paths).split()) == 3
+    assert capsys.readouterr().err == line + "\n"
+
+
 SIZED = """
 int n = ...;
 dvar int x[1..n] in 0..9;

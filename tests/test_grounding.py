@@ -511,6 +511,56 @@ def test_index_out_of_range():
         ground(m, build_instance(m, {"n": 2}))
 
 
+def modeled(decls, ctr="c: y >= 0;"):
+    return decls + "dvar int y in 0..9;\nsubject to {\n  " + ctr + "\n}\n"
+
+
+PAIR = "tuple P { int a; int b; }\n"
+BINS = "dvar int load[1..2] in 0..9;\ndvar int bin[1..2] in 1..2;\n"
+
+# (model, data, the error's exact text): one input per message.  An error
+# raised while a constraint is grounded starts with its label
+GROUNDING_ERRORS = [
+    # instance data
+    (modeled("int n = ...;\n"), {"n": [1]}, "parameter 'n' expects an integer"),
+    (modeled("{int} u = ...;\n"), {"u": 3}, "parameter 'u' expects a set of integers"),
+    (modeled(PAIR + "{P} s = ...;\n"), {"s": [1, 2]}, "parameter 's' expects a set of tuples"),
+    (modeled(PAIR + "{P} s = ...;\n"), {"s": [(1, 2, 3)]}, "tuple of arity 3 in 's', expected 2 fields"),
+    (modeled(PAIR + "{P} s = {<i, i> | i in u};\n{int} u = ...;\n"), {"u": [1]}, "set 'u' has no value yet"),
+    ("int n = ...;\ndvar int z in n..0;\nsubject to { c: z >= 0; }\n", {"n": 1}, "empty domain 1..0 for 'z'"),
+    # globals
+    (modeled(PAIR + "{P} s = ...;\n", "c: allowedAssignments(<y>, s);"), {"s": [(1, 2)]},
+     "c: table 's' rows have arity 2, constraint uses 1"),
+    (modeled("tuple W { int a; int b; int c; }\n{W} w = ...;\n" + BINS, "c: pack(load, bin, w);"),
+     {"w": [(1, 2, 3)]}, "c: weight set 'w' must hold <item, size> pairs"),
+    (modeled(PAIR + "{P} w = ...;\n" + BINS, "c: pack(load, bin, w);"), {"w": [(1, 2)]},
+     "c: no weight for item 2 in 'w'"),
+    (modeled(PAIR + "{P} s = ...;\ndvar int f[s] in 1..2;\ndvar int g[1..2] in 1..2;\n", "c: inverse(f, g);"),
+     {"s": [(1, 2)]}, "c: array 'f' must be indexed by integers"),
+    # expressions, read by the compiled closures and by lowering alike
+    (modeled(PAIR + "{P} s = ...;\ndvar int x[1..3] in 0..9;\n", "c: forall (r in s) x[r + 1] >= 0;"),
+     {"s": [(1, 2)]}, "c: binder 'r' is not an integer"),
+    (modeled("{int} u = ...;\ndvar int x[1..3] in 0..9;\n", "c: x[u] >= 0;"), {"u": [1]},
+     "c: set parameter 'u' used as an integer"),
+    (modeled("{int} u = ...;\n", "c: forall (i in 1..2 : i < u) y >= i;"), {"u": [1]},
+     "c: set parameter 'u' used as an integer"),
+    (modeled("", "c: 6 / y >= 1;"), {}, "c: division must be parameter-only"),
+    (modeled("dvar int x[1..3] in 0..9;\n", "c: x[4] >= 0;"), {}, "c: index out of range: x[4]"),
+    (modeled("dvar int x[1..3] in 0..9;\n", "c: x[y] >= 0;"), {}, "c: 'y' is not a parameter or binder"),
+    (modeled("dvar int x[1..3] in 0..9;\n", "c: x[x[1]] >= 0;"), {},
+     "c: expression must be parameter-only, found IndexedRef"),
+]
+
+
+@pytest.mark.parametrize("src, data, text", GROUNDING_ERRORS, ids=[t for _, _, t in GROUNDING_ERRORS])
+def test_each_grounding_error_names_its_constraint(src, data, text):
+    m = parse_model(src)
+    with pytest.raises(GroundingError) as e:
+        ground(m, build_instance(m, data))
+    assert str(e.value) == text
+    assert e.value.label == ("c" if text.startswith("c: ") else None)
+
+
 def test_arithmetic_is_exact_and_inputs_are_64_bit():
     # a product past 64 bits grounds to its exact value, and evaluates
     # exactly; a literal or a data value outside 64 bits is an input error

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from cpconftest import build_instance, ground, parse_data, parse_model, parse_model_file, pretty_print
@@ -190,6 +192,67 @@ def test_data_duplicate_key():
         parse_data("n = 1; n = 2;")
 
 
+DECLS = "int n = ...;\ndvar int x[1..n] in 0..9;\ndvar int y in 0..9;\n"
+
+
+def body(ctr, decls=""):
+    """A model of DECLS, then `decls`, then one constraint `ctr` at column 3
+    of a line of its own (line 5 when `decls` is empty)."""
+    return DECLS + decls + "subject to {\n  " + ctr + "\n}\n"
+
+
+# (parse function, source, the error's exact text): one input per message
+INPUT_ERRORS = [
+    # the parser
+    (parse_model, DECLS, "4:1: model has no 'subject to' block"),
+    (parse_model, DECLS + "minimize y;\nminimize y;\nsubject to { c: y >= 0; }\n", "5:1: more than one objective"),
+    (parse_model, DECLS + "float z;\nsubject to { c: y >= 0; }\n",
+     "4:1: unexpected 'float' in declarations (expected dvar or int or minimize or subject or tuple or {)"),
+    (parse_model, DECLS + "subject to {\n  c: y >= 0;\n", "4:12: unterminated 'subject to' block"),
+    (parse_model, body("c: y >= 0;") + "}\n", "7:1: trailing input '}' after model"),
+    (parse_model, "tuple T { }\n" + body("c: y >= 0;"), "1:1: tuple type needs at least one field"),
+    (parse_model, body("c: y >= 0;  @symmetry"), "5:3: unknown annotation @symmetry"),
+    (parse_model, body("c: y + 1;"),
+     "5:11: expected comparison operator, found ';' (expected != or < or <= or == or > or >=)"),
+    (parse_model, body("c: forall (i in n + 1) x[i] >= 0;"), "5:24: expected a range or a set name"),
+    (parse_model, body("1: y >= 0;"), "5:3: expected constraint label, found '1'"),
+    # the validator
+    (parse_model, "{T} s = ...;\n" + body("c: y >= 0;"), "1:1: unknown tuple type 'T'"),
+    (parse_model, "int n = ...;\nint n = ...;\n" + body("c: y >= 0;"), "2:1: duplicate declaration of 'n'"),
+    (parse_model, "int all = ...;\n" + body("c: y >= 0;"), "1:1: 'all' is a reserved word"),
+    (parse_model, DECLS + "dvar int y in 0..1;\nsubject to { c: y >= 0; }\n", "4:1: duplicate declaration of 'y'"),
+    (parse_model, DECLS + "dvar int forall in 0..1;\nsubject to { c: y >= 0; }\n", "4:1: 'forall' is a reserved word"),
+    (parse_model, body("c: forall (if in 1..n) x[if] >= 0;"), "5:14: 'if' is a reserved word"),
+    (parse_model, body("c: forall (i in n) x[i] >= 0;"), "5:19: 'n' is an int, not a set"),
+    (parse_model, body("c: forall (i in 1..n : i < y) x[i] >= 0;"), "5:30: decision variable 'y' not allowed here"),
+    (parse_model, body("c: forall (i in 1..n : x[i] < 2) x[i] >= 0;"), "5:26: decision variable 'x' not allowed here"),
+    (parse_model, body("c: x >= 0;"), "5:6: array 'x' needs an index"),
+    (parse_model, body("c: q >= 0;"), "5:6: unknown identifier 'q'"),
+    (parse_model, body("c: q[1] >= 0;"), "5:6: unknown array 'q'"),
+    (parse_model, body("c: y[1] >= 0;"), "5:6: 'y' is scalar, not an array"),
+    (parse_model, body("c: forall (i in 1..n) x[q.a] >= 0;"), "5:27: unknown tuple binder 'q'"),
+    (parse_model, body("c: forall (i in 1..n) x[i.a] >= 0;"), "5:27: binder 'i' is not a tuple"),
+    (parse_model, body("c: forall (p in s) x[p.z] >= 0;", "tuple P { int a; }\n{P} s = ...;\n"),
+     "7:24: tuple type 'P' has no field 'z'"),
+    (parse_model, body("c: inverse(x, y);"), "5:6: inverse needs a dvar array, got 'y'"),
+    (parse_model, body("c: allowedAssignments(<y>, u);", "{int} u = ...;\n"), "6:6: 'u' is not a tuple set"),
+    (parse_model, body("c: pack(x, y, w);", "tuple W { int i; int s; }\n{W} w = ...;\n"),
+     "7:6: pack needs a dvar array, got 'y'"),
+    (parse_model, body("c: pack(x, x, u);", "{int} u = ...;\n"), "6:6: 'u' is not a tuple set"),
+    # data files
+    (parse_data, "n = x;\n", "1:5: expected a value, found 'x'"),
+    (parse_data, "s = {<1, a>};\n", "1:10: expected integer, found 'a'"),
+]
+
+
+@pytest.mark.parametrize("parse, src, text", INPUT_ERRORS, ids=[t for _, _, t in INPUT_ERRORS])
+def test_each_input_error_names_its_place(parse, src, text):
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    assert str(e.value) == text
+    assert text.startswith(f"{e.value.span.line}:{e.value.span.col}: ")
+
+
 # every operator, and integers and names, some of them not ASCII
 LEXEMES = (
     [("op", t) for t in ("...", "==", "!=", "<=", ">=", "=>", "&&", "||", "..")]
@@ -333,6 +396,7 @@ NESTED = {
     "parentheses in a guard": (guarded, lambda d: "(" * d + "i < 2" + ")" * d, "("),
     "! in a guard": (guarded, lambda d: "!" * d + "i < 2", "!"),
     "unary minus in a guard": (guarded, lambda d: "-" * d + "i < 2", "-"),
+    "|| and && in a guard": (guarded, lambda d: "(i < 1 || i < 2 && " * d + "i < 3" + ")" * d, "("),
     "parentheses in a relation": (related, lambda d: "(" * d + "y" + ")" * d, "("),
     "unary minus in a relation": (related, lambda d: "-" * d + "y", "-"),
     "unary minus on a literal": (related, lambda d: "- " * d + "1", "-"),
@@ -358,6 +422,22 @@ def test_nesting_at_the_bound_validates_grounds_and_prints(shape):
     wrap, nest, _ = NESTED[shape]
     m = parse_model(wrap(nest(MAX_NESTING)))
     ground(m, build_instance(m, None, {"n": 3}))
-    text = pretty_print(m)
-    if "!" not in shape:  # pretty_print writes each ! as !( ), two levels
-        assert parse_model(text) == m
+    assert same_tree(parse_model(pretty_print(m)), m)
+
+
+def same_tree(a, b):
+    """a == b on ASTs, by a loop: == recurses several frames a level."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, tuple):
+            if len(a) != len(b):
+                return False
+            stack.extend(zip(a, b))
+        elif dataclasses.is_dataclass(a):
+            stack.extend((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a) if f.compare)
+        elif a != b:
+            return False
+    return True
